@@ -53,7 +53,6 @@ from .model import (
     tuple_in_relation,
 )
 from .polymorphism import (
-    PolymorphismFinding,
     PreservationResult,
     check_two_decomposable,
     find_modular_median,
@@ -79,7 +78,6 @@ __all__ = [
     "OffsetSet",
     "ParseError",
     "PeriodicMapSpec",
-    "PolymorphismFinding",
     "PreservationResult",
     "RelationDef",
     "Template",

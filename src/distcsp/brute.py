@@ -1,4 +1,4 @@
-"""Exhaustive decision procedure, independent of the propagation solver.
+"""Exhaustive decision procedure; it shares only graph traversal with the solver.
 
 Satisfiable components always have a witness whose values stay within
 (m-1) * D of the root, where m is the component size and D the largest
@@ -11,10 +11,10 @@ heuristic.
 
 from __future__ import annotations
 
-from collections import deque
-
+from .analysis import max_distance_or_zero
 from .errors import CapExceededError, InputError
-from .model import Instance, OffsetSet, Template, project_constraint, tuple_in_relation
+from .model import Instance, Template, project_constraint, tuple_in_relation
+from .solver import bfs_depths, canonical_components, co_occurrence_adjacency, induced_instance
 
 DEFAULT_NODE_CAP = 100_000_000
 
@@ -35,44 +35,6 @@ def verify_assignment(
     return True, None
 
 
-def _max_distance(t: Template) -> int:
-    gaps = [
-        abs(w[j] - w[i])
-        for rel in t.relations
-        if rel.has_tuples
-        for v in rel.offset_tuples
-        for w in [(0, *v)]
-        for i in range(len(w))
-        for j in range(i + 1, len(w))
-    ]
-    return max(gaps, default=0)
-
-
-def _components(inst: Instance) -> list[list[int]]:
-    adjacency: list[set[int]] = [set() for _ in range(inst.num_vars)]
-    for c in inst.constraints:
-        distinct = sorted(set(c.args))
-        for i, a in enumerate(distinct):
-            for b in distinct[i + 1 :]:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-    components, seen = [], [False] * inst.num_vars
-    for start in range(inst.num_vars):
-        if seen[start]:
-            continue
-        comp, queue = [], deque([start])
-        seen[start] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in sorted(adjacency[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        components.append(sorted(comp))
-    return components
-
-
 def search_space_estimate(inst: Instance, t: Template) -> int:
     """Upper bound on assignments the backtracking search can visit.
 
@@ -81,14 +43,14 @@ def search_space_estimate(inst: Instance, t: Template) -> int:
     FULL constraints fall back to the whole window.
     """
     inst.validate_against(t)
-    biggest = _max_distance(t)
+    biggest = max_distance_or_zero(t)
     estimate = 1
-    for comp in _components(inst):
-        order, finite_edges = _component_plan(inst, t, comp)[:2]
+    for comp in canonical_components(inst):
+        order, pair_sets = _component_plan(inst, t, comp)[:2]
         window = 2 * (len(comp) - 1) * biggest + 1
         placed = {order[0]}
         for j in order[1:]:
-            if any((i, j) in finite_edges for i in placed):
+            if any((i, j) in pair_sets for i in placed):
                 estimate *= 2 * biggest + 1
             else:
                 estimate *= window
@@ -97,24 +59,15 @@ def search_space_estimate(inst: Instance, t: Template) -> int:
 
 
 def _component_plan(inst: Instance, t: Template, comp: list[int]):
-    """BFS variable order, finite pair edges, and pair sets for one component."""
-    local = {g: i for i, g in enumerate(comp)}
-    adjacency: list[set[int]] = [set() for _ in range(len(comp))]
+    """BFS variable order, finite pair sets and the induced instance for one
+    component."""
+    sub = induced_instance(inst, comp)
     pair_sets: dict[tuple[int, int], set[int]] = {}
-    constraints = []
-    for c in inst.constraints:
-        if c.args[0] not in local:
-            continue
-        args = tuple(local[a] for a in c.args)
-        constraints.append((c, args))
+    for c in sub.constraints:
         rel = t.relation(c.relation)
-        distinct = sorted(set(args))
-        for x, a in enumerate(distinct):
-            for b in distinct[x + 1 :]:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
         if not rel.has_tuples:
             continue
+        args = c.args
         for pi in range(len(args)):
             for pj in range(pi + 1, len(args)):
                 a, b = args[pi], args[pj]
@@ -126,21 +79,8 @@ def _component_plan(inst: Instance, t: Template, comp: list[int]):
                         pair_sets[key] &= offs
                     else:
                         pair_sets[key] = set(offs)
-    order, seen = [], [False] * len(comp)
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in sorted(adjacency[v]):
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    for v in range(len(comp)):
-        if not seen[v]:
-            order.append(v)
-    finite_edges = set(pair_sets)
-    return order, finite_edges, pair_sets, constraints
+    order = list(bfs_depths(co_occurrence_adjacency(sub), 0))
+    return order, pair_sets, sub
 
 
 def brute_solve(
@@ -163,16 +103,16 @@ def brute_solve(
         raise CapExceededError(
             f"search space estimate {estimate} exceeds the cap {node_cap}"
         )
-    biggest = _max_distance(t)
+    biggest = max_distance_or_zero(t)
     values = [0] * inst.num_vars
-    for comp in _components(inst):
-        order, _, pair_sets, constraints = _component_plan(inst, t, comp)
+    for comp in canonical_components(inst):
+        order, pair_sets, sub = _component_plan(inst, t, comp)
         half = (len(comp) - 1) * biggest
         # check each constraint once, at the assignment of its latest variable
         position = {v: i for i, v in enumerate(order)}
         due: list[list] = [[] for _ in order]
-        for c, args in constraints:
-            due[max(position[a] for a in args)].append((t.relation(c.relation), args))
+        for c in sub.constraints:
+            due[max(position[a] for a in c.args)].append((t.relation(c.relation), c.args))
         local_values: dict[int, int] = {}
 
         def passes(step: int) -> bool:

@@ -3,8 +3,8 @@
 Reports are JSON on stdout; diagnostics go to stderr.  Exit codes: 0 for
 satisfiable / success, 1 for unsatisfiable / failed verification, 2 when a
 bounded search ends without a finding or the verdict is unknown, 3 for input
-errors, 4 for internal invariant violations.  Identical inputs and flags
-produce byte-identical reports.
+errors, 4 for internal invariant violations and any other unexpected
+failure.  Identical inputs and flags produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -105,18 +105,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_poly(args) -> int:
     t = _load_template(args.template)
-    d_max = args.max_d
-    if d_max is None:
-        biggest = analysis.max_distance_or_zero(t)
-        d_max = 2 * biggest if biggest else 1
-    found = None
-    for d in range(1, d_max + 1):
-        if all(
-            polymorphism.preserves_relation(d, rel, window=args.window).preserved
-            for rel in t.relations
-        ):
-            found = d
-            break
+    if args.trials < 0:
+        raise InputError(f"--trials must be non-negative, got {args.trials}")
+    d_max = polymorphism.default_modulus_bound(t) if args.max_d is None else args.max_d
+    found = polymorphism.find_modular_median(t, d_max, window=args.window)
     if found is None:
         _emit({"found": False, "max_modulus_checked": d_max})
         return EXIT_UNKNOWN
@@ -267,6 +259,9 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_UNKNOWN
     except InternalInvariantError as e:
         sys.stderr.write(f"internal error: {e}\n")
+        return EXIT_INTERNAL
+    except Exception as e:  # any other failure is a defect, never a verdict
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
         return EXIT_INTERNAL
 
 

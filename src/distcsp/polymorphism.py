@@ -47,15 +47,6 @@ class PreservationResult:
     trivial: bool = False
 
 
-@dataclass(frozen=True)
-class PolymorphismFinding:
-    """A verified modulus together with how hard it was checked."""
-
-    modulus: int
-    verified_window: int
-    randomized_trials: int = 0
-
-
 def preservation_window(d: int, rel: RelationDef) -> int:
     """Base-point shift bound for the exhaustive closure check."""
     return 6 * (rel.max_offset() + d) + 1
@@ -89,6 +80,8 @@ def preserves_relation(d: int, rel: RelationDef, window: int | None = None) -> P
     """
     if d < 1:
         raise InputError(f"modulus must be positive, got {d}")
+    if window is not None and window < 0:
+        raise InputError(f"shift window must be non-negative, got {window}")
     if not rel.has_tuples:
         return PreservationResult(True, trivial=True)
     tuples = rel.offset_tuples
@@ -158,19 +151,27 @@ def random_preservation_trials(
     return None
 
 
-def find_modular_median(t: Template, d_max: int | None = None) -> int | None:
+def default_modulus_bound(t: Template) -> int:
+    """Twice the largest realized distance, or 1 when the template has no
+    graph edges (where the plain median always works)."""
+    biggest = max_distance_or_zero(t)
+    return 2 * biggest if biggest else 1
+
+
+def find_modular_median(
+    t: Template, d_max: int | None = None, window: int | None = None
+) -> int | None:
     """Smallest modulus d <= d_max that every relation of ``t`` is closed under.
 
-    The default bound is twice the largest realized distance (1 when the
-    template has no graph edges, where the plain median always works).
+    ``d_max`` defaults to `default_modulus_bound`; ``window`` overrides each
+    relation's exhaustive shift window as in `preserves_relation`.
     """
     if d_max is None:
-        biggest = max_distance_or_zero(t)
-        d_max = 2 * biggest if biggest else 1
+        d_max = default_modulus_bound(t)
     if d_max < 1:
         raise InputError(f"modulus bound must be positive, got {d_max}")
     for d in range(1, d_max + 1):
-        if all(preserves_relation(d, rel).preserved for rel in t.relations):
+        if all(preserves_relation(d, rel, window).preserved for rel in t.relations):
             return d
     return None
 

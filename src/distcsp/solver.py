@@ -41,8 +41,8 @@ MODES = ("auto", "consistency", "brute")
 
 @dataclass
 class SolveStats:
-    """Counters from one solve; sweeps counts scheduler steps (full passes in
-    sweep mode, pair visits in worklist mode)."""
+    """Counters from one solve; sweeps counts the pair visits of the
+    propagation worklist."""
 
     proper_replacements: int = 0
     sweeps: int = 0
@@ -151,31 +151,42 @@ def preprocess(inst: Instance, t: Template) -> Preprocessed:
     return Preprocessed(Instance(inst.num_vars, tuple(kept)), template, False)
 
 
-def canonical_components(inst: Instance) -> list[list[int]]:
-    """Connected components of the variable co-occurrence graph, sorted."""
+def co_occurrence_adjacency(inst: Instance) -> list[set[int]]:
+    """Neighbour sets of the graph joining variables that share a constraint."""
     adjacency: list[set[int]] = [set() for _ in range(inst.num_vars)]
     for c in inst.constraints:
-        distinct = sorted(set(c.args))
-        for i, a in enumerate(distinct):
-            for b in distinct[i + 1 :]:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-    seen = [False] * inst.num_vars
+        for a in c.args:
+            adjacency[a].update(b for b in c.args if b != a)
+    return adjacency
+
+
+def bfs_depths(adjacency: list[set[int]], start: int) -> dict[int, int]:
+    """Hop depth of every vertex reachable from start, keyed in visit order.
+
+    Neighbours are visited in ascending order, so the key order is the
+    canonical breadth-first order the solver and the oracle both rely on.
+    """
+    depths = {start: 0}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in sorted(adjacency[v]):
+            if w not in depths:
+                depths[w] = depths[v] + 1
+                queue.append(w)
+    return depths
+
+
+def canonical_components(inst: Instance) -> list[list[int]]:
+    """Connected components of the variable co-occurrence graph, sorted."""
+    adjacency = co_occurrence_adjacency(inst)
+    seen: set[int] = set()
     components = []
     for start in range(inst.num_vars):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in sorted(adjacency[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        components.append(sorted(comp))
+        if start not in seen:
+            component = sorted(bfs_depths(adjacency, start))
+            seen.update(component)
+            components.append(component)
     return components
 
 
@@ -197,7 +208,13 @@ class PairMatrix:
     update; both directions of a pair change atomically.
     """
 
-    def __init__(self, size: int, variable_ids: list[int], max_distance: int):
+    def __init__(
+        self,
+        size: int,
+        variable_ids: list[int],
+        max_distance: int,
+        adjacency: list[set[int]],
+    ):
         self.size = size
         self.variable_ids = list(variable_ids)
         self.max_distance = max_distance
@@ -207,7 +224,7 @@ class PairMatrix:
             for l in range(size)
             if k != l
         }
-        self.adjacency: list[set[int]] = [set() for _ in range(size)]
+        self.adjacency = adjacency
         self.stats = SolveStats()
         self.empty_pair: tuple[int, int] | None = None
         self.initial_finite = 0
@@ -228,7 +245,12 @@ def initialize_pairs(inst: Instance, t: Template, variable_ids: list[int] | None
     is sound and only tightens); non-adjacent pairs start FULL.
     """
     size = inst.num_vars
-    matrix = PairMatrix(size, variable_ids or list(range(size)), max_distance_or_zero(t))
+    matrix = PairMatrix(
+        size,
+        variable_ids or list(range(size)),
+        max_distance_or_zero(t),
+        co_occurrence_adjacency(inst),
+    )
     for c in inst.constraints:
         rel = t.relation(c.relation)
         if len(set(c.args)) != len(c.args):
@@ -238,8 +260,6 @@ def initialize_pairs(inst: Instance, t: Template, variable_ids: list[int] | None
         for pi in range(len(c.args)):
             for pj in range(pi + 1, len(c.args)):
                 k, l = c.args[pi], c.args[pj]
-                matrix.adjacency[k].add(l)
-                matrix.adjacency[l].add(k)
                 if rel.has_tuples:
                     tightened = matrix.get(k, l) & project_constraint(rel, pi + 1, pj + 1)
                     matrix.set_pair(k, l, tightened)
@@ -253,30 +273,14 @@ def initialize_pairs(inst: Instance, t: Template, variable_ids: list[int] | None
     return matrix
 
 
-def _hop_distances(matrix: PairMatrix) -> list[list[int | None]]:
-    tables: list[list[int | None]] = []
-    for start in range(matrix.size):
-        dist: list[int | None] = [None] * matrix.size
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in matrix.adjacency[v]:
-                if dist[w] is None:
-                    dist[w] = dist[v] + 1  # type: ignore[operator]
-                    queue.append(w)
-        tables.append(dist)
-    return tables
-
-
 def _check_bounds(matrix: PairMatrix) -> None:
     # a fixpoint property: mid-propagation a pair first tightened through a
     # detour may transiently hold a wider set
-    hops = _hop_distances(matrix)
+    hops = [bfs_depths(matrix.adjacency, start) for start in range(matrix.size)]
     for (k, l), cell in matrix.cells.items():
         if cell.offsets is None or not cell.offsets:
             continue
-        steps = hops[k][l]
+        steps = hops[k].get(l)
         if steps is None:
             continue
         bound = steps * matrix.max_distance
@@ -299,17 +303,16 @@ def _check_budget(matrix: PairMatrix) -> None:
 
 def propagate(
     matrix: PairMatrix,
-    schedule: str = "worklist",
     trace: TraceFn | None = None,
     debug: bool = False,
 ) -> PairMatrix:
     """Tighten the pair matrix to its fixpoint in place.
 
-    Both schedules reach the same (greatest) fixpoint; the worklist revisits
-    pairs touching a shrunk cell, the sweep schedule makes full passes over
-    all ordered triples.  Propagation stops as soon as some pair empties.
-    When debug is set, the replacement budget is enforced and, on reaching a
-    fixpoint, every finite cell is checked against the hop-distance bound.
+    A worklist revisits every pair touching a shrunk cell until nothing
+    shrinks; the greatest fixpoint reached does not depend on the order of
+    revisions.  Propagation stops as soon as some pair empties.  When debug
+    is set, the replacement budget is enforced and, on reaching a fixpoint,
+    every finite cell is checked against the hop-distance bound.
     """
     if matrix.empty_pair is not None:
         return matrix
@@ -331,69 +334,33 @@ def propagate(
         return True
 
     n = matrix.size
-    if schedule == "worklist":
-        pending = deque(sorted(matrix.cells))
-        queued = set(pending)
-        while pending:
-            k, l = pending.popleft()
-            queued.discard((k, l))
-            matrix.stats.sweeps += 1
-            for m in range(n):
-                if m == k or m == l:
-                    continue
-                if tighten(k, l, m):
-                    if matrix.empty_pair is not None:
-                        if debug:
-                            _check_budget(matrix)
-                        return matrix
-                    for a in range(n):
-                        for pair in ((k, a), (a, k), (l, a), (a, l)):
-                            if pair[0] != pair[1] and pair not in queued:
-                                queued.add(pair)
-                                pending.append(pair)
-    elif schedule == "sweep":
-        changed = True
-        while changed:
-            changed = False
-            matrix.stats.sweeps += 1
-            for (k, l) in sorted(matrix.cells):
-                for m in range(n):
-                    if m == k or m == l:
-                        continue
-                    if tighten(k, l, m):
-                        changed = True
-                        if matrix.empty_pair is not None:
-                            if debug:
-                                _check_budget(matrix)
-                            return matrix
-    else:
-        raise InputError(f"unknown propagation schedule {schedule!r}")
+    pending = deque(sorted(matrix.cells))
+    queued = set(pending)
+    while pending:
+        k, l = pending.popleft()
+        queued.discard((k, l))
+        matrix.stats.sweeps += 1
+        for m in range(n):
+            if m == k or m == l:
+                continue
+            if tighten(k, l, m):
+                if matrix.empty_pair is not None:
+                    if debug:
+                        _check_budget(matrix)
+                    return matrix
+                for a in range(n):
+                    for pair in ((k, a), (a, k), (l, a), (a, l)):
+                        if pair[0] != pair[1] and pair not in queued:
+                            queued.add(pair)
+                            pending.append(pair)
     if debug:
         _check_budget(matrix)
         _check_bounds(matrix)
     return matrix
 
 
-def _bfs_order(matrix: PairMatrix) -> list[int]:
-    order = []
-    seen = [False] * matrix.size
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in sorted(matrix.adjacency[v]):
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    for v in range(matrix.size):  # unconstrained stragglers, defensively
-        if not seen[v]:
-            order.append(v)
-    return order
-
-
 def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[int, ...] | None:
-    """Greedy witness from a propagated matrix, breadth-first from variable 0.
+    """Greedy witness for one connected component, breadth-first from variable 0.
 
     Each next variable takes the least value compatible with all pair sets
     to already-assigned variables that also satisfies every original
@@ -407,8 +374,11 @@ def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[i
     for c in inst.constraints:
         for a in set(c.args):
             by_var[a].append(c)
+    order = list(bfs_depths(matrix.adjacency, 0))
+    if len(order) != matrix.size:
+        raise InputError("extraction needs the pair matrix of one connected component")
     values: dict[int, int] = {}
-    for step, j in enumerate(_bfs_order(matrix)):
+    for step, j in enumerate(order):
         if step == 0:
             values[j] = 0
             continue

@@ -254,6 +254,47 @@ def random_any_template(rng, name: str) -> Template:
     return Template(name, tuple(relations))
 
 
+def oracle_pair_closure(inst: Instance, t: Template):
+    """Path-consistency fixpoint by repeated full passes over plain sets.
+
+    Keys are ordered variable pairs; a value is a set of allowed differences
+    x_l - x_k, or None when the pair is unconstrained.  Every pass applies
+    P(k,l) <- P(k,l) & (P(k,m) + P(m,l)) for all k, l, m until a pass changes
+    nothing.  Returns None as soon as some pair becomes empty.  Expects an
+    instance without repeated variables in a constraint.
+    """
+    rels = {rel.name: rel for rel in t.relations}
+    n = inst.num_vars
+    pairs = {(k, l): None for k in range(n) for l in range(n) if k != l}
+    for c in inst.constraints:
+        body = rels[c.relation].body
+        if body == "full":
+            continue
+        rows = [] if body == "empty" else [(0, *v) for v in body]
+        for i, k in enumerate(c.args):
+            for j, l in enumerate(c.args):
+                if i != j:
+                    gaps = {w[j] - w[i] for w in rows}
+                    pairs[k, l] = gaps if pairs[k, l] is None else pairs[k, l] & gaps
+    if any(s == set() for s in pairs.values()):
+        return None
+    changed = True
+    while changed:
+        changed = False
+        for (k, l), current in pairs.items():
+            for m in range(n):
+                if m in (k, l) or pairs[k, m] is None or pairs[m, l] is None:
+                    continue
+                through = {a + b for a in pairs[k, m] for b in pairs[m, l]}
+                new = through if current is None else current & through
+                if new != current:
+                    if not new:
+                        return None
+                    pairs[k, l] = current = new
+                    changed = True
+    return pairs
+
+
 def components_of(inst: Instance) -> list[list[int]]:
     adjacency: list[set[int]] = [set() for _ in range(inst.num_vars)]
     for c in inst.constraints:

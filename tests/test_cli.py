@@ -9,7 +9,7 @@ from distcsp.cli import run_cli
 from distcsp.endomorphism import PeriodicMapSpec, format_map_spec
 from distcsp.errors import CapExceededError, InternalInvariantError
 from distcsp.formats import instance_to_dict, template_to_dict, to_json
-from helpers import DIST12, DIST13, DIST136_3, complete_edges, graph_instance
+from helpers import DIST12, DIST13, DIST136_3, EQUALITY, complete_edges, graph_instance
 
 
 @pytest.fixture
@@ -165,6 +165,16 @@ class TestPoly:
         assert code == 2
         assert report == {"found": False, "max_modulus_checked": 4}
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--window", "-1"], ["--trials", "-5"], ["--max-d", "0"]],
+    )
+    def test_out_of_range_flags_rejected(self, files, capsys, flags):
+        code, report, err = run(capsys, ["poly", files["t12.json"], *flags])
+        assert code == 3
+        assert report is None
+        assert err.startswith("error:")
+
 
 class TestEndo:
     def test_check_classifies(self, files, capsys):
@@ -256,6 +266,23 @@ class TestExitMapping:
         code, _, err = run(capsys, ["solve", files["t12.json"], files["tri12.json"]])
         assert code == 4
         assert err.startswith("internal error:")
+
+
+    def test_unexpected_exception_maps_to_four(self, files, capsys):
+        # the exhaustive search recurses once per variable; on a long path
+        # it overflows the interpreter stack right after a trivial estimate
+        eq = files["dir"] / "eq.json"
+        eq.write_text(to_json(template_to_dict(EQUALITY)))
+        path = files["dir"] / "path1500.json"
+        n = 1500
+        path.write_text(
+            to_json(instance_to_dict(graph_instance("eq", n, [(i, i + 1) for i in range(n - 1)])))
+        )
+        code, report, err = run(capsys, ["solve", str(eq), str(path), "--mode", "brute"])
+        assert code == 4
+        assert report is None
+        assert err.startswith("internal error: RecursionError:")
+        assert err.count("\n") == 1
 
 
 class TestDeterminism:

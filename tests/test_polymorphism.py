@@ -120,6 +120,12 @@ class TestPreservesRelation:
         with pytest.raises(InputError):
             preserves_relation(0, DIST13.relations[0])
 
+    def test_negative_window_rejected(self):
+        # an empty shift range would pass every check vacuously
+        for rel in (DIST12.relations[0], RelationDef("r", 2, "full")):
+            with pytest.raises(InputError, match="window"):
+                preserves_relation(1, rel, window=-1)
+
 
 class TestRandomTrials:
     def test_no_violation_on_preserved_fixture(self):
@@ -165,6 +171,12 @@ class TestFindModularMedian:
     def test_bound_validated(self):
         with pytest.raises(InputError):
             find_modular_median(DIST13, 0)
+
+    def test_window_passed_to_every_check(self):
+        assert find_modular_median(DIST13, window=0) == 1
+        assert find_modular_median(DIST13, window=5) == 2
+        with pytest.raises(InputError, match="window"):
+            find_modular_median(DIST12, window=-1)
 
 
 class TestTwoDecomposable:

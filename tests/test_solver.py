@@ -7,7 +7,9 @@ from distcsp.brute import brute_solve, verify_assignment
 from distcsp.errors import InputError, InternalInvariantError
 from distcsp.model import Constraint, Instance, OffsetSet, RelationDef, Template
 from distcsp.solver import (
+    bfs_depths,
     canonical_components,
+    co_occurrence_adjacency,
     extract_solution,
     induced_instance,
     initialize_pairs,
@@ -21,6 +23,7 @@ from helpers import (
     binary_relation,
     complete_edges,
     graph_instance,
+    oracle_pair_closure,
     random_any_template,
     random_connected_instance,
     random_median_template,
@@ -86,6 +89,23 @@ class TestComponents:
 
     def test_unconstrained_variables_are_singletons(self):
         assert canonical_components(Instance(3, ())) == [[0], [1], [2]]
+
+    def test_bfs_depths_visit_in_ascending_order(self):
+        # star 0-{3,1,2} with the path 2-4-5 hanging off a leaf; 6 is isolated
+        inst = Instance(
+            7,
+            tuple(
+                Constraint("r", args)
+                for args in ((0, 3), (1, 0), (0, 2), (4, 2), (4, 5))
+            ),
+        )
+        adjacency = co_occurrence_adjacency(inst)
+        assert adjacency[0] == {1, 2, 3} and adjacency[6] == set()
+        depths = bfs_depths(adjacency, 0)
+        assert list(depths) == [0, 1, 2, 3, 4, 5]
+        assert depths == {0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 3}
+        assert list(bfs_depths(adjacency, 4)) == [4, 2, 5, 0, 1, 3]
+        assert bfs_depths(adjacency, 6) == {6: 0}
 
     def test_induced_instance_renumbers(self):
         inst = Instance(4, (Constraint("r", (0, 1)), Constraint("r", (3, 2))))
@@ -156,22 +176,26 @@ class TestPropagate:
             assert pattern.match(line), line
         assert any("old=FULL" in line for line in lines)
 
-    def test_schedules_reach_the_same_fixpoint(self):
-        rng = random.Random(3)
-        for i in range(25):
-            t = random_any_template(rng, f"t{i}")
-            inst = random_connected_instance(t, rng.randint(2, 5), rng)
-            prep = preprocess(inst, t)
-            if prep.unsat:
-                continue
-            worklist = initialize_pairs(prep.instance, prep.template)
-            sweep = initialize_pairs(prep.instance, prep.template)
-            propagate(worklist, schedule="worklist")
-            propagate(sweep, schedule="sweep")
-            if worklist.empty_pair is not None or sweep.empty_pair is not None:
-                assert worklist.empty_pair is not None and sweep.empty_pair is not None
-                continue
-            assert worklist.cells == sweep.cells
+    def test_worklist_reaches_the_reference_fixpoint(self):
+        for make_template in (random_any_template, random_median_template):
+            rng = random.Random(3)
+            for i in range(25):
+                t = make_template(rng, f"t{i}")
+                inst = random_connected_instance(t, rng.randint(2, 5), rng)
+                prep = preprocess(inst, t)
+                if prep.unsat:
+                    continue
+                matrix = initialize_pairs(prep.instance, prep.template)
+                propagate(matrix)
+                reference = oracle_pair_closure(prep.instance, prep.template)
+                if reference is None:
+                    assert matrix.empty_pair is not None
+                    continue
+                assert matrix.empty_pair is None
+                assert {
+                    pair: None if cell.is_full else set(cell.offsets)
+                    for pair, cell in matrix.cells.items()
+                } == reference
 
     def test_mirror_invariant_at_fixpoint(self):
         rng = random.Random(4)
@@ -185,12 +209,6 @@ class TestPropagate:
             propagate(matrix)
             for (k, l), cell in matrix.cells.items():
                 assert matrix.get(l, k) == -cell
-
-    def test_unknown_schedule_rejected(self):
-        inst = Instance(2, (Constraint("dist13", (0, 1)),))
-        matrix = initialize_pairs(inst, DIST13)
-        with pytest.raises(InputError):
-            propagate(matrix, schedule="zigzag")
 
 
 class TestExtractSolution:
@@ -216,6 +234,12 @@ class TestExtractSolution:
         witness = self.run(inst, DIST12)
         assert witness == (0, -2, -1)
         assert verify_assignment(inst, DIST12, witness) == (True, None)
+
+    def test_disconnected_matrix_rejected(self):
+        inst = Instance(3, (Constraint("dist13", (0, 1)),))
+        matrix = propagate(initialize_pairs(inst, DIST13))
+        with pytest.raises(InputError, match="connected component"):
+            extract_solution(matrix, inst, DIST13)
 
     def test_empty_matrix_rejected(self):
         matrix = initialize_pairs(
