@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .analysis import max_distance_or_zero
 from .errors import CapExceededError, InputError
-from .model import Instance, Template, project_constraint, tuple_in_relation
+from .model import Instance, Template, projected_offsets, tuple_in_relation
 from .solver import bfs_depths, canonical_components, co_occurrence_adjacency, induced_instance
 
 DEFAULT_NODE_CAP = 100_000_000
@@ -73,7 +73,7 @@ def _component_plan(inst: Instance, t: Template, comp: list[int]):
                 a, b = args[pi], args[pj]
                 if a == b:
                     continue
-                allowed = set(project_constraint(rel, pi + 1, pj + 1).offsets or ())
+                allowed = projected_offsets(rel, pi + 1, pj + 1)
                 for key, offs in (((a, b), allowed), ((b, a), {-s for s in allowed})):
                     if key in pair_sets:
                         pair_sets[key] &= offs
@@ -121,32 +121,37 @@ def brute_solve(
                     return False
             return True
 
-        def extend(step: int) -> bool:
-            if step == len(order):
-                return True
-            j = order[step]
-            if step == 0:
-                domain: list[int] = [0]
-            else:
-                allowed: set[int] | None = None
-                for i in local_values:
-                    offs = pair_sets.get((i, j))
-                    if offs is None:
-                        continue
-                    shifted = {local_values[i] + s for s in offs}
-                    allowed = shifted if allowed is None else allowed & shifted
-                if allowed is None:
-                    domain = list(range(-half, half + 1))
-                else:
-                    domain = sorted(v for v in allowed if -half <= v <= half)
-            for value in domain:
-                local_values[j] = value
-                if passes(step) and extend(step + 1):
-                    return True
-                del local_values[j]
-            return False
+        def domain(j: int) -> range | list[int]:
+            allowed: set[int] | None = None
+            for i in local_values:
+                offs = pair_sets.get((i, j))
+                if offs is None:
+                    continue
+                shifted = {local_values[i] + s for s in offs}
+                allowed = shifted if allowed is None else allowed & shifted
+            if allowed is None:
+                return range(-half, half + 1)
+            return sorted(v for v in allowed if -half <= v <= half)
 
-        if not extend(0):
+        # candidates[step] holds the untried values of order[step]; the
+        # search goes one step deeper after each value that passes and
+        # backtracks when a step runs out of values
+        candidates = [iter([0])]
+        while candidates:
+            step = len(candidates) - 1
+            j = order[step]
+            for value in candidates[step]:
+                local_values[j] = value
+                if passes(step):
+                    break
+            else:
+                local_values.pop(j, None)
+                candidates.pop()
+                continue
+            if step + 1 == len(order):
+                break
+            candidates.append(iter(domain(order[step + 1])))
+        if not candidates:
             return None
         for local, g in enumerate(comp):
             values[g] = local_values[local]

@@ -112,6 +112,12 @@ def _cmd_poly(args) -> int:
     if found is None:
         _emit({"found": False, "max_modulus_checked": d_max})
         return EXIT_UNKNOWN
+    needed = polymorphism.verification_window(t, found)
+    if args.window is not None and args.window < needed:
+        raise InputError(
+            f"--window {args.window} is below the verification window {needed} "
+            f"of modulus {found}; the narrower check proves nothing"
+        )
     for rel in t.relations:
         witness = polymorphism.random_preservation_trials(found, rel, trials=args.trials)
         if witness is not None:
@@ -119,7 +125,7 @@ def _cmd_poly(args) -> int:
                 f"windowed check accepted modulus {found} but randomized trials "
                 f"found the violation {witness} on relation {rel.name}"
             )
-    window = args.window if args.window is not None else polymorphism.verification_window(t, found)
+    window = needed if args.window is None else args.window
     _emit(
         {
             "found": True,

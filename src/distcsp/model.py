@@ -7,6 +7,14 @@ stored as a finite set of offset tuples (v_1, ..., v_{k-1}) taken relative
 to the first coordinate: each tuple encodes the orbit
 {(a, a + v_1, ..., a + v_{k-1}) : a integer}.  Two markers cover the
 degenerate cases: FULL (all k-tuples) and EMPTY (no tuples).
+
+The binary offset sets the solver composes and intersects are bitmasks: a
+finite set is a pair of Python ints ``(lo, mask)`` whose bit i stands for
+the offset lo + i, so sumsets, intersections and inversions run as shifts,
+ANDs and ORs on whole masks.  Integers are validated where they enter (the
+constructors of this module), not on every derived set.  One set may span
+at most ``MAX_SPAN`` consecutive integers; past that, building it raises
+`CapExceededError` instead of allocating an ever larger mask.
 """
 
 from __future__ import annotations
@@ -15,10 +23,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import InputError
+from .errors import CapExceededError, InputError
 
 FULL = "full"
 EMPTY = "empty"
+
+# Widest range of consecutive integers one finite offset set may span: a
+# mask of this many bits takes 128 KiB, and a sumset of two such masks is
+# refused rather than built.
+MAX_SPAN = 1 << 20
 
 
 def _check_int(value: object, what: str) -> int:
@@ -28,7 +41,6 @@ def _check_int(value: object, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class OffsetSet:
     """A finite set of integer offsets, or the marker for all of Z.
 
@@ -36,14 +48,40 @@ class OffsetSet:
     encodes the full relation Z x Z, an empty tuple the unsatisfiable one.
     Supports ``+`` (elementwise sumset, i.e. relation composition),
     ``&`` (intersection) and unary ``-`` (relation inversion).
+
+    A finite set is stored as the integer pair ``(lo, mask)``: bit i of
+    ``mask`` is set exactly when ``lo + i`` belongs to the set.  The pair is
+    normalised, so bit 0 of a nonempty mask is set and the empty set is
+    ``(0, 0)``; FULL has ``mask=None``.  ``offsets``, the sorted tuple of
+    members, is decoded on first use and cached.  Instances are values:
+    ``lo`` and ``mask`` are never reassigned after construction.
+
+    Only the public constructor (and `of`) validates its input; results of
+    the operators are built from already valid masks without checks.  A set
+    may span at most `MAX_SPAN` consecutive integers: the constructor and
+    ``+`` raise `CapExceededError` rather than build a wider mask.
     """
 
-    offsets: tuple[int, ...] | None
+    __slots__ = ("lo", "mask", "_offsets")
 
-    def __post_init__(self) -> None:
-        if self.offsets is not None:
-            values = tuple(sorted({_check_int(v, "offset") for v in self.offsets}))
-            object.__setattr__(self, "offsets", values)
+    def __init__(self, offsets: Iterable[int] | None) -> None:
+        self._offsets: tuple[int, ...] | None = None
+        if offsets is None:
+            self.lo, self.mask = 0, None
+            return
+        values = sorted({_check_int(v, "offset") for v in offsets})
+        self._offsets = tuple(values)
+        if not values:
+            self.lo, self.mask = 0, 0
+            return
+        lo, width = values[0], values[-1] - values[0] + 1
+        _check_span(width)
+        # binary digits, most significant first: linear in the span, where
+        # OR-ing in one bit at a time would be quadratic
+        digits = bytearray(b"0") * width
+        for v in values:
+            digits[width - 1 - (v - lo)] = ord("1")
+        self.lo, self.mask = lo, int(digits, 2)
 
     @classmethod
     def full(cls) -> "OffsetSet":
@@ -54,47 +92,115 @@ class OffsetSet:
         return cls(tuple(values))
 
     @property
+    def offsets(self) -> tuple[int, ...] | None:
+        """The members in ascending order, or None for FULL."""
+        if self._offsets is None and self.mask is not None:
+            bits = bin(self.mask)[:1:-1]  # bit i at index i
+            members = []
+            i = bits.find("1")
+            while i >= 0:
+                members.append(self.lo + i)
+                i = bits.find("1", i + 1)
+            self._offsets = tuple(members)
+        return self._offsets
+
+    @property
     def is_full(self) -> bool:
-        return self.offsets is None
+        return self.mask is None
 
     @property
     def is_empty(self) -> bool:
-        return self.offsets == ()
+        return self.mask == 0
 
     def __add__(self, other: "OffsetSet") -> "OffsetSet":
         # empty annihilates, even against FULL; FULL absorbs anything nonempty
-        if self.is_empty or other.is_empty:
-            return OffsetSet(())
-        if self.is_full or other.is_full:
-            return OffsetSet(None)
-        assert self.offsets is not None and other.offsets is not None
-        return OffsetSet(tuple({a + b for a in self.offsets for b in other.offsets}))
+        a, b = self.mask, other.mask
+        if a == 0 or b == 0:
+            return _EMPTY
+        if a is None or b is None:
+            return _FULL
+        _check_span(a.bit_length() + b.bit_length() - 1)
+        # shift the denser mask once per member of the sparser set
+        if a.bit_count() < b.bit_count():
+            sparse, wide = self, b
+        else:
+            sparse, wide = other, a
+        base = sparse.lo
+        acc = 0
+        for v in sparse.offsets:
+            acc |= wide << (v - base)
+        return _make(self.lo + other.lo, acc)
 
     def __and__(self, other: "OffsetSet") -> "OffsetSet":
-        if self.is_full:
+        if self.mask is None:
             return other
-        if other.is_full:
+        if other.mask is None:
             return self
-        assert self.offsets is not None and other.offsets is not None
-        return OffsetSet(tuple(set(self.offsets) & set(other.offsets)))
+        # align at the larger lo; the set starting there is kept whole when
+        # the other one covers it
+        if self.lo <= other.lo:
+            low, high = self, other
+        else:
+            low, high = other, self
+        mask = (low.mask >> (high.lo - low.lo)) & high.mask
+        if mask == high.mask:
+            return high
+        if not mask:
+            return _EMPTY
+        if mask & 1:
+            return _make(high.lo, mask)
+        zeros = (mask & -mask).bit_length() - 1
+        return _make(high.lo + zeros, mask >> zeros)
 
     def __neg__(self) -> "OffsetSet":
-        if self.is_full:
+        mask = self.mask
+        if not mask:
             return self
-        assert self.offsets is not None
-        return OffsetSet(tuple(-v for v in self.offsets))
+        reversed_mask = int(bin(mask)[:1:-1], 2)
+        return _make(-(self.lo + mask.bit_length() - 1), reversed_mask)
 
     def __contains__(self, value: int) -> bool:
-        if self.is_full:
+        if self.mask is None:
             return True
-        assert self.offsets is not None
-        return value in self.offsets
+        i = value - self.lo
+        return i >= 0 and (self.mask >> i) & 1 == 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OffsetSet):
+            return NotImplemented
+        return self.lo == other.lo and self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.mask))
+
+    def __repr__(self) -> str:
+        return f"OffsetSet(offsets={self.offsets!r})"
 
     def __str__(self) -> str:
         if self.is_full:
             return "FULL"
         assert self.offsets is not None
         return "{%s}" % ",".join(str(v) for v in self.offsets)
+
+
+def _check_span(width: int) -> None:
+    if width > MAX_SPAN:
+        raise CapExceededError(
+            f"offset set would span {width} consecutive integers, over the cap {MAX_SPAN}"
+        )
+
+
+def _make(lo: int, mask: int) -> OffsetSet:
+    """An OffsetSet from a normalised (lo, mask) pair, without validation."""
+    s = object.__new__(OffsetSet)
+    s.lo = lo
+    s.mask = mask
+    s._offsets = None
+    return s
+
+
+_EMPTY = OffsetSet(())
+_FULL = OffsetSet(None)
 
 
 @dataclass(frozen=True)
@@ -172,11 +278,11 @@ class RelationDef:
         return max((abs(c) for v in self.offset_tuples for c in v), default=0)
 
 
-def project_constraint(rel: RelationDef, i: int, j: int) -> OffsetSet:
+def projected_offsets(rel: RelationDef, i: int, j: int) -> set[int]:
     """Offsets of coordinate j minus coordinate i over all orbits of ``rel``.
 
     Coordinates are 1-based; the implicit first component of every orbit
-    representative is 0.
+    representative is 0.  The result is a plain set, with no span cap.
     """
     if not rel.has_tuples:
         raise InputError(f"cannot project relation {rel.name} with body {rel.body}")
@@ -188,7 +294,12 @@ def project_constraint(rel: RelationDef, i: int, j: int) -> OffsetSet:
     for v in rel.offset_tuples:
         w = (0, *v)
         out.add(w[j - 1] - w[i - 1])
-    return OffsetSet(tuple(out))
+    return out
+
+
+def project_constraint(rel: RelationDef, i: int, j: int) -> OffsetSet:
+    """`projected_offsets` as an OffsetSet, for the solver's pair matrix."""
+    return OffsetSet(projected_offsets(rel, i, j))
 
 
 def tuple_in_relation(rel: RelationDef, values: tuple[int, ...]) -> bool:

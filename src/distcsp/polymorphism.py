@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import max_distance_or_zero
 from .errors import InputError
-from .model import RelationDef, Template, project_constraint, tuple_in_relation
+from .model import RelationDef, Template, projected_offsets, tuple_in_relation
 
 IntTuple = tuple[int, ...]
 
@@ -164,7 +164,11 @@ def find_modular_median(
     """Smallest modulus d <= d_max that every relation of ``t`` is closed under.
 
     ``d_max`` defaults to `default_modulus_bound`; ``window`` overrides each
-    relation's exhaustive shift window as in `preserves_relation`.
+    relation's exhaustive shift window as in `preserves_relation`.  A
+    rejected modulus is always refuted, but an accepted one is proved only
+    when ``window`` is at least `verification_window` for it: a narrower
+    window skips configurations that may hold the violation, so its answer
+    is no proof.
     """
     if d_max is None:
         d_max = default_modulus_bound(t)
@@ -202,7 +206,7 @@ def check_two_decomposable(
     delta = rel.max_offset()
     bound = k * delta + 1 if window is None else window
     projections = {
-        (i, j): set(project_constraint(rel, i, j).offsets or ())
+        (i, j): projected_offsets(rel, i, j)
         for i in range(1, k + 1)
         for j in range(i + 1, k + 1)
     }

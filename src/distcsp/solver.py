@@ -442,7 +442,9 @@ def solve(
     consistency first and falls back to the exhaustive search when the
     outcome is unknown and the instance fits under the search cap.  Sat
     verdicts always carry a witness that has been re-verified; unsat
-    verdicts from propagation are sound unconditionally.
+    verdicts from propagation are sound unconditionally.  Propagation is
+    undecided, not failed, when a pair set would span more than
+    `model.MAX_SPAN` integers.
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
@@ -454,6 +456,14 @@ def solve(
         except CapExceededError as e:
             return Verdict.unknown(str(e), stats)
 
+    def undecided(reason: str) -> Verdict:
+        if mode == "auto":
+            try:
+                return _brute_verdict(inst, t, node_cap, stats)
+            except CapExceededError as e:
+                return Verdict.unknown(f"{reason}; {e}", stats)
+        return Verdict.unknown(reason, stats)
+
     prep = preprocess(inst, t)
     if prep.unsat:
         return Verdict.unsat(stats)
@@ -462,8 +472,11 @@ def solve(
     propagated = []
     for component in components:
         sub = induced_instance(prep.instance, component)
-        matrix = initialize_pairs(sub, prep.template, component)
-        propagate(matrix, trace=trace, debug=debug)
+        try:
+            matrix = initialize_pairs(sub, prep.template, component)
+            propagate(matrix, trace=trace, debug=debug)
+        except CapExceededError as e:
+            return undecided(f"propagation refused: {e}")
         stats.absorb(matrix.stats)
         if matrix.empty_pair is not None:
             return Verdict.unsat(stats)
@@ -480,13 +493,9 @@ def solve(
                 raise InternalInvariantError(
                     "extraction failed although the template is closed under a modular median"
                 )
-            reason = "witness extraction failed; no modular median verified for the template"
-            if mode == "auto":
-                try:
-                    return _brute_verdict(inst, t, node_cap, stats)
-                except CapExceededError as e:
-                    return Verdict.unknown(f"{reason}; {e}", stats)
-            return Verdict.unknown(reason, stats)
+            return undecided(
+                "witness extraction failed; no modular median verified for the template"
+            )
         for local, g in enumerate(component):
             values[g] = witness[local]
     final = tuple(values)

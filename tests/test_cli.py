@@ -9,7 +9,16 @@ from distcsp.cli import run_cli
 from distcsp.endomorphism import PeriodicMapSpec, format_map_spec
 from distcsp.errors import CapExceededError, InternalInvariantError
 from distcsp.formats import instance_to_dict, template_to_dict, to_json
-from helpers import DIST12, DIST13, DIST136_3, EQUALITY, complete_edges, graph_instance
+from distcsp.model import Template
+from helpers import (
+    DIST12,
+    DIST13,
+    DIST136_3,
+    EQUALITY,
+    binary_relation,
+    complete_edges,
+    graph_instance,
+)
 
 
 @pytest.fixture
@@ -132,6 +141,34 @@ class TestSolve:
         assert code == 3
         assert "unknown relation 'dist12'" in err
 
+    def test_brute_decides_a_long_path(self, files, capsys):
+        # the exhaustive search keeps its own stack, one entry per variable
+        eq = files["dir"] / "eq.json"
+        eq.write_text(to_json(template_to_dict(EQUALITY)))
+        path = files["dir"] / "path1500.json"
+        n = 1500
+        path.write_text(
+            to_json(instance_to_dict(graph_instance("eq", n, [(i, i + 1) for i in range(n - 1)])))
+        )
+        code, report, err = run(capsys, ["solve", str(eq), str(path), "--mode", "brute"])
+        assert code == 0
+        assert report == {"verdict": "sat", "witness": [0] * n}
+        assert err == ""
+
+
+    def test_span_cap_maps_to_unknown(self, files, capsys):
+        # pair sets over offsets +-10^9 would need masks of 2*10^9 bits
+        t = Template("wide", (binary_relation("w", (-(10**9), 1, 10**9)),))
+        wide = files["dir"] / "wide.json"
+        wide.write_text(to_json(template_to_dict(t)))
+        inst = graph_instance("w", 6, [(i, i + 1) for i in range(5)])
+        path = files["dir"] / "path6.json"
+        path.write_text(to_json(instance_to_dict(inst)))
+        for mode in ("consistency", "auto"):
+            code, report, _ = run(capsys, ["solve", str(wide), str(path), "--mode", mode])
+            assert code == 2
+            assert report["verdict"] == "unknown" and "cap" in report["reason"]
+
 
 class TestVerify:
     def test_accepts(self, files, capsys):
@@ -174,6 +211,27 @@ class TestPoly:
         assert code == 3
         assert report is None
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "template, window, modulus, needed",
+        [("t12.json", 0, 1, 19), ("t13.json", 0, 1, 25), ("t13.json", 30, 2, 31)],
+    )
+    def test_window_below_verification_refused(
+        self, files, capsys, template, window, modulus, needed
+    ):
+        # dist12 has no modular median and dist13 needs modulus 2; a narrow
+        # window accepts a modulus it never refuted, which is no proof
+        code, report, err = run(capsys, ["poly", files[template], "--window", str(window)])
+        assert code == 3
+        assert report is None
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"--window {window} " in err and f"window {needed} of modulus {modulus}" in err
+
+    def test_verification_window_is_enough(self, files, capsys):
+        code, report, _ = run(capsys, ["poly", files["t13.json"], "--window", "31"])
+        assert code == 0
+        assert report["modulus"] == 2
+        assert report["verified_window"] == 31
 
 
 class TestEndo:
@@ -267,21 +325,15 @@ class TestExitMapping:
         assert code == 4
         assert err.startswith("internal error:")
 
+    def test_unexpected_exception_maps_to_four(self, files, capsys, monkeypatch):
+        def divide(*a, **k):
+            return 1 // 0
 
-    def test_unexpected_exception_maps_to_four(self, files, capsys):
-        # the exhaustive search recurses once per variable; on a long path
-        # it overflows the interpreter stack right after a trivial estimate
-        eq = files["dir"] / "eq.json"
-        eq.write_text(to_json(template_to_dict(EQUALITY)))
-        path = files["dir"] / "path1500.json"
-        n = 1500
-        path.write_text(
-            to_json(instance_to_dict(graph_instance("eq", n, [(i, i + 1) for i in range(n - 1)])))
-        )
-        code, report, err = run(capsys, ["solve", str(eq), str(path), "--mode", "brute"])
+        monkeypatch.setattr(solver, "solve", divide)
+        code, report, err = run(capsys, ["solve", files["t12.json"], files["tri12.json"]])
         assert code == 4
         assert report is None
-        assert err.startswith("internal error: RecursionError:")
+        assert err.startswith("internal error: ZeroDivisionError:")
         assert err.count("\n") == 1
 
 

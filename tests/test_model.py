@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from distcsp.errors import InputError
+from distcsp.errors import CapExceededError, InputError
 from distcsp.model import (
     EMPTY,
     FULL,
+    MAX_SPAN,
     Constraint,
     Instance,
     OffsetSet,
@@ -111,6 +112,89 @@ class TestOffsetSetRepresentation:
     def test_bool_offsets_rejected(self):
         with pytest.raises(InputError):
             OffsetSet.of([True])
+
+
+# members in roughly -10^4..10^4: a few scattered values, or a run up to a
+# few hundred wide with holes, so that masks cross zero and machine words
+sparse_values = st.lists(st.integers(-10_000, 10_000), max_size=12)
+dense_values = st.builds(
+    lambda base, bits: [base + i for i, bit in enumerate(bits) if bit],
+    st.integers(-10_000, 10_000),
+    st.lists(st.booleans(), max_size=200),
+)
+member_lists = st.one_of(sparse_values, dense_values)
+
+
+@st.composite
+def member_list_pairs(draw):
+    """Two member lists; the second often shares members with the first, so
+    that intersections are not almost always empty."""
+    xs = draw(member_lists)
+    keep = draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
+    shared = [x for x, kept in zip(xs, keep) if kept]
+    return xs, draw(st.sampled_from([shared, shared + draw(member_lists)]))
+
+
+def assert_normalised(s: OffsetSet) -> None:
+    members = offsets(s)
+    if not members:
+        assert (s.lo, s.mask) == (0, 0)
+    else:
+        assert s.mask & 1 == 1
+        assert s.lo == members[0]
+        assert s.mask.bit_length() - 1 == members[-1] - members[0]
+
+
+class TestOffsetSetAgainstPlainSets:
+    @given(member_list_pairs())
+    def test_operations_match_set_arithmetic(self, pair):
+        xs, ys = pair
+        a, b = OffsetSet.of(xs), OffsetSet.of(ys)
+        expected = {
+            "+": {x + y for x in xs for y in ys},
+            "&": set(xs) & set(ys),
+            "-": {-x for x in xs},
+        }
+        for op, result in (("+", a + b), ("&", a & b), ("-", -a)):
+            assert offsets(result) == tuple(sorted(expected[op]))
+            assert result == OffsetSet.of(expected[op])
+            assert hash(result) == hash(OffsetSet.of(expected[op]))
+            assert_normalised(result)
+        assert offsets(a) == tuple(sorted(set(xs)))
+        assert_normalised(a)
+
+    @given(member_lists, st.lists(st.integers(-10_100, 10_100), max_size=20))
+    def test_membership_is_a_bit_test(self, xs, probes):
+        a = OffsetSet.of(xs)
+        for v in [*probes, *xs, *(x + 1 for x in xs), *(x - 1 for x in xs)]:
+            assert (v in a) == (v in set(xs))
+
+    @given(member_list_pairs())
+    def test_equal_exactly_when_offsets_are(self, pair):
+        xs, ys = pair
+        a, b = OffsetSet.of(xs), OffsetSet.of(ys)
+        assert (a == b) == (offsets(a) == offsets(b))
+        if a == b:
+            assert hash(a) == hash(b)
+        assert OffsetSet.of(reversed(xs)) == a
+        assert (a == OffsetSet.full()) is False
+
+
+class TestSpanCap:
+    def test_constructor_refuses_a_wider_set(self):
+        assert offsets(OffsetSet.of([0, MAX_SPAN - 1])) == (0, MAX_SPAN - 1)
+        with pytest.raises(CapExceededError):
+            OffsetSet.of([0, MAX_SPAN])
+
+    def test_sum_refuses_a_wider_set(self):
+        half = OffsetSet.of([0, MAX_SPAN // 2])
+        assert offsets(half + OffsetSet.of([0, MAX_SPAN // 2 - 1]))[-1] == MAX_SPAN - 1
+        with pytest.raises(CapExceededError):
+            half + half
+
+    def test_full_and_empty_have_no_span(self):
+        assert (OffsetSet.full() + OffsetSet.of([0, MAX_SPAN - 1])).is_full
+        assert (OffsetSet.of([]) + OffsetSet.of([0, MAX_SPAN - 1])).is_empty
 
 
 class TestRelationDef:

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 
@@ -335,3 +336,25 @@ class TestSolve:
             if consistency.status == "sat":
                 ok, _ = verify_assignment(inst, t, consistency.witness)
                 assert ok
+
+
+WIDE = Template("wide", (binary_relation("w", (-(10**9), 1, 10**9)),))
+WIDE_PATH = graph_instance("w", 6, [(i, i + 1) for i in range(5)])
+
+
+class TestSpanCap:
+    @pytest.mark.parametrize("mode", ["consistency", "auto"])
+    def test_wide_offsets_answer_unknown_at_once(self, mode):
+        start = time.perf_counter()
+        verdict = solve(WIDE_PATH, WIDE, mode=mode)
+        assert time.perf_counter() - start < 1.0
+        assert verdict.status == "unknown"
+        assert "propagation refused" in verdict.reason and "cap" in verdict.reason
+
+    def test_auto_falls_back_to_exhaustive_past_the_span(self):
+        # the exhaustive search keeps plain sets and decides it
+        t = Template("gap", (binary_relation("g", (0, 2_000_000)),))
+        inst = graph_instance("g", 2, [(0, 1)])
+        assert solve(inst, t, mode="consistency").status == "unknown"
+        assert solve(inst, t, mode="auto").witness == (0, 0)
+        assert solve(inst, t, mode="brute").witness == (0, 0)
