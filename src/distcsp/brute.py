@@ -11,6 +11,8 @@ heuristic.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .analysis import max_distance_or_zero
 from .errors import CapExceededError, InputError
 from .model import Instance, Template, projected_offsets, tuple_in_relation
@@ -43,11 +45,13 @@ def search_space_estimate(inst: Instance, t: Template) -> int:
     FULL constraints fall back to the whole window.
     """
     inst.validate_against(t)
-    biggest = max_distance_or_zero(t)
+    return _estimate(_component_plans(inst, t), max_distance_or_zero(t))
+
+
+def _estimate(plans, biggest: int) -> int:
     estimate = 1
-    for comp in canonical_components(inst):
-        order, pair_sets = _component_plan(inst, t, comp)[:2]
-        window = 2 * (len(comp) - 1) * biggest + 1
+    for _, order, pair_sets, _ in plans:
+        window = 2 * (len(order) - 1) * biggest + 1
         placed = {order[0]}
         for j in order[1:]:
             if any((i, j) in pair_sets for i in placed):
@@ -58,29 +62,27 @@ def search_space_estimate(inst: Instance, t: Template) -> int:
     return estimate
 
 
-def _component_plan(inst: Instance, t: Template, comp: list[int]):
-    """BFS variable order, finite pair sets and the induced instance for one
-    component."""
-    sub = induced_instance(inst, comp)
-    pair_sets: dict[tuple[int, int], set[int]] = {}
-    for c in sub.constraints:
-        rel = t.relation(c.relation)
-        if not rel.has_tuples:
-            continue
-        args = c.args
-        for pi in range(len(args)):
-            for pj in range(pi + 1, len(args)):
-                a, b = args[pi], args[pj]
+def _component_plans(inst: Instance, t: Template):
+    """Per component, in canonical order: its variables, BFS variable order,
+    finite pair sets and induced instance."""
+    plans = []
+    for comp in canonical_components(inst):
+        sub = induced_instance(inst, comp)
+        pair_sets: dict[tuple[int, int], set[int]] = {}
+        for c in sub.constraints:
+            rel = t.relation(c.relation)
+            if not rel.has_tuples:
+                continue
+            for pi, pj in combinations(range(len(c.args)), 2):
+                a, b = c.args[pi], c.args[pj]
                 if a == b:
                     continue
                 allowed = projected_offsets(rel, pi + 1, pj + 1)
                 for key, offs in (((a, b), allowed), ((b, a), {-s for s in allowed})):
-                    if key in pair_sets:
-                        pair_sets[key] &= offs
-                    else:
-                        pair_sets[key] = set(offs)
-    order = list(bfs_depths(co_occurrence_adjacency(sub), 0))
-    return order, pair_sets, sub
+                    pair_sets[key] = pair_sets.get(key, offs) & offs
+        order = list(bfs_depths(co_occurrence_adjacency(sub), 0))
+        plans.append((comp, order, pair_sets, sub))
+    return plans
 
 
 def brute_solve(
@@ -98,15 +100,15 @@ def brute_solve(
     for c in inst.constraints:
         if t.relation(c.relation).is_empty:
             return None
-    estimate = search_space_estimate(inst, t)
+    plans = _component_plans(inst, t)
+    biggest = max_distance_or_zero(t)
+    estimate = _estimate(plans, biggest)
     if estimate > node_cap:
         raise CapExceededError(
             f"search space estimate {estimate} exceeds the cap {node_cap}"
         )
-    biggest = max_distance_or_zero(t)
     values = [0] * inst.num_vars
-    for comp in canonical_components(inst):
-        order, pair_sets, sub = _component_plan(inst, t, comp)
+    for comp, order, pair_sets, sub in plans:
         half = (len(comp) - 1) * biggest
         # check each constraint once, at the assignment of its latest variable
         position = {v: i for i, v in enumerate(order)}

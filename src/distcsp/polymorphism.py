@@ -14,8 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analysis import max_distance_or_zero
 from .errors import InputError
 from .model import RelationDef, Template, projected_offsets, tuple_in_relation
@@ -52,19 +50,16 @@ def preservation_window(d: int, rel: RelationDef) -> int:
     return 6 * (rel.max_offset() + d) + 1
 
 
-def _median_grid(x, y, z):
-    hi = np.maximum(np.maximum(x, y), z)
-    lo = np.minimum(np.minimum(x, y), z)
-    return x + y + z - hi - lo
-
-
 def _modular_median_grid(d: int, x, y, z):
     # same case split as modular_median, vectorized; np.select takes the
     # first condition that holds
+    import numpy as np
+
     rx, ry, rz = x % d, y % d, z % d
+    median = x + y + z - np.maximum(np.maximum(x, y), z) - np.minimum(np.minimum(x, y), z)
     return np.select(
         [(rx == ry) & (ry == rz), rx == ry, rx == rz, ry == rz],
-        [_median_grid(x, y, z), x, x, y],
+        [median, x, x, y],
         default=x,
     )
 
@@ -77,6 +72,7 @@ def preserves_relation(d: int, rel: RelationDef, window: int | None = None) -> P
     window grows with both the relation's offsets and the modulus, wide
     enough that any violation shows up at some in-window configuration.
     FULL and EMPTY bodies are closed under anything and report trivially.
+    numpy, which only this check needs, is imported on first use.
     """
     if d < 1:
         raise InputError(f"modulus must be positive, got {d}")
@@ -84,6 +80,8 @@ def preserves_relation(d: int, rel: RelationDef, window: int | None = None) -> P
         raise InputError(f"shift window must be non-negative, got {window}")
     if not rel.has_tuples:
         return PreservationResult(True, trivial=True)
+    import numpy as np
+
     tuples = rel.offset_tuples
     k = rel.arity
     delta = rel.max_offset()

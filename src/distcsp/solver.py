@@ -7,13 +7,15 @@ is then tightened through every intermediate variable,
 
     P(k,l)  <-  P(k,l)  intersect  (P(k,m) + P(m,l)),
 
-until nothing shrinks.  Every tightening is implied by the instance, so an
-empty pair set is a proof of unsatisfiability; at the fixpoint every finite
-pair set lies within hop-distance * D of zero.  A witness is then read off
-greedily in breadth-first variable order; when the template is closed under
-a modular median the fixpoint is globally consistent and the greedy walk
-cannot get stuck.  Without that guarantee a stuck extraction yields an
-'unknown' verdict and the caller may fall back to exhaustive search.
+until nothing shrinks; a worklist of the pairs that changed re-revises just
+the triangles containing them.  Every tightening is implied by the
+instance, so an empty pair set is a proof of unsatisfiability; at the
+fixpoint every finite pair set lies within hop-distance * D of zero.  A
+witness is then read off greedily in breadth-first variable order; when
+the template is closed under a modular median the fixpoint is globally
+consistent and the greedy walk cannot get stuck.  Without that guarantee a
+stuck extraction yields an 'unknown' verdict and the caller may fall back
+to exhaustive search.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ MODES = ("auto", "consistency", "brute")
 
 @dataclass
 class SolveStats:
-    """Counters from one solve; sweeps counts the pair visits of the
-    propagation worklist."""
+    """Counters from one solve; sweeps counts the changed pairs the
+    propagation worklist popped."""
 
     proper_replacements: int = 0
     sweeps: int = 0
@@ -227,7 +229,6 @@ class PairMatrix:
         self.adjacency = adjacency
         self.stats = SolveStats()
         self.empty_pair: tuple[int, int] | None = None
-        self.initial_finite = 0
 
     def get(self, k: int, l: int) -> OffsetSet:
         return self.cells[(k, l)]
@@ -257,19 +258,15 @@ def initialize_pairs(inst: Instance, t: Template, variable_ids: list[int] | None
             raise InputError(
                 f"constraint {c.relation}{c.args} has repeated variables; preprocess first"
             )
+        if not rel.has_tuples:
+            continue
         for pi in range(len(c.args)):
             for pj in range(pi + 1, len(c.args)):
                 k, l = c.args[pi], c.args[pj]
-                if rel.has_tuples:
-                    tightened = matrix.get(k, l) & project_constraint(rel, pi + 1, pj + 1)
-                    matrix.set_pair(k, l, tightened)
-    matrix.initial_finite = sum(
-        len(s.offsets) for s in matrix.cells.values() if s.offsets is not None
-    )
-    for (k, l), s in sorted(matrix.cells.items()):
-        if s.is_empty:
-            matrix.empty_pair = (k, l)
-            break
+                tightened = matrix.get(k, l) & project_constraint(rel, pi + 1, pj + 1)
+                matrix.set_pair(k, l, tightened)
+                if tightened.is_empty:
+                    matrix.empty_pair = (k, l)
     return matrix
 
 
@@ -291,16 +288,6 @@ def _check_bounds(matrix: PairMatrix) -> None:
             )
 
 
-def _check_budget(matrix: PairMatrix) -> None:
-    budget = matrix.initial_finite + matrix.stats.full_to_finite * (
-        2 * matrix.size * matrix.max_distance + 1
-    )
-    if matrix.stats.proper_replacements > budget:
-        raise InternalInvariantError(
-            f"{matrix.stats.proper_replacements} proper replacements exceed budget {budget}"
-        )
-
-
 def propagate(
     matrix: PairMatrix,
     trace: TraceFn | None = None,
@@ -308,54 +295,76 @@ def propagate(
 ) -> PairMatrix:
     """Tighten the pair matrix to its fixpoint in place.
 
-    A worklist revisits every pair touching a shrunk cell until nothing
-    shrinks; the greatest fixpoint reached does not depend on the order of
-    revisions.  Propagation stops as soon as some pair empties.  When debug
-    is set, the replacement budget is enforced and, on reaching a fixpoint,
-    every finite cell is checked against the hop-distance bound.
+    The worklist holds the unordered pairs k < l whose cell is finite and
+    shrank since it was last popped; at the start, every finite pair.
+    Popping {k, l} revises, for every other m, P(k,m) via l and P(l,m) via
+    k, and queues each revised cell that shrank.  `PairMatrix.set_pair`
+    writes the mirror cell, so each pair is revised in one orientation.
+
+    The drained queue is the fixpoint: a revision X <- X & (A + B) can
+    shrink X only when A and B are both finite.  Every finite cell is queued
+    at the start and whenever it shrinks, and popping it re-runs every
+    revision that reads it (revising (l, k) via m gives the negation of
+    revising (k, l) via m).  So the later of the pops of A and B ran the
+    revision on their final values, and X has only shrunk since: every
+    revision is a no-op.  The greatest fixpoint is unique, so it is the
+    same cell for cell whatever the order of revisions.
+
+    Propagation stops as soon as some pair empties.  When debug is set, the
+    replacement budget is enforced and, on reaching a fixpoint, every
+    finite cell is checked against the hop-distance bound.
     """
     if matrix.empty_pair is not None:
         return matrix
     ids = matrix.variable_ids
+    cells = matrix.cells
+    stats = matrix.stats
+    if debug:
+        budget = sum(cell.mask.bit_count() for cell in cells.values() if not cell.is_full)
+    pending = deque((k, l) for k, l in cells if k < l and not cells[k, l].is_full)
+    queued = set(pending)
 
-    def tighten(k: int, l: int, m: int) -> bool:
-        old = matrix.get(k, l)
-        new = old & (matrix.get(k, m) + matrix.get(m, l))
+    def revise(x: int, m: int, via: int, left: OffsetSet) -> bool:
+        """P(x,m) <- P(x,m) & (left + P(via,m)), left being P(x,via);
+        queues the pair if it shrank and tells whether it emptied."""
+        right = cells[(via, m)]
+        if right.is_full:
+            return False
+        old = cells[(x, m)]
+        new = old & (left + right)
         if new == old:
             return False
-        matrix.set_pair(k, l, new)
-        matrix.stats.proper_replacements += 1
+        matrix.set_pair(x, m, new)
+        stats.proper_replacements += 1
         if old.is_full:
-            matrix.stats.full_to_finite += 1
+            stats.full_to_finite += 1
         if trace is not None:
-            trace(f"pair=({ids[k]},{ids[l]}) via {ids[m]} old={old} new={new}")
+            trace(f"pair=({ids[x]},{ids[m]}) via {ids[via]} old={old} new={new}")
         if new.is_empty:
-            matrix.empty_pair = (k, l)
-        return True
+            matrix.empty_pair = (x, m)
+            return True
+        key = (x, m) if x < m else (m, x)
+        if key not in queued:
+            queued.add(key)
+            pending.append(key)
+        return False
 
-    n = matrix.size
-    pending = deque(sorted(matrix.cells))
-    queued = set(pending)
-    while pending:
-        k, l = pending.popleft()
-        queued.discard((k, l))
-        matrix.stats.sweeps += 1
-        for m in range(n):
-            if m == k or m == l:
-                continue
-            if tighten(k, l, m):
-                if matrix.empty_pair is not None:
-                    if debug:
-                        _check_budget(matrix)
-                    return matrix
-                for a in range(n):
-                    for pair in ((k, a), (a, k), (l, a), (a, l)):
-                        if pair[0] != pair[1] and pair not in queued:
-                            queued.add(pair)
-                            pending.append(pair)
+    while pending and matrix.empty_pair is None:
+        k, l = pair = pending.popleft()
+        queued.discard(pair)
+        stats.sweeps += 1
+        forward, backward = cells[pair], cells[(l, k)]
+        for m in range(matrix.size):
+            if m != k and m != l and (revise(k, m, l, forward) or revise(l, m, k, backward)):
+                break
     if debug:
-        _check_budget(matrix)
-        _check_bounds(matrix)
+        budget += stats.full_to_finite * (2 * matrix.size * matrix.max_distance + 1)
+        if stats.proper_replacements > budget:
+            raise InternalInvariantError(
+                f"{stats.proper_replacements} proper replacements exceed budget {budget}"
+            )
+        if matrix.empty_pair is None:
+            _check_bounds(matrix)
     return matrix
 
 
@@ -378,17 +387,10 @@ def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[i
     if len(order) != matrix.size:
         raise InputError("extraction needs the pair matrix of one connected component")
     values: dict[int, int] = {}
-    for step, j in enumerate(order):
-        if step == 0:
-            values[j] = 0
-            continue
-        candidates: set[int] | None = None
-        for i in values:
-            cell = matrix.get(i, j)
-            if cell.offsets is None:
-                continue
-            shifted = {values[i] + s for s in cell.offsets}
-            candidates = shifted if candidates is None else candidates & shifted
+    for j in order:
+        candidates = OffsetSet.full()
+        for i, value in values.items():
+            candidates &= matrix.get(i, j) + OffsetSet.of((value,))
         ready = [
             c for c in by_var[j] if all(a in values or a == j for a in c.args)
         ]
@@ -401,13 +403,9 @@ def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[i
                     return False
             return True
 
-        if candidates is None:
-            # only FULL pairs constrain j; any value works for those
-            if not acceptable(0):
-                return None
-            values[j] = 0
-            continue
-        choice = next((v for v in sorted(candidates) if acceptable(v)), None)
+        # when only FULL pairs constrain j, any value works for those
+        tried = (0,) if candidates.is_full else candidates.offsets
+        choice = next((v for v in tried if acceptable(v)), None)
         if choice is None:
             return None
         values[j] = choice
@@ -433,7 +431,6 @@ def solve(
     trace: TraceFn | None = None,
     debug: bool = False,
     node_cap: int | None = None,
-    median_max: int | None = None,
 ) -> Verdict:
     """Decide an instance against a template.
 
@@ -489,7 +486,7 @@ def solve(
     for component, sub, matrix in propagated:
         witness = extract_solution(matrix, sub, prep.template)
         if witness is None:
-            if find_modular_median(prep.template, median_max) is not None:
+            if find_modular_median(prep.template) is not None:
                 raise InternalInvariantError(
                     "extraction failed although the template is closed under a modular median"
                 )

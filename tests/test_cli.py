@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import distcsp
 from distcsp import solver
 from distcsp.cli import run_cli
 from distcsp.endomorphism import PeriodicMapSpec, format_map_spec
@@ -354,3 +357,34 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["analysis"]["max_distance"] == 3
+
+
+class TestStartup:
+    def test_solve_analyze_and_endo_check_leave_numpy_unloaded(self, files):
+        path = files["dir"] / "path13.json"
+        path.write_text(
+            to_json(instance_to_dict(graph_instance("dist13", 6, [(i, i + 1) for i in range(5)])))
+        )
+        commands = [
+            ["solve", files["t13.json"], str(path)],
+            ["analyze", files["t13.json"]],
+            ["endo", "check", files["t13.json"], "--spec", files["endo1.txt"]],
+        ]
+        script = (
+            "import json, sys\n"
+            "from distcsp.cli import run_cli\n"
+            "codes = [run_cli(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+        )
+        src = str(Path(distcsp.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0]
+        assert not numpy_loaded

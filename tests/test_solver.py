@@ -23,6 +23,7 @@ from helpers import (
     DIST13,
     binary_relation,
     complete_edges,
+    cycle_edges,
     graph_instance,
     oracle_pair_closure,
     random_any_template,
@@ -198,6 +199,40 @@ class TestPropagate:
                     for pair, cell in matrix.cells.items()
                 } == reference
 
+    def test_pops_only_changed_pairs(self):
+        # every pop is a pair that was finite after initialisation or one
+        # that a replacement queued
+        path = graph_instance("dist13", 20, [(i, i + 1) for i in range(19)])
+        cases = [(path, DIST13)]
+        cases += [(graph_instance("dist13", n, cycle_edges(n)), DIST13) for n in (10, 12)]
+        rng = random.Random(3)
+        for make_template in (random_any_template, random_median_template):
+            for i in range(25):
+                t = make_template(rng, f"t{i}")
+                cases.append((random_connected_instance(t, rng.randint(2, 5), rng), t))
+        for inst, t in cases:
+            prep = preprocess(inst, t)
+            if prep.unsat:
+                continue
+            matrix = initialize_pairs(prep.instance, prep.template)
+            finite = sum(
+                1 for (k, l), cell in matrix.cells.items() if k < l and not cell.is_full
+            )
+            propagate(matrix)
+            assert matrix.stats.sweeps <= finite + matrix.stats.proper_replacements
+
+    def test_even_cycles_reach_the_reference_fixpoint(self):
+        # a schedule that never queues a shrunk pair again still closes the
+        # small seeded instances, but not these cycles
+        for n in (10, 12):
+            inst = graph_instance("dist13", n, cycle_edges(n))
+            matrix = propagate(initialize_pairs(inst, DIST13))
+            assert matrix.empty_pair is None
+            assert {
+                pair: None if cell.is_full else set(cell.offsets)
+                for pair, cell in matrix.cells.items()
+            } == oracle_pair_closure(inst, DIST13)
+
     def test_mirror_invariant_at_fixpoint(self):
         rng = random.Random(4)
         for i in range(20):
@@ -294,6 +329,13 @@ class TestSolve:
         assert verdict.status == "sat"
         assert verdict.witness == (0, -3, 0, -3)
         assert verdict.stats.components == 4 - 2
+
+    def test_variable_behind_full_pairs_only_takes_zero(self):
+        fin, full = binary_relation("fin", (1,)), RelationDef("all", 2, "full")
+        t = Template("t", (fin, full))
+        inst = Instance(3, (Constraint("fin", (0, 1)), Constraint("all", (1, 2))))
+        verdict = solve(inst, t, mode="consistency")
+        assert verdict.status == "sat" and verdict.witness == (0, 1, 0)
 
     def test_unconstrained_instance(self):
         verdict = solve(Instance(1, ()), DIST13)
