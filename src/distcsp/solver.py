@@ -1,27 +1,32 @@
 """Pairwise difference propagation and witness extraction.
 
-The solver keeps one offset set per ordered pair of variables in a connected
-component of the instance.  Each set starts as the intersection of the
-projections of every constraint covering the pair (FULL when none does) and
-is then tightened through every intermediate variable,
+The solver keeps offset sets for the pairs of variables of a connected
+component that are joined in a chordal completion of its co-occurrence
+graph: the graph filled in by eliminating the variables in reverse of the
+canonical breadth-first order, so that every variable's earlier neighbours
+form a clique.  Each set starts as the intersection of the projections of
+every constraint covering the pair (FULL when none does) and is then
+tightened through the triangles of the completion,
 
     P(k,l)  <-  P(k,l)  intersect  (P(k,m) + P(m,l)),
 
 until nothing shrinks; a worklist of the pairs that changed re-revises just
-the triangles containing them.  Every tightening is implied by the
-instance, so an empty pair set is a proof of unsatisfiability; at the
-fixpoint every finite pair set lies within hop-distance * D of zero.  A
-witness is then read off greedily in breadth-first variable order; when
-the template is closed under a modular median the fixpoint is globally
-consistent and the greedy walk cannot get stuck.  Without that guarantee a
-stuck extraction yields an 'unknown' verdict and the caller may fall back
-to exhaustive search.
+the triangles containing them.  Pairs outside the completion are never
+stored and read as FULL.  Every tightening is implied by the instance, so
+an empty pair set is a proof of unsatisfiability; at the fixpoint every
+finite pair set lies within hop-distance * D of zero.  A witness is then
+read off greedily in the same breadth-first order, a reverse perfect
+elimination order of the completion; when the template is closed under a
+modular median the fixpoint is globally consistent and the greedy walk
+cannot get stuck.  Without that guarantee a stuck extraction yields an
+'unknown' verdict and the caller may fall back to exhaustive search.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .analysis import max_distance_or_zero
@@ -203,11 +208,37 @@ def induced_instance(inst: Instance, component: list[int]) -> Instance:
     return Instance(len(component), tuple(constraints))
 
 
-class PairMatrix:
-    """Offset sets for every ordered pair of component variables.
+def chordal_completion(adjacency: list[set[int]], order: list[int]) -> list[set[int]]:
+    """Neighbour sets of the graph filled in by eliminating order's vertices last first.
 
-    The mirror invariant S(P(l,k)) = -S(P(k,l)) is maintained on every
-    update; both directions of a pair change atomically.
+    Eliminating a vertex joins its remaining (earlier) neighbours into a
+    clique, so in the result every vertex's earlier neighbours form a
+    clique: order reversed is a perfect elimination order and the graph is
+    chordal.  Vertices missing from order keep their neighbours unchanged.
+    """
+    position = {v: i for i, v in enumerate(order)}
+    filled = [set(neighbours) for neighbours in adjacency]
+    for v in reversed(order):
+        earlier = [u for u in filled[v] if position[u] < position[v]]
+        for u in earlier:
+            filled[u].update(earlier)
+            filled[u].discard(u)
+    return filled
+
+
+_FULL = OffsetSet.full()
+
+
+class PairMatrix:
+    """Offset sets for the edges of a chordal completion of one component.
+
+    `order` is the canonical breadth-first order of the co-occurrence graph
+    `adjacency` from variable 0, and `neighbours` its `chordal_completion`
+    along that order.  `cells` holds one set per completion edge, in both
+    orientations; `get` answers FULL for any other pair, which neither a
+    constraint nor a triangle of the completion ever bounds.  The mirror
+    invariant S(P(l,k)) = -S(P(k,l)) is maintained on every update; both
+    directions of a pair change atomically.
     """
 
     def __init__(
@@ -220,18 +251,16 @@ class PairMatrix:
         self.size = size
         self.variable_ids = list(variable_ids)
         self.max_distance = max_distance
+        self.order = list(bfs_depths(adjacency, 0))
+        self.neighbours = chordal_completion(adjacency, self.order)
         self.cells: dict[tuple[int, int], OffsetSet] = {
-            (k, l): OffsetSet.full()
-            for k in range(size)
-            for l in range(size)
-            if k != l
+            (k, l): _FULL for k in range(size) for l in self.neighbours[k]
         }
-        self.adjacency = adjacency
         self.stats = SolveStats()
         self.empty_pair: tuple[int, int] | None = None
 
     def get(self, k: int, l: int) -> OffsetSet:
-        return self.cells[(k, l)]
+        return self.cells.get((k, l), _FULL)
 
     def set_pair(self, k: int, l: int, value: OffsetSet) -> None:
         self.cells[(k, l)] = value
@@ -241,9 +270,10 @@ class PairMatrix:
 def initialize_pairs(inst: Instance, t: Template, variable_ids: list[int] | None = None) -> PairMatrix:
     """Pair matrix for one preprocessed component.
 
-    Adjacent pairs start at the intersection of the projections of all
-    covering constraints (intersecting every conjunct instead of picking one
-    is sound and only tightens); non-adjacent pairs start FULL.
+    Pairs sharing a constraint start at the intersection of the projections
+    of all covering constraints (intersecting every conjunct instead of
+    picking one is sound and only tightens); fill edges of the completion
+    start FULL.
     """
     size = inst.num_vars
     matrix = PairMatrix(
@@ -270,10 +300,21 @@ def initialize_pairs(inst: Instance, t: Template, variable_ids: list[int] | None
     return matrix
 
 
-def _check_bounds(matrix: PairMatrix) -> None:
-    # a fixpoint property: mid-propagation a pair first tightened through a
-    # detour may transiently hold a wider set
-    hops = [bfs_depths(matrix.adjacency, start) for start in range(matrix.size)]
+def _check_bounds(matrix: PairMatrix, bounded: set[tuple[int, int]]) -> None:
+    # A fixpoint property.  Each pair in `bounded` (finite after
+    # initialisation) lies in [-D, D].  At the fixpoint every triangle of
+    # the completion gives max P(a,b) <= max P(a,m) + max P(m,b) (infinite
+    # for FULL), and on a chordal graph that triangle inequality extends to
+    # paths: a counterexample path from a to b with the fewest edges closes
+    # a cycle of length >= 4 with the edge (a,b), and a chord of that cycle
+    # gives a counterexample with fewer edges.  So every completion edge,
+    # fill edges included, lies within D times its hop distance over the
+    # bounded pairs.  Mid-propagation a pair first tightened through a
+    # detour may transiently hold a wider set.
+    hop_graph: list[set[int]] = [set() for _ in range(matrix.size)]
+    for k, l in bounded:
+        hop_graph[k].add(l)
+    hops = [bfs_depths(hop_graph, start) for start in range(matrix.size)]
     for (k, l), cell in matrix.cells.items():
         if cell.offsets is None or not cell.offsets:
             continue
@@ -295,33 +336,60 @@ def propagate(
 ) -> PairMatrix:
     """Tighten the pair matrix to its fixpoint in place.
 
-    The worklist holds the unordered pairs k < l whose cell is finite and
-    shrank since it was last popped; at the start, every finite pair.
-    Popping {k, l} revises, for every other m, P(k,m) via l and P(l,m) via
-    k, and queues each revised cell that shrank.  `PairMatrix.set_pair`
-    writes the mirror cell, so each pair is revised in one orientation.
+    The worklist holds the completion edges {k, l}, k < l, whose cell is
+    finite and shrank since it was last popped; at the start, every finite
+    edge.  Popping {k, l} revises, for every common neighbour m of k and l
+    in the completion, P(k,m) via l and P(l,m) via k, and queues each
+    revised cell that shrank.  `PairMatrix.set_pair` writes the mirror
+    cell, so each pair is revised in one orientation.
 
-    The drained queue is the fixpoint: a revision X <- X & (A + B) can
-    shrink X only when A and B are both finite.  Every finite cell is queued
-    at the start and whenever it shrinks, and popping it re-runs every
-    revision that reads it (revising (l, k) via m gives the negation of
-    revising (k, l) via m).  So the later of the pops of A and B ran the
-    revision on their final values, and X has only shrunk since: every
-    revision is a no-op.  The greatest fixpoint is unique, so it is the
-    same cell for cell whatever the order of revisions.
+    The drained queue is the fixpoint over the triangles of the completion:
+    a revision X <- X & (A + B) can shrink X only when A and B are both
+    finite.  Every finite cell is queued at the start and whenever it
+    shrinks, and popping it re-runs every revision that reads it (revising
+    (l, k) via m gives the negation of revising (k, l) via m).  So the later
+    of the pops of A and B ran the revision on their final values, and X
+    has only shrunk since: every revision is a no-op.  The greatest fixpoint
+    is unique, so it is the same cell for cell whatever the order of
+    revisions.
+
+    Partial path consistency on the chordal completion decides median-closed
+    templates, although it closes fewer triangles than full path
+    consistency.  Take the variables in the breadth-first `PairMatrix.order`
+    and a partial assignment of the earlier ones that respects every
+    completion edge among them.  The next variable v's earlier neighbours
+    form a clique, and each triangle of v with two of them, a and b, is
+    path-consistent, so v's candidate sets P(a,v) + x_a and P(b,v) + x_b
+    intersect.  A modular median is a majority polymorphism, and it
+    preserves these pp-definable sets, so they have the 2-Helly property
+    (Jeavons, Cohen & Cooper, AIJ 1998): pairwise intersection implies a
+    common point.  Every value in the joint intersection respects every
+    edge from v to an earlier variable, and a constraint of higher arity,
+    whose variables form a clique, holds as soon as its binary projections
+    do (2-decomposability).  So the greedy walk of `extract_solution` never
+    gets stuck, and every candidate it sees extends to a full solution.
+    Every cell is implied by the instance, so every value that extends is
+    a candidate too: the candidates are exactly the values that extend,
+    under full path consistency as here, and the least candidate, hence
+    the witness, is the same.  On a complete graph the completion is the
+    graph itself and the two coincide.  Without a modular median the chordal fixpoint may be weaker
+    than full path consistency; unsat answers stay sound either way.
 
     Propagation stops as soon as some pair empties.  When debug is set, the
     replacement budget is enforced and, on reaching a fixpoint, every
-    finite cell is checked against the hop-distance bound.
+    finite cell is checked against the hop-distance bound of
+    `_check_bounds`.
     """
     if matrix.empty_pair is not None:
         return matrix
     ids = matrix.variable_ids
     cells = matrix.cells
+    neighbours = matrix.neighbours
     stats = matrix.stats
+    bounded = {pair for pair, cell in cells.items() if not cell.is_full}
     if debug:
-        budget = sum(cell.mask.bit_count() for cell in cells.values() if not cell.is_full)
-    pending = deque((k, l) for k, l in cells if k < l and not cells[k, l].is_full)
+        budget = sum(cells[pair].mask.bit_count() for pair in bounded)
+    pending = deque(sorted((k, l) for k, l in bounded if k < l))
     queued = set(pending)
 
     def revise(x: int, m: int, via: int, left: OffsetSet) -> bool:
@@ -354,8 +422,8 @@ def propagate(
         queued.discard(pair)
         stats.sweeps += 1
         forward, backward = cells[pair], cells[(l, k)]
-        for m in range(matrix.size):
-            if m != k and m != l and (revise(k, m, l, forward) or revise(l, m, k, backward)):
+        for m in sorted(neighbours[k] & neighbours[l]):
+            if revise(k, m, l, forward) or revise(l, m, k, backward):
                 break
     if debug:
         budget += stats.full_to_finite * (2 * matrix.size * matrix.max_distance + 1)
@@ -364,18 +432,18 @@ def propagate(
                 f"{stats.proper_replacements} proper replacements exceed budget {budget}"
             )
         if matrix.empty_pair is None:
-            _check_bounds(matrix)
+            _check_bounds(matrix, bounded)
     return matrix
 
 
 def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[int, ...] | None:
-    """Greedy witness for one connected component, breadth-first from variable 0.
+    """Greedy witness for one connected component, in the matrix's breadth-first order.
 
-    Each next variable takes the least value compatible with all pair sets
-    to already-assigned variables that also satisfies every original
-    constraint that becomes fully assigned.  Returns None when some step has
-    no candidate, which cannot happen for templates closed under a modular
-    median.
+    Each next variable takes the least value compatible with the pair sets
+    to its already-assigned neighbours in the completion that also
+    satisfies every original constraint that becomes fully assigned.
+    Returns None when some step has no candidate, which cannot happen for
+    templates closed under a modular median (see `propagate`).
     """
     if matrix.empty_pair is not None:
         raise InternalInvariantError("extraction attempted on an empty pair matrix")
@@ -383,14 +451,14 @@ def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[i
     for c in inst.constraints:
         for a in set(c.args):
             by_var[a].append(c)
-    order = list(bfs_depths(matrix.adjacency, 0))
-    if len(order) != matrix.size:
+    if len(matrix.order) != matrix.size:
         raise InputError("extraction needs the pair matrix of one connected component")
     values: dict[int, int] = {}
-    for j in order:
-        candidates = OffsetSet.full()
-        for i, value in values.items():
-            candidates &= matrix.get(i, j) + OffsetSet.of((value,))
+    for j in matrix.order:
+        candidates = _FULL
+        for i in matrix.neighbours[j]:
+            if i in values:
+                candidates &= matrix.cells[(i, j)] + OffsetSet.of((values[i],))
         ready = [
             c for c in by_var[j] if all(a in values or a == j for a in c.args)
         ]
@@ -422,6 +490,15 @@ def _brute_verdict(inst: Instance, t: Template, node_cap: int | None, stats: Sol
     if not ok:
         raise InternalInvariantError(f"exhaustive witness fails constraint {failing}")
     return Verdict.sat(witness, stats)
+
+
+@lru_cache(maxsize=64)
+def _median_modulus(t: Template) -> int | None:
+    """`find_modular_median` of a template, searched once per template value:
+    every stuck extraction re-proves that no median exists."""
+    from .polymorphism import find_modular_median
+
+    return find_modular_median(t)
 
 
 def solve(
@@ -480,13 +557,12 @@ def solve(
         propagated.append((component, sub, matrix))
 
     from .brute import verify_assignment
-    from .polymorphism import find_modular_median
 
     values = [0] * inst.num_vars
     for component, sub, matrix in propagated:
         witness = extract_solution(matrix, sub, prep.template)
         if witness is None:
-            if find_modular_median(prep.template) is not None:
+            if _median_modulus(prep.template) is not None:
                 raise InternalInvariantError(
                     "extraction failed although the template is closed under a modular median"
                 )

@@ -254,7 +254,7 @@ def random_any_template(rng, name: str) -> Template:
     return Template(name, tuple(relations))
 
 
-def oracle_pair_closure(inst: Instance, t: Template):
+def oracle_pair_closure(inst: Instance, t: Template, edges=None):
     """Path-consistency fixpoint by repeated full passes over plain sets.
 
     Keys are ordered variable pairs; a value is a set of allowed differences
@@ -262,10 +262,16 @@ def oracle_pair_closure(inst: Instance, t: Template):
     P(k,l) <- P(k,l) & (P(k,m) + P(m,l)) for all k, l, m until a pass changes
     nothing.  Returns None as soon as some pair becomes empty.  Expects an
     instance without repeated variables in a constraint.
+
+    When edges, a set of ordered pairs holding both orientations of each
+    pair that shares a constraint, is given, only those pairs are kept and
+    a pass revises through the triangles of that graph alone.
     """
     rels = {rel.name: rel for rel in t.relations}
     n = inst.num_vars
-    pairs = {(k, l): None for k in range(n) for l in range(n) if k != l}
+    if edges is None:
+        edges = [(k, l) for k in range(n) for l in range(n) if k != l]
+    pairs = {pair: None for pair in edges}
     for c in inst.constraints:
         body = rels[c.relation].body
         if body == "full":
@@ -283,7 +289,7 @@ def oracle_pair_closure(inst: Instance, t: Template):
         changed = False
         for (k, l), current in pairs.items():
             for m in range(n):
-                if m in (k, l) or pairs[k, m] is None or pairs[m, l] is None:
+                if m in (k, l) or pairs.get((k, m)) is None or pairs.get((m, l)) is None:
                     continue
                 through = {a + b for a in pairs[k, m] for b in pairs[m, l]}
                 new = through if current is None else current & through
@@ -319,3 +325,19 @@ def components_of(inst: Instance) -> list[list[int]]:
                     queue.append(w)
         out.append(sorted(comp))
     return out
+
+
+def bfs_order(inst: Instance) -> list[int]:
+    """Breadth-first order from variable 0 over the co-occurrence graph,
+    neighbours taken in ascending order."""
+    adjacency: list[set[int]] = [set() for _ in range(inst.num_vars)]
+    for c in inst.constraints:
+        for a in c.args:
+            adjacency[a].update(b for b in c.args if b != a)
+    order, queue = [0], deque([0])
+    while queue:
+        for w in sorted(adjacency[queue.popleft()]):
+            if w not in order:
+                order.append(w)
+                queue.append(w)
+    return order

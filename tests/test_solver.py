@@ -4,12 +4,14 @@ import time
 
 import pytest
 
+from distcsp import polymorphism
 from distcsp.brute import brute_solve, verify_assignment
 from distcsp.errors import InputError, InternalInvariantError
 from distcsp.model import Constraint, Instance, OffsetSet, RelationDef, Template
 from distcsp.solver import (
     bfs_depths,
     canonical_components,
+    chordal_completion,
     co_occurrence_adjacency,
     extract_solution,
     induced_instance,
@@ -21,6 +23,7 @@ from distcsp.solver import (
 from helpers import (
     DIST12,
     DIST13,
+    bfs_order,
     binary_relation,
     complete_edges,
     cycle_edges,
@@ -36,6 +39,27 @@ CHAIN_UNSAT = Instance(
     3,
     (Constraint("r1", (0, 1)), Constraint("r1", (1, 2)), Constraint("r13", (0, 2))),
 )
+
+
+def completion_edges(matrix, inst):
+    """The ordered pairs the matrix stores, once checked on their own terms:
+    they hold both orientations of every pair sharing a constraint, and the
+    breadth-first order is a perfect elimination order of them read
+    backwards, so each variable's earlier neighbours form a clique."""
+    edges = set(matrix.cells)
+    assert all((l, k) in edges for k, l in edges)
+    for c in inst.constraints:
+        assert all((a, b) in edges for a in c.args for b in c.args if a != b)
+    order = bfs_order(inst)
+    assert matrix.order == order
+    for i, v in enumerate(order):
+        earlier = [u for u in order[:i] if (u, v) in edges]
+        assert all((a, b) in edges for a in earlier for b in earlier if a != b)
+    return edges
+
+
+def cell_sets(matrix):
+    return {pair: None if cell.is_full else set(cell.offsets) for pair, cell in matrix.cells.items()}
 
 
 class TestPreprocess:
@@ -109,6 +133,18 @@ class TestComponents:
         assert list(bfs_depths(adjacency, 4)) == [4, 2, 5, 0, 1, 3]
         assert bfs_depths(adjacency, 6) == {6: 0}
 
+    def test_chordal_completion_fills_along_the_order(self):
+        # eliminating 3, 4 and 2 in turn adds the fill edges (2,4), (2,5), (1,5)
+        hexagon = co_occurrence_adjacency(graph_instance("r", 6, cycle_edges(6)))
+        order = list(bfs_depths(hexagon, 0))
+        assert order == [0, 1, 5, 2, 4, 3]
+        filled = chordal_completion(hexagon, order)
+        assert filled[2] == {1, 3, 4, 5} and filled[5] == {0, 1, 2, 4}
+        assert sum(map(len, filled)) // 2 == 6 + 3
+        for edges in ([(i, i + 1) for i in range(5)], complete_edges(5)):
+            adjacency = co_occurrence_adjacency(graph_instance("r", 6, edges))
+            assert chordal_completion(adjacency, list(bfs_depths(adjacency, 0))) == adjacency
+
     def test_induced_instance_renumbers(self):
         inst = Instance(4, (Constraint("r", (0, 1)), Constraint("r", (3, 2))))
         sub = induced_instance(inst, [2, 3])
@@ -168,7 +204,8 @@ class TestPropagate:
         assert matrix.stats.proper_replacements == 0
 
     def test_trace_lines_name_pairs_and_midpoints(self):
-        inst = Instance(3, (Constraint("dist13", (0, 1)), Constraint("dist13", (1, 2))))
+        # the 4-cycle's fill edge (1,3) goes from FULL to finite
+        inst = graph_instance("dist13", 4, cycle_edges(4))
         matrix = initialize_pairs(inst, DIST13)
         lines = []
         propagate(matrix, trace=lines.append)
@@ -176,7 +213,7 @@ class TestPropagate:
         pattern = re.compile(r"^pair=\(\d+,\d+\) via \d+ old=(FULL|\{[-\d,]*\}) new=(FULL|\{[-\d,]*\})$")
         for line in lines:
             assert pattern.match(line), line
-        assert any("old=FULL" in line for line in lines)
+        assert any(line.startswith("pair=(1,3) via ") and "old=FULL" in line for line in lines)
 
     def test_worklist_reaches_the_reference_fixpoint(self):
         for make_template in (random_any_template, random_median_template):
@@ -188,16 +225,38 @@ class TestPropagate:
                 if prep.unsat:
                     continue
                 matrix = initialize_pairs(prep.instance, prep.template)
+                edges = completion_edges(matrix, prep.instance)
                 propagate(matrix)
-                reference = oracle_pair_closure(prep.instance, prep.template)
+                reference = oracle_pair_closure(prep.instance, prep.template, edges)
                 if reference is None:
                     assert matrix.empty_pair is not None
                     continue
                 assert matrix.empty_pair is None
-                assert {
-                    pair: None if cell.is_full else set(cell.offsets)
-                    for pair, cell in matrix.cells.items()
-                } == reference
+                assert cell_sets(matrix) == reference
+
+    def test_median_templates_close_the_completion_like_full_path_consistency(self):
+        # on median-closed templates every chordal cell is already minimal
+        rng = random.Random(5)
+        compared = filled = 0
+        for i in range(150):
+            t = random_median_template(rng, f"t{i}")
+            inst = random_connected_instance(t, rng.randint(3, 6), rng)
+            prep = preprocess(inst, t)
+            if prep.unsat:
+                continue
+            for component in canonical_components(prep.instance):
+                sub = induced_instance(prep.instance, component)
+                matrix = propagate(initialize_pairs(sub, prep.template))
+                full = oracle_pair_closure(sub, prep.template)
+                if full is None:
+                    assert matrix.empty_pair is not None
+                    continue
+                assert matrix.empty_pair is None
+                assert cell_sets(matrix) == {pair: full[pair] for pair in matrix.cells}
+                compared += 1
+                shared = {(a, b) for c in sub.constraints for a in c.args for b in c.args if a != b}
+                filled += set(matrix.cells) != shared
+        assert compared >= 30 and filled >= 5
 
     def test_pops_only_changed_pairs(self):
         # every pop is a pair that was finite after initialisation or one
@@ -226,12 +285,11 @@ class TestPropagate:
         # small seeded instances, but not these cycles
         for n in (10, 12):
             inst = graph_instance("dist13", n, cycle_edges(n))
-            matrix = propagate(initialize_pairs(inst, DIST13))
+            matrix = initialize_pairs(inst, DIST13)
+            edges = completion_edges(matrix, inst)
+            propagate(matrix)
             assert matrix.empty_pair is None
-            assert {
-                pair: None if cell.is_full else set(cell.offsets)
-                for pair, cell in matrix.cells.items()
-            } == oracle_pair_closure(inst, DIST13)
+            assert cell_sets(matrix) == oracle_pair_closure(inst, DIST13, edges)
 
     def test_mirror_invariant_at_fixpoint(self):
         rng = random.Random(4)
@@ -337,6 +395,32 @@ class TestSolve:
         verdict = solve(inst, t, mode="consistency")
         assert verdict.status == "sat" and verdict.witness == (0, 1, 0)
 
+    def test_debug_bound_counts_only_constrained_hops(self):
+        # the pair (0,2) shares only a FULL constraint; it is bounded by the
+        # two finite hops through 1, not by its own hop
+        fin, full = binary_relation("fin", (5,)), RelationDef("all", 2, "full")
+        t = Template("t", (fin, full))
+        inst = Instance(
+            3,
+            (Constraint("fin", (0, 1)), Constraint("fin", (1, 2)), Constraint("all", (0, 2))),
+        )
+        verdict = solve(inst, t, mode="consistency", debug=True)
+        assert verdict.status == "sat" and verdict.witness == (0, 5, 10)
+
+    def test_median_search_runs_once_per_template(self, monkeypatch):
+        calls = []
+
+        def counted(t, *args, **kwargs):
+            calls.append(t)
+            return None
+
+        monkeypatch.setattr(polymorphism, "find_modular_median", counted)
+        t = Template("dist12-once", DIST12.relations)
+        for n in (4, 5, 6):
+            inst = graph_instance("dist12", n, complete_edges(n))
+            assert solve(inst, t, mode="consistency").status == "unknown"
+        assert len(calls) == 1
+
     def test_unconstrained_instance(self):
         verdict = solve(Instance(1, ()), DIST13)
         assert verdict.status == "sat" and verdict.witness == (0,)
@@ -400,3 +484,23 @@ class TestSpanCap:
         assert solve(inst, t, mode="consistency").status == "unknown"
         assert solve(inst, t, mode="auto").witness == (0, 0)
         assert solve(inst, t, mode="brute").witness == (0, 0)
+
+
+class TestLargeComponents:
+    # partial path consistency touches only the edges and triangles of the
+    # completion, which stays linear in n for paths and cycles
+    @pytest.mark.parametrize(
+        "edges, n, status",
+        [
+            ([(i, i + 1) for i in range(999)], 1000, "sat"),
+            (cycle_edges(1000), 1000, "sat"),
+            (cycle_edges(999), 999, "unsat"),
+        ],
+        ids=["path1000", "cycle1000", "odd_cycle999"],
+    )
+    def test_thousand_variables_in_consistency_mode(self, edges, n, status):
+        inst = graph_instance("dist13", n, edges)
+        start = time.perf_counter()
+        verdict = solve(inst, DIST13, mode="consistency")
+        assert time.perf_counter() - start < 10.0
+        assert verdict.status == status
