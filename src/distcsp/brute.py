@@ -16,7 +16,7 @@ from itertools import combinations
 from .analysis import max_distance_or_zero
 from .errors import CapExceededError, InputError
 from .model import Instance, Template, projected_offsets, tuple_in_relation
-from .solver import bfs_depths, canonical_components, co_occurrence_adjacency, induced_instance
+from .solver import bfs_depths, co_occurrence_adjacency, split_components
 
 DEFAULT_NODE_CAP = 100_000_000
 
@@ -42,16 +42,18 @@ def search_space_estimate(inst: Instance, t: Template) -> int:
 
     Every non-root variable reached through a constraint with offset tuples
     branches over at most 2D + 1 values; variables adjacent only through
-    FULL constraints fall back to the whole window.
+    FULL constraints fall back to the whole window.  Components are searched
+    one after another, so their estimates add up.
     """
     inst.validate_against(t)
     return _estimate(_component_plans(inst, t), max_distance_or_zero(t))
 
 
 def _estimate(plans, biggest: int) -> int:
-    estimate = 1
+    total = 0
     for _, order, pair_sets, _ in plans:
         window = 2 * (len(order) - 1) * biggest + 1
+        estimate = 1
         placed = {order[0]}
         for j in order[1:]:
             if any((i, j) in pair_sets for i in placed):
@@ -59,15 +61,15 @@ def _estimate(plans, biggest: int) -> int:
             else:
                 estimate *= window
             placed.add(j)
-    return estimate
+        total += estimate
+    return total
 
 
 def _component_plans(inst: Instance, t: Template):
     """Per component, in canonical order: its variables, BFS variable order,
     finite pair sets and induced instance."""
     plans = []
-    for comp in canonical_components(inst):
-        sub = induced_instance(inst, comp)
+    for comp, sub in split_components(inst):
         pair_sets: dict[tuple[int, int], set[int]] = {}
         for c in sub.constraints:
             rel = t.relation(c.relation)

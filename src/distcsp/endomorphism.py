@@ -252,7 +252,7 @@ def search_periodic_endomorphism(
             raise InputError("template has no realized distances; pass value_window explicitly")
         value_window = 2 * biggest
     if max_period < 1 or value_window < 0:
-        raise InputError("search bounds must be positive")
+        raise InputError("max_period must be >= 1 and value_window >= 0")
     drifts = sorted(set(drift_filter)) if drift_filter is not None else [-1, 0, 1]
     for d in drifts:
         if d not in (-1, 0, 1):

@@ -11,11 +11,13 @@ tractability test.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
 from .analysis import max_distance_or_zero
-from .errors import InputError
+from .brute import DEFAULT_NODE_CAP
+from .errors import CapExceededError, InputError
 from .model import RelationDef, Template, projected_offsets, tuple_in_relation
 
 IntTuple = tuple[int, ...]
@@ -196,27 +198,26 @@ def check_two_decomposable(
     (i, j) some orbit of the relation realizes the gap t_j - t_i.  Relations
     closed under a majority operation contain all such candidates, so a
     counterexample here refutes every modular median at once.  Arity < 3 and
-    marker bodies are vacuously decomposable.
+    marker bodies are vacuously decomposable.  Raises CapExceededError
+    instead of enumerating more than `brute.DEFAULT_NODE_CAP` candidates.
     """
     if rel.arity < 3 or not rel.has_tuples:
         return True, None
     k = rel.arity
     delta = rel.max_offset()
     bound = k * delta + 1 if window is None else window
+    count = (2 * bound + 1) ** (k - 1)
+    if count > DEFAULT_NODE_CAP:
+        raise CapExceededError(
+            f"2-decomposability check over {count} candidates exceeds the cap {DEFAULT_NODE_CAP}"
+        )
     projections = {
         (i, j): projected_offsets(rel, i, j)
         for i in range(1, k + 1)
         for j in range(i + 1, k + 1)
     }
-
-    def candidates(prefix: tuple[int, ...]):
-        if len(prefix) == k:
-            yield prefix
-            return
-        for value in range(-bound, bound + 1):
-            yield from candidates(prefix + (value,))
-
-    for cand in candidates((0,)):
+    for rest in itertools.product(range(-bound, bound + 1), repeat=k - 1):
+        cand = (0, *rest)
         fits = all(
             cand[j - 1] - cand[i - 1] in projections[(i, j)]
             for (i, j) in projections

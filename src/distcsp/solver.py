@@ -18,8 +18,8 @@ finite pair set lies within hop-distance * D of zero.  A witness is then
 read off greedily in the same breadth-first order, a reverse perfect
 elimination order of the completion; when the template is closed under a
 modular median the fixpoint is globally consistent and the greedy walk
-cannot get stuck.  Without that guarantee a stuck extraction yields an
-'unknown' verdict and the caller may fall back to exhaustive search.
+cannot get stuck.  Without that guarantee a stuck extraction leaves its
+component undecided, and `solve` may search that component exhaustively.
 """
 
 from __future__ import annotations
@@ -184,28 +184,25 @@ def bfs_depths(adjacency: list[set[int]], start: int) -> dict[int, int]:
     return depths
 
 
-def canonical_components(inst: Instance) -> list[list[int]]:
-    """Connected components of the variable co-occurrence graph, sorted."""
+def split_components(inst: Instance) -> list[tuple[list[int], Instance]]:
+    """Connected components of the co-occurrence graph, by lowest variable.
+
+    Each comes as its ascending variables and the instance it induces, with
+    those variables renumbered 0..m-1 in the same order; the constraints are
+    distributed in one pass.
+    """
     adjacency = co_occurrence_adjacency(inst)
-    seen: set[int] = set()
+    place: dict[int, tuple[list[Constraint], int]] = {}
     components = []
     for start in range(inst.num_vars):
-        if start not in seen:
-            component = sorted(bfs_depths(adjacency, start))
-            seen.update(component)
-            components.append(component)
-    return components
-
-
-def induced_instance(inst: Instance, component: list[int]) -> Instance:
-    """The instance restricted to one component, variables renumbered 0..m-1."""
-    local = {g: i for i, g in enumerate(component)}
-    constraints = []
+        if start not in place:
+            variables = sorted(bfs_depths(adjacency, start))
+            constraints: list[Constraint] = []
+            place.update((v, (constraints, i)) for i, v in enumerate(variables))
+            components.append((variables, constraints))
     for c in inst.constraints:
-        if c.args[0] in local:
-            assert all(a in local for a in c.args)
-            constraints.append(Constraint(c.relation, tuple(local[a] for a in c.args)))
-    return Instance(len(component), tuple(constraints))
+        place[c.args[0]][0].append(Constraint(c.relation, tuple(place[a][1] for a in c.args)))
+    return [(variables, Instance(len(variables), tuple(cs))) for variables, cs in components]
 
 
 def chordal_completion(adjacency: list[set[int]], order: list[int]) -> list[set[int]]:
@@ -480,25 +477,15 @@ def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[i
     return tuple(values[i] for i in range(inst.num_vars))
 
 
-def _brute_verdict(inst: Instance, t: Template, node_cap: int | None, stats: SolveStats) -> Verdict:
-    from .brute import DEFAULT_NODE_CAP, brute_solve, verify_assignment
-
-    witness = brute_solve(inst, t, node_cap=node_cap or DEFAULT_NODE_CAP)
-    if witness is None:
-        return Verdict.unsat(stats)
-    ok, failing = verify_assignment(inst, t, witness)
-    if not ok:
-        raise InternalInvariantError(f"exhaustive witness fails constraint {failing}")
-    return Verdict.sat(witness, stats)
-
-
 @lru_cache(maxsize=64)
-def _median_modulus(t: Template) -> int | None:
-    """`find_modular_median` of a template, searched once per template value:
-    every stuck extraction re-proves that no median exists."""
+def _median_modulus(t: Template, used: frozenset[str]) -> int | None:
+    """`find_modular_median` of the relations of t that one component uses,
+    searched once per value: every stuck extraction re-proves that no median
+    exists, and a relation no constraint of the component uses may be too
+    wide for the exhaustive closure check."""
     from .polymorphism import find_modular_median
 
-    return find_modular_median(t)
+    return find_modular_median(Template(t.name, tuple(r for r in t.relations if r.name in used)))
 
 
 def solve(
@@ -509,70 +496,78 @@ def solve(
     debug: bool = False,
     node_cap: int | None = None,
 ) -> Verdict:
-    """Decide an instance against a template.
+    """Decide an instance against a template, one connected component at a time.
 
     Modes: "consistency" runs propagation plus greedy extraction and may
-    answer unknown; "brute" delegates to the exhaustive search; "auto" runs
-    consistency first and falls back to the exhaustive search when the
-    outcome is unknown and the instance fits under the search cap.  Sat
+    answer unknown; "brute" searches every component exhaustively; "auto"
+    runs consistency first and then searches each component whose
+    extraction got stuck, alone, when it fits under the search cap.  Sat
     verdicts always carry a witness that has been re-verified; unsat
     verdicts from propagation are sound unconditionally.  Propagation is
-    undecided, not failed, when a pair set would span more than
-    `model.MAX_SPAN` integers.
+    undecided, not failed, for a component whose pair set would span more
+    than `model.MAX_SPAN` integers.  The instance is unsat when some
+    component is; otherwise unknown, with the reason of the first component
+    left undecided, when some component is.
     """
+    from . import brute
+
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     inst.validate_against(t)
     stats = SolveStats()
-    if mode == "brute":
-        try:
-            return _brute_verdict(inst, t, node_cap, stats)
-        except CapExceededError as e:
-            return Verdict.unknown(str(e), stats)
-
-    def undecided(reason: str) -> Verdict:
-        if mode == "auto":
-            try:
-                return _brute_verdict(inst, t, node_cap, stats)
-            except CapExceededError as e:
-                return Verdict.unknown(f"{reason}; {e}", stats)
-        return Verdict.unknown(reason, stats)
-
     prep = preprocess(inst, t)
     if prep.unsat:
         return Verdict.unsat(stats)
-    components = canonical_components(prep.instance)
+    components = split_components(prep.instance)
     stats.components = len(components)
-    propagated = []
-    for component in components:
-        sub = induced_instance(prep.instance, component)
+    settled = []
+    pending = []  # components left to the exhaustive search, with the reason
+    for variables, sub in components:
+        if mode == "brute":
+            pending.append((variables, sub, None))
+            continue
         try:
-            matrix = initialize_pairs(sub, prep.template, component)
+            matrix = initialize_pairs(sub, prep.template, variables)
             propagate(matrix, trace=trace, debug=debug)
         except CapExceededError as e:
-            return undecided(f"propagation refused: {e}")
+            pending.append((variables, sub, f"propagation refused: {e}"))
+            continue
         stats.absorb(matrix.stats)
         if matrix.empty_pair is not None:
             return Verdict.unsat(stats)
-        propagated.append((component, sub, matrix))
-
-    from .brute import verify_assignment
-
-    values = [0] * inst.num_vars
-    for component, sub, matrix in propagated:
         witness = extract_solution(matrix, sub, prep.template)
-        if witness is None:
-            if _median_modulus(prep.template) is not None:
-                raise InternalInvariantError(
-                    "extraction failed although the template is closed under a modular median"
-                )
-            return undecided(
-                "witness extraction failed; no modular median verified for the template"
+        if witness is not None:
+            settled.append((variables, witness))
+            continue
+        if _median_modulus(prep.template, frozenset(c.relation for c in sub.constraints)):
+            raise InternalInvariantError(
+                "extraction failed although its relations are closed under a modular median"
             )
-        for local, g in enumerate(component):
+        reason = "witness extraction failed; no modular median verified for the template"
+        pending.append((variables, sub, reason))
+
+    # exhaustive search goes last, so that no component found unsat by
+    # propagation waits behind it
+    reasons = []
+    for variables, sub, reason in pending:
+        if mode == "consistency":
+            reasons.append(reason)
+            continue
+        try:
+            witness = brute.brute_solve(sub, prep.template, node_cap or brute.DEFAULT_NODE_CAP)
+        except CapExceededError as e:
+            reasons.append(f"{reason}; {e}" if reason else str(e))
+            continue
+        if witness is None:
+            return Verdict.unsat(stats)
+        settled.append((variables, witness))
+    if reasons:
+        return Verdict.unknown(reasons[0], stats)
+    values = [0] * inst.num_vars
+    for variables, witness in settled:
+        for local, g in enumerate(variables):
             values[g] = witness[local]
-    final = tuple(values)
-    ok, failing = verify_assignment(inst, t, final)
+    ok, failing = brute.verify_assignment(inst, t, tuple(values))
     if not ok:
-        raise InternalInvariantError(f"extracted witness fails constraint {failing}")
-    return Verdict.sat(final, stats)
+        raise InternalInvariantError(f"witness fails constraint {failing}")
+    return Verdict.sat(tuple(values), stats)

@@ -216,6 +216,22 @@ def random_connected_instance(t: Template, n: int, rng, extra: int = 2) -> Insta
     return Instance(n, tuple(constraints))
 
 
+def disjoint_union(first, second) -> tuple[Instance, Template]:
+    """Two (instance, template) pairs side by side: the second instance's
+    variables come after the first's and its relations get a "+" suffix, so
+    that the two templates cannot clash."""
+    (a, ta), (b, tb) = first, second
+    renamed = tuple(RelationDef(rel.name + "+", rel.arity, rel.body) for rel in tb.relations)
+    shifted = tuple(
+        Constraint(c.relation + "+", tuple(v + a.num_vars for v in c.args))
+        for c in b.constraints
+    )
+    return (
+        Instance(a.num_vars + b.num_vars, a.constraints + shifted),
+        Template(f"{ta.name}+{tb.name}", ta.relations + renamed),
+    )
+
+
 def random_offset_run(rng, d: int, bound: int = 4) -> tuple[int, ...]:
     """A contiguous run of one residue class mod d inside [-bound, bound]."""
     residue = rng.randrange(d)

@@ -238,6 +238,13 @@ class TestSearch:
         with pytest.raises(InputError):
             search_periodic_endomorphism(EQUALITY)
 
+    def test_search_bounds_validated(self):
+        with pytest.raises(InputError, match="max_period must be >= 1 and value_window >= 0"):
+            search_periodic_endomorphism(DIST13, max_period=0)
+        with pytest.raises(InputError, match="value_window >= 0"):
+            search_periodic_endomorphism(DIST13, value_window=-1)
+        assert search_periodic_endomorphism(DIST13, max_period=1, value_window=0) is None
+
     def test_drift_filter_validated(self):
         with pytest.raises(InputError):
             search_periodic_endomorphism(DIST13, drift_filter=(2,))

@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from distcsp.errors import InputError
+from distcsp.errors import CapExceededError, InputError
 from distcsp.model import RelationDef, tuple_in_relation
 from distcsp.polymorphism import (
     check_two_decomposable,
@@ -203,6 +204,14 @@ class TestTwoDecomposable:
     def test_binary_and_markers_vacuous(self):
         assert check_two_decomposable(DIST13.relations[0]) == (True, None)
         assert check_two_decomposable(RelationDef("r", 3, "full")) == (True, None)
+
+    def test_huge_candidate_space_refused_at_once(self):
+        # (2 * (6 * 1000 + 1) + 1)^5 candidates would never finish
+        rel = RelationDef("wide", 6, ((1000, 0, 0, 0, 0),))
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="cap"):
+            check_two_decomposable(rel)
+        assert time.perf_counter() - start < 1.0
 
     def test_agrees_with_enumeration_oracle(self):
         rng = random.Random(11)

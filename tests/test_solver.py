@@ -9,16 +9,16 @@ from distcsp.brute import brute_solve, verify_assignment
 from distcsp.errors import InputError, InternalInvariantError
 from distcsp.model import Constraint, Instance, OffsetSet, RelationDef, Template
 from distcsp.solver import (
+    MODES,
     bfs_depths,
-    canonical_components,
     chordal_completion,
     co_occurrence_adjacency,
     extract_solution,
-    induced_instance,
     initialize_pairs,
     preprocess,
     propagate,
     solve,
+    split_components,
 )
 from helpers import (
     DIST12,
@@ -26,7 +26,9 @@ from helpers import (
     bfs_order,
     binary_relation,
     complete_edges,
+    components_of,
     cycle_edges,
+    disjoint_union,
     graph_instance,
     oracle_pair_closure,
     random_any_template,
@@ -39,6 +41,10 @@ CHAIN_UNSAT = Instance(
     3,
     (Constraint("r1", (0, 1)), Constraint("r1", (1, 2)), Constraint("r13", (0, 2))),
 )
+
+
+# extraction gets stuck on this fan over dist12, which is satisfiable
+FAN = graph_instance("dist12", 5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 4), (3, 4)])
 
 
 def completion_edges(matrix, inst):
@@ -104,17 +110,21 @@ class TestPreprocess:
         assert len(prep.instance.constraints) == 1
 
 
+def component_variables(inst):
+    return [variables for variables, _ in split_components(inst)]
+
+
 class TestComponents:
     def test_shared_variable_joins(self):
         inst = Instance(3, (Constraint("r", (0, 1)), Constraint("r", (1, 2))))
-        assert canonical_components(inst) == [[0, 1, 2]]
+        assert component_variables(inst) == [[0, 1, 2]]
 
     def test_disjoint_constraints_split(self):
         inst = Instance(4, (Constraint("r", (0, 1)), Constraint("r", (2, 3))))
-        assert canonical_components(inst) == [[0, 1], [2, 3]]
+        assert component_variables(inst) == [[0, 1], [2, 3]]
 
     def test_unconstrained_variables_are_singletons(self):
-        assert canonical_components(Instance(3, ())) == [[0], [1], [2]]
+        assert split_components(Instance(3, ())) == [([v], Instance(1, ())) for v in range(3)]
 
     def test_bfs_depths_visit_in_ascending_order(self):
         # star 0-{3,1,2} with the path 2-4-5 hanging off a leaf; 6 is isolated
@@ -145,11 +155,21 @@ class TestComponents:
             adjacency = co_occurrence_adjacency(graph_instance("r", 6, edges))
             assert chordal_completion(adjacency, list(bfs_depths(adjacency, 0))) == adjacency
 
-    def test_induced_instance_renumbers(self):
-        inst = Instance(4, (Constraint("r", (0, 1)), Constraint("r", (3, 2))))
-        sub = induced_instance(inst, [2, 3])
-        assert sub.num_vars == 2
-        assert sub.constraints == (Constraint("r", (1, 0)),)
+    def test_split_renumbers_each_component(self):
+        inst = Instance(
+            5,
+            (
+                Constraint("r", (3, 4)),
+                Constraint("r", (0, 2)),
+                Constraint("s", (4, 1, 3)),
+                Constraint("r", (2, 0)),
+            ),
+        )
+        assert split_components(inst) == [
+            ([0, 2], Instance(2, (Constraint("r", (0, 1)), Constraint("r", (1, 0))))),
+            ([1, 3, 4], Instance(3, (Constraint("r", (1, 2)), Constraint("s", (2, 0, 1))))),
+        ]
+        assert component_variables(inst) == components_of(inst)
 
 
 class TestInitializePairs:
@@ -244,8 +264,7 @@ class TestPropagate:
             prep = preprocess(inst, t)
             if prep.unsat:
                 continue
-            for component in canonical_components(prep.instance):
-                sub = induced_instance(prep.instance, component)
+            for _, sub in split_components(prep.instance):
                 matrix = propagate(initialize_pairs(sub, prep.template))
                 full = oracle_pair_closure(sub, prep.template)
                 if full is None:
@@ -453,15 +472,64 @@ class TestSolve:
 
     def test_modes_agree_on_random_median_instances(self):
         rng = random.Random(9)
+        cases = []
         for i in range(30):
             t = random_median_template(rng, f"t{i}")
-            inst = random_connected_instance(t, rng.randint(2, 5), rng)
-            consistency = solve(inst, t, mode="consistency", debug=True)
+            cases.append((random_connected_instance(t, rng.randint(2, 5), rng), t))
+        # each case beside the next one, as two components of one instance
+        cases += [disjoint_union(a, b) for a, b in zip(cases, cases[1:])]
+        for inst, t in cases:
             truth = brute_solve(inst, t)
-            assert consistency.status == ("sat" if truth is not None else "unsat")
-            if consistency.status == "sat":
-                ok, _ = verify_assignment(inst, t, consistency.witness)
-                assert ok
+            for mode in MODES:
+                verdict = solve(inst, t, mode=mode, debug=True)
+                assert verdict.status == ("sat" if truth is not None else "unsat")
+                if verdict.status == "sat":
+                    ok, _ = verify_assignment(inst, t, verdict.witness)
+                    assert ok
+
+    @pytest.mark.parametrize("n", [10, 13])
+    def test_auto_searches_only_the_stuck_component(self, n):
+        # K4 alone is refuted at once; searching it together with the path
+        # would be estimated at 5^3 * 5^(n-1) nodes, and from n = 13 the
+        # path alone is over the cap
+        path = graph_instance("dist12", n, [(i, i + 1) for i in range(n - 1)])
+        k4 = graph_instance("dist12", 4, complete_edges(4))
+        inst, t = disjoint_union((k4, DIST12), (path, DIST12))
+        verdict = solve(inst, t, mode="auto", debug=True)
+        assert verdict.status == "unsat"
+        assert solve(inst, t, mode="consistency").status == "unknown"
+
+    @pytest.mark.parametrize("n", [10, 13])
+    def test_other_components_keep_their_extracted_values(self, n):
+        path = graph_instance("dist12", n, [(i, i + 1) for i in range(n - 1)])
+        assert solve(FAN, DIST12, mode="consistency").status == "unknown"
+        inst, t = disjoint_union((FAN, DIST12), (path, DIST12))
+        verdict = solve(inst, t, mode="auto", debug=True)
+        assert verdict.status == "sat"
+        assert verdict.witness[:5] == brute_solve(FAN, DIST12)
+        assert verdict.witness[5:] == solve(path, DIST12, mode="consistency").witness
+
+    def test_unsat_component_outweighs_a_refused_one(self):
+        # under this cap the fan (estimate 5^4) is refused and K4 (5^3) is
+        # searched; the first refusal names the verdict's reason
+        k4 = graph_instance("dist12", 4, complete_edges(4))
+        inst, t = disjoint_union((FAN, DIST12), (k4, DIST12))
+        assert solve(inst, t, mode="auto", node_cap=200).status == "unsat"
+        verdict = solve(*disjoint_union((FAN, DIST12), (FAN, DIST12)), node_cap=200)
+        assert verdict.status == "unknown"
+        assert verdict.reason == (
+            "witness extraction failed; no modular median verified for the template; "
+            "search space estimate 625 exceeds the cap 200"
+        )
+        fan_first = solve(*disjoint_union((FAN, DIST12), (WIDE_PATH, WIDE)), node_cap=200)
+        wide_first = solve(*disjoint_union((WIDE_PATH, WIDE), (FAN, DIST12)), node_cap=200)
+        assert fan_first.reason.startswith("witness extraction failed")
+        assert wide_first.reason.startswith("propagation refused")
+
+    def test_brute_mode_searches_components_one_at_a_time(self):
+        edges = graph_instance("dist13", 20, [(2 * i, 2 * i + 1) for i in range(10)])
+        verdict = solve(edges, DIST13, mode="brute")
+        assert verdict.status == "sat" and verdict.witness == (0, -3) * 10
 
 
 WIDE = Template("wide", (binary_relation("w", (-(10**9), 1, 10**9)),))
@@ -504,3 +572,13 @@ class TestLargeComponents:
         verdict = solve(inst, DIST13, mode="consistency")
         assert time.perf_counter() - start < 10.0
         assert verdict.status == status
+
+    def test_many_components_split_in_one_pass(self):
+        # building each component by rescanning every constraint made this
+        # quadratic in the number of components
+        n = 20_000
+        inst = graph_instance("dist13", 2 * n, [(2 * i, 2 * i + 1) for i in range(n)])
+        start = time.perf_counter()
+        verdict = solve(inst, DIST13, mode="consistency", debug=True)
+        assert time.perf_counter() - start < 5.0
+        assert verdict.status == "sat" and verdict.stats.components == n
