@@ -1,4 +1,4 @@
-"""Exhaustive decision procedure; it shares only graph traversal with the solver.
+"""Exhaustive decision procedure; it shares only the component numbering with the solver.
 
 Satisfiable components always have a witness whose values stay within
 (m-1) * D of the root, where m is the component size and D the largest
@@ -16,7 +16,7 @@ from itertools import combinations
 from .analysis import max_distance_or_zero
 from .errors import CapExceededError, InputError
 from .model import Instance, Template, projected_offsets, tuple_in_relation
-from .solver import bfs_depths, co_occurrence_adjacency, split_components
+from .solver import split_components
 
 DEFAULT_NODE_CAP = 100_000_000
 
@@ -51,23 +51,17 @@ def search_space_estimate(inst: Instance, t: Template) -> int:
 
 def _estimate(plans, biggest: int) -> int:
     total = 0
-    for _, order, pair_sets, _ in plans:
-        window = 2 * (len(order) - 1) * biggest + 1
-        estimate = 1
-        placed = {order[0]}
-        for j in order[1:]:
-            if any((i, j) in pair_sets for i in placed):
-                estimate *= 2 * biggest + 1
-            else:
-                estimate *= window
-            placed.add(j)
-        total += estimate
+    for comp, pair_sets, _ in plans:
+        # variables with a finite pair to a lower one branch over 2D + 1
+        linked = len({j for i, j in pair_sets if i < j})
+        window = 2 * (len(comp) - 1) * biggest + 1
+        total += (2 * biggest + 1) ** linked * window ** (len(comp) - 1 - linked)
     return total
 
 
 def _component_plans(inst: Instance, t: Template):
-    """Per component, in canonical order: its variables, BFS variable order,
-    finite pair sets and induced instance."""
+    """Per component: its variables in canonical order, finite pair sets
+    and induced instance."""
     plans = []
     for comp, sub in split_components(inst):
         pair_sets: dict[tuple[int, int], set[int]] = {}
@@ -82,8 +76,7 @@ def _component_plans(inst: Instance, t: Template):
                 allowed = projected_offsets(rel, pi + 1, pj + 1)
                 for key, offs in (((a, b), allowed), ((b, a), {-s for s in allowed})):
                     pair_sets[key] = pair_sets.get(key, offs) & offs
-        order = list(bfs_depths(co_occurrence_adjacency(sub), 0))
-        plans.append((comp, order, pair_sets, sub))
+        plans.append((comp, pair_sets, sub))
     return plans
 
 
@@ -92,8 +85,9 @@ def brute_solve(
 ) -> tuple[int, ...] | None:
     """Depth-first search for the least witness under the search order, or None.
 
-    Components are searched independently, each with its lowest variable
-    pinned to 0 and the others scanned ascending over the complete window.
+    Components are searched independently in index order, each with its
+    lowest variable pinned to 0 and the others scanned ascending over the
+    complete window.
     Binary projections of the covering constraints prune candidates early;
     they are implied constraints, so pruning never loses a witness.  Raises
     CapExceededError instead of starting a search estimated over node_cap.
@@ -110,53 +104,49 @@ def brute_solve(
             f"search space estimate {estimate} exceeds the cap {node_cap}"
         )
     values = [0] * inst.num_vars
-    for comp, order, pair_sets, sub in plans:
+    for comp, pair_sets, sub in plans:
         half = (len(comp) - 1) * biggest
-        # check each constraint once, at the assignment of its latest variable
-        position = {v: i for i, v in enumerate(order)}
-        due: list[list] = [[] for _ in order]
+        # check each constraint once, at the assignment of its highest variable
+        due: list[list] = [[] for _ in comp]
         for c in sub.constraints:
-            due[max(position[a] for a in c.args)].append((t.relation(c.relation), c.args))
-        local_values: dict[int, int] = {}
+            due[max(c.args)].append((t.relation(c.relation), c.args))
+        local = [0] * len(comp)
 
         def passes(step: int) -> bool:
-            for rel, args in due[step]:
-                if not tuple_in_relation(rel, tuple(local_values[a] for a in args)):
-                    return False
-            return True
+            return all(
+                tuple_in_relation(rel, tuple(local[a] for a in args)) for rel, args in due[step]
+            )
 
         def domain(j: int) -> range | list[int]:
             allowed: set[int] | None = None
-            for i in local_values:
+            for i in range(j):
                 offs = pair_sets.get((i, j))
                 if offs is None:
                     continue
-                shifted = {local_values[i] + s for s in offs}
+                shifted = {local[i] + s for s in offs}
                 allowed = shifted if allowed is None else allowed & shifted
             if allowed is None:
                 return range(-half, half + 1)
             return sorted(v for v in allowed if -half <= v <= half)
 
-        # candidates[step] holds the untried values of order[step]; the
+        # candidates[step] holds the untried values of variable step; the
         # search goes one step deeper after each value that passes and
         # backtracks when a step runs out of values
         candidates = [iter([0])]
         while candidates:
             step = len(candidates) - 1
-            j = order[step]
             for value in candidates[step]:
-                local_values[j] = value
+                local[step] = value
                 if passes(step):
                     break
             else:
-                local_values.pop(j, None)
                 candidates.pop()
                 continue
-            if step + 1 == len(order):
+            if step + 1 == len(comp):
                 break
-            candidates.append(iter(domain(order[step + 1])))
+            candidates.append(iter(domain(step + 1)))
         if not candidates:
             return None
-        for local, g in enumerate(comp):
-            values[g] = local_values[local]
+        for g, value in zip(comp, local):
+            values[g] = value
     return tuple(values)

@@ -25,8 +25,8 @@ import re
 from dataclasses import dataclass
 
 from .analysis import gaifman_distances, max_distance_or_zero
-from .errors import InputError, InternalInvariantError
-from .model import EMPTY, RelationDef, Template, tuple_in_relation
+from .errors import CapExceededError, InputError, InternalInvariantError
+from .model import EMPTY, MAX_SPAN, RelationDef, Template, tuple_in_relation
 
 FINITE_RANGE = "finite_range"
 PERIODIC = "periodic"
@@ -147,7 +147,8 @@ def classify_endomorphism(spec: PeriodicMapSpec, t: Template) -> EndoClassificat
     For periodic maps, stable numbers are listed up to period * D.  Two
     checks are enforced on the result: the listed stable numbers must be
     exactly the multiples of the least one, and, for connected templates,
-    the least one must divide the largest realized distance.
+    the least one must divide the largest realized distance.  Raises
+    CapExceededError instead of scanning past `model.MAX_SPAN`.
     """
     check = is_endomorphism(spec, t)
     if not check.ok:
@@ -164,6 +165,8 @@ def classify_endomorphism(spec: PeriodicMapSpec, t: Template) -> EndoClassificat
         pass
     biggest = max(distances) if distances else 1
     cap = spec.period * biggest
+    if cap > MAX_SPAN:
+        raise CapExceededError(f"stable numbers up to {cap} exceed the cap {MAX_SPAN}")
     stables = stable_numbers(spec, cap)
     if not stables:
         # e(v + p) - e(v) = drift * p always holds, so p itself is stable

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .analysis import max_distance_or_zero
 from .brute import DEFAULT_NODE_CAP
 from .errors import CapExceededError, InputError
-from .model import RelationDef, Template, projected_offsets, tuple_in_relation
+from .model import MAX_SPAN, RelationDef, Template, projected_offsets, tuple_in_relation
 
 IntTuple = tuple[int, ...]
 
@@ -74,7 +74,10 @@ def preserves_relation(d: int, rel: RelationDef, window: int | None = None) -> P
     window grows with both the relation's offsets and the modulus, wide
     enough that any violation shows up at some in-window configuration.
     FULL and EMPTY bodies are closed under anything and report trivially.
-    numpy, which only this check needs, is imported on first use.
+    numpy, which only this check needs, is imported on first use.  Raises
+    CapExceededError, before that import, when one shift grid exceeds
+    `model.MAX_SPAN` cells or all orbit triples together exceed
+    `brute.DEFAULT_NODE_CAP`.
     """
     if d < 1:
         raise InputError(f"modulus must be positive, got {d}")
@@ -82,12 +85,19 @@ def preserves_relation(d: int, rel: RelationDef, window: int | None = None) -> P
         raise InputError(f"shift window must be non-negative, got {window}")
     if not rel.has_tuples:
         return PreservationResult(True, trivial=True)
+    tuples = rel.offset_tuples
+    bound = preservation_window(d, rel) if window is None else window
+    grid = (2 * bound + 1) ** 2
+    triples = len(tuples) ** 3
+    if grid > MAX_SPAN or triples * grid > DEFAULT_NODE_CAP:
+        raise CapExceededError(
+            f"closure check of {rel.name} over {triples} orbit triples of {grid} shifts "
+            f"exceeds the cap of {MAX_SPAN} shifts or {DEFAULT_NODE_CAP} cells"
+        )
     import numpy as np
 
-    tuples = rel.offset_tuples
     k = rel.arity
     delta = rel.max_offset()
-    bound = preservation_window(d, rel) if window is None else window
     vectors = [(0, *v) for v in tuples]
     shifts = np.arange(-bound, bound + 1, dtype=np.int64)
     a2 = shifts[:, None]

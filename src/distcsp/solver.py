@@ -1,12 +1,14 @@
 """Pairwise difference propagation and witness extraction.
 
-The solver keeps offset sets for the pairs of variables of a connected
-component that are joined in a chordal completion of its co-occurrence
-graph: the graph filled in by eliminating the variables in reverse of the
-canonical breadth-first order, so that every variable's earlier neighbours
-form a clique.  Each set starts as the intersection of the projections of
-every constraint covering the pair (FULL when none does) and is then
-tightened through the triangles of the completion,
+`split_components` numbers the variables of each connected component in
+its canonical breadth-first order, so that order is simply index order.
+The solver keeps offset sets for the pairs of variables that are joined in
+a chordal completion of the component's co-occurrence graph: the graph
+filled in by eliminating the variables highest index first, so that every
+variable's lower neighbours form a clique.  Each set starts as the
+intersection of the projections of every constraint covering the pair
+(FULL when none does) and is then tightened through the triangles of the
+completion,
 
     P(k,l)  <-  P(k,l)  intersect  (P(k,m) + P(m,l)),
 
@@ -15,11 +17,11 @@ the triangles containing them.  Pairs outside the completion are never
 stored and read as FULL.  Every tightening is implied by the instance, so
 an empty pair set is a proof of unsatisfiability; at the fixpoint every
 finite pair set lies within hop-distance * D of zero.  A witness is then
-read off greedily in the same breadth-first order, a reverse perfect
-elimination order of the completion; when the template is closed under a
-modular median the fixpoint is globally consistent and the greedy walk
-cannot get stuck.  Without that guarantee a stuck extraction leaves its
-component undecided, and `solve` may search that component exhaustively.
+read off greedily in index order, a reverse perfect elimination order of
+the completion; when the template is closed under a modular median the
+fixpoint is globally consistent and the greedy walk cannot get stuck.
+Without that guarantee a stuck extraction leaves its component undecided,
+and `solve` may search that component exhaustively.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .analysis import max_distance_or_zero
 from .errors import CapExceededError, InputError, InternalInvariantError
 from .model import (
     Constraint,
@@ -170,8 +171,9 @@ def co_occurrence_adjacency(inst: Instance) -> list[set[int]]:
 def bfs_depths(adjacency: list[set[int]], start: int) -> dict[int, int]:
     """Hop depth of every vertex reachable from start, keyed in visit order.
 
-    Neighbours are visited in ascending order, so the key order is the
-    canonical breadth-first order the solver and the oracle both rely on.
+    Neighbours are visited in ascending order, so from a component's lowest
+    vertex the key order is the canonical breadth-first order in which
+    `split_components` numbers it.
     """
     depths = {start: 0}
     queue = deque([start])
@@ -187,8 +189,10 @@ def bfs_depths(adjacency: list[set[int]], start: int) -> dict[int, int]:
 def split_components(inst: Instance) -> list[tuple[list[int], Instance]]:
     """Connected components of the co-occurrence graph, by lowest variable.
 
-    Each comes as its ascending variables and the instance it induces, with
-    those variables renumbered 0..m-1 in the same order; the constraints are
+    Each comes as its variables in canonical breadth-first order (from the
+    lowest one, neighbours in ascending order) and the instance it induces,
+    with those variables renumbered 0..m-1 in that order, so the canonical
+    order of every component is index order; the constraints are
     distributed in one pass.
     """
     adjacency = co_occurrence_adjacency(inst)
@@ -196,7 +200,7 @@ def split_components(inst: Instance) -> list[tuple[list[int], Instance]]:
     components = []
     for start in range(inst.num_vars):
         if start not in place:
-            variables = sorted(bfs_depths(adjacency, start))
+            variables = list(bfs_depths(adjacency, start))
             constraints: list[Constraint] = []
             place.update((v, (constraints, i)) for i, v in enumerate(variables))
             components.append((variables, constraints))
@@ -205,20 +209,19 @@ def split_components(inst: Instance) -> list[tuple[list[int], Instance]]:
     return [(variables, Instance(len(variables), tuple(cs))) for variables, cs in components]
 
 
-def chordal_completion(adjacency: list[set[int]], order: list[int]) -> list[set[int]]:
-    """Neighbour sets of the graph filled in by eliminating order's vertices last first.
+def chordal_completion(adjacency: list[set[int]]) -> list[set[int]]:
+    """Neighbour sets of the graph filled in by eliminating the highest index first.
 
-    Eliminating a vertex joins its remaining (earlier) neighbours into a
-    clique, so in the result every vertex's earlier neighbours form a
-    clique: order reversed is a perfect elimination order and the graph is
-    chordal.  Vertices missing from order keep their neighbours unchanged.
+    Eliminating a vertex joins its remaining (lower) neighbours into a
+    clique, so in the result every vertex's lower neighbours form a clique:
+    index order reversed is a perfect elimination order and the graph is
+    chordal.
     """
-    position = {v: i for i, v in enumerate(order)}
     filled = [set(neighbours) for neighbours in adjacency]
-    for v in reversed(order):
-        earlier = [u for u in filled[v] if position[u] < position[v]]
-        for u in earlier:
-            filled[u].update(earlier)
+    for v in reversed(range(len(filled))):
+        lower = [u for u in filled[v] if u < v]
+        for u in lower:
+            filled[u].update(lower)
             filled[u].discard(u)
     return filled
 
@@ -229,27 +232,19 @@ _FULL = OffsetSet.full()
 class PairMatrix:
     """Offset sets for the edges of a chordal completion of one component.
 
-    `order` is the canonical breadth-first order of the co-occurrence graph
-    `adjacency` from variable 0, and `neighbours` its `chordal_completion`
-    along that order.  `cells` holds one set per completion edge, in both
+    `neighbours` is the `chordal_completion` of the co-occurrence graph
+    `adjacency`, whose variables `split_components` numbered in canonical
+    order.  `cells` holds one set per completion edge, in both
     orientations; `get` answers FULL for any other pair, which neither a
     constraint nor a triangle of the completion ever bounds.  The mirror
     invariant S(P(l,k)) = -S(P(k,l)) is maintained on every update; both
     directions of a pair change atomically.
     """
 
-    def __init__(
-        self,
-        size: int,
-        variable_ids: list[int],
-        max_distance: int,
-        adjacency: list[set[int]],
-    ):
+    def __init__(self, size: int, variable_ids: list[int], adjacency: list[set[int]]):
         self.size = size
         self.variable_ids = list(variable_ids)
-        self.max_distance = max_distance
-        self.order = list(bfs_depths(adjacency, 0))
-        self.neighbours = chordal_completion(adjacency, self.order)
+        self.neighbours = chordal_completion(adjacency)
         self.cells: dict[tuple[int, int], OffsetSet] = {
             (k, l): _FULL for k in range(size) for l in self.neighbours[k]
         }
@@ -273,12 +268,7 @@ def initialize_pairs(inst: Instance, t: Template, variable_ids: list[int] | None
     start FULL.
     """
     size = inst.num_vars
-    matrix = PairMatrix(
-        size,
-        variable_ids or list(range(size)),
-        max_distance_or_zero(t),
-        co_occurrence_adjacency(inst),
-    )
+    matrix = PairMatrix(size, variable_ids or list(range(size)), co_occurrence_adjacency(inst))
     for c in inst.constraints:
         rel = t.relation(c.relation)
         if len(set(c.args)) != len(c.args):
@@ -297,9 +287,9 @@ def initialize_pairs(inst: Instance, t: Template, variable_ids: list[int] | None
     return matrix
 
 
-def _check_bounds(matrix: PairMatrix, bounded: set[tuple[int, int]]) -> None:
+def _check_bounds(matrix: PairMatrix, bounded: set[tuple[int, int]], widest: int) -> None:
     # A fixpoint property.  Each pair in `bounded` (finite after
-    # initialisation) lies in [-D, D].  At the fixpoint every triangle of
+    # initialisation) lies in [-D, D], D = `widest`.  At the fixpoint every triangle of
     # the completion gives max P(a,b) <= max P(a,m) + max P(m,b) (infinite
     # for FULL), and on a chordal graph that triangle inequality extends to
     # paths: a counterexample path from a to b with the fewest edges closes
@@ -318,7 +308,7 @@ def _check_bounds(matrix: PairMatrix, bounded: set[tuple[int, int]]) -> None:
         steps = hops[k].get(l)
         if steps is None:
             continue
-        bound = steps * matrix.max_distance
+        bound = steps * widest
         if cell.offsets[0] < -bound or cell.offsets[-1] > bound:
             raise InternalInvariantError(
                 f"pair ({k},{l}) at hop distance {steps} holds {cell} "
@@ -352,30 +342,33 @@ def propagate(
 
     Partial path consistency on the chordal completion decides median-closed
     templates, although it closes fewer triangles than full path
-    consistency.  Take the variables in the breadth-first `PairMatrix.order`
-    and a partial assignment of the earlier ones that respects every
-    completion edge among them.  The next variable v's earlier neighbours
-    form a clique, and each triangle of v with two of them, a and b, is
-    path-consistent, so v's candidate sets P(a,v) + x_a and P(b,v) + x_b
-    intersect.  A modular median is a majority polymorphism, and it
-    preserves these pp-definable sets, so they have the 2-Helly property
-    (Jeavons, Cohen & Cooper, AIJ 1998): pairwise intersection implies a
-    common point.  Every value in the joint intersection respects every
-    edge from v to an earlier variable, and a constraint of higher arity,
-    whose variables form a clique, holds as soon as its binary projections
-    do (2-decomposability).  So the greedy walk of `extract_solution` never
-    gets stuck, and every candidate it sees extends to a full solution.
-    Every cell is implied by the instance, so every value that extends is
-    a candidate too: the candidates are exactly the values that extend,
-    under full path consistency as here, and the least candidate, hence
-    the witness, is the same.  On a complete graph the completion is the
-    graph itself and the two coincide.  Without a modular median the chordal fixpoint may be weaker
-    than full path consistency; unsat answers stay sound either way.
+    consistency.  Take the variables in index order and a partial
+    assignment of the lower ones that respects every completion edge among
+    them.  The next variable v's lower neighbours form a clique, and each
+    triangle of v with two of them, a and b, is path-consistent, so v's
+    candidate sets P(a,v) + x_a and P(b,v) + x_b intersect.  A modular
+    median is a majority polymorphism, and it preserves these pp-definable
+    sets, so they have the 2-Helly property (Jeavons, Cohen & Cooper, AIJ
+    1998): pairwise intersection implies a common point.  Every value in
+    the joint intersection respects every edge from v to a lower variable,
+    and a constraint of higher arity, whose variables form a clique, holds
+    as soon as its binary projections do (2-decomposability).  So the
+    greedy walk of `extract_solution` never gets stuck, and every candidate
+    it sees extends to a full solution.  Nothing here needs the canonical
+    numbering or a connected matrix: any numbering, with its own
+    completion, works.  Every cell is implied by the instance, so every
+    value that extends is a candidate too: the candidates are exactly the
+    values that extend, under full path consistency as here, and the least
+    candidate, hence the witness, is the same.  On a complete graph the
+    completion is the graph itself and the two coincide.  Without a modular
+    median the chordal fixpoint may be weaker than full path consistency;
+    unsat answers stay sound either way.
 
     Propagation stops as soon as some pair empties.  When debug is set, the
     replacement budget is enforced and, on reaching a fixpoint, every
     finite cell is checked against the hop-distance bound of
-    `_check_bounds`.
+    `_check_bounds`, with D the widest |offset| of the cells bounded at the
+    start.
     """
     if matrix.empty_pair is not None:
         return matrix
@@ -386,6 +379,7 @@ def propagate(
     bounded = {pair for pair, cell in cells.items() if not cell.is_full}
     if debug:
         budget = sum(cells[pair].mask.bit_count() for pair in bounded)
+        widest = max((max(-cells[p].offsets[0], cells[p].offsets[-1]) for p in bounded), default=0)
     pending = deque(sorted((k, l) for k, l in bounded if k < l))
     queued = set(pending)
 
@@ -423,50 +417,44 @@ def propagate(
             if revise(k, m, l, forward) or revise(l, m, k, backward):
                 break
     if debug:
-        budget += stats.full_to_finite * (2 * matrix.size * matrix.max_distance + 1)
+        budget += stats.full_to_finite * (2 * matrix.size * widest + 1)
         if stats.proper_replacements > budget:
             raise InternalInvariantError(
                 f"{stats.proper_replacements} proper replacements exceed budget {budget}"
             )
         if matrix.empty_pair is None:
-            _check_bounds(matrix, bounded)
+            _check_bounds(matrix, bounded, widest)
     return matrix
 
 
 def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[int, ...] | None:
-    """Greedy witness for one connected component, in the matrix's breadth-first order.
+    """Greedy witness in index order.
 
     Each next variable takes the least value compatible with the pair sets
-    to its already-assigned neighbours in the completion that also
-    satisfies every original constraint that becomes fully assigned.
-    Returns None when some step has no candidate, which cannot happen for
-    templates closed under a modular median (see `propagate`).
+    to its lower neighbours in the completion that also satisfies every
+    original constraint whose highest variable it is.  Returns None when
+    some step has no candidate, which cannot happen for templates closed
+    under a modular median (see `propagate`).  Any numbering works: a
+    variable with no lower completion neighbour is the lowest one of its
+    component and takes 0.
     """
     if matrix.empty_pair is not None:
         raise InternalInvariantError("extraction attempted on an empty pair matrix")
-    by_var: list[list[Constraint]] = [[] for _ in range(inst.num_vars)]
+    due: list[list[tuple[RelationDef, tuple[int, ...]]]] = [[] for _ in range(inst.num_vars)]
     for c in inst.constraints:
-        for a in set(c.args):
-            by_var[a].append(c)
-    if len(matrix.order) != matrix.size:
-        raise InputError("extraction needs the pair matrix of one connected component")
-    values: dict[int, int] = {}
-    for j in matrix.order:
+        due[max(c.args)].append((t.relation(c.relation), c.args))
+    values = [0] * inst.num_vars
+    for j in range(inst.num_vars):
         candidates = _FULL
         for i in matrix.neighbours[j]:
-            if i in values:
+            if i < j:
                 candidates &= matrix.cells[(i, j)] + OffsetSet.of((values[i],))
-        ready = [
-            c for c in by_var[j] if all(a in values or a == j for a in c.args)
-        ]
 
         def acceptable(value: int) -> bool:
-            for c in ready:
-                rel = t.relation(c.relation)
-                concrete = tuple(value if a == j else values[a] for a in c.args)
-                if not tuple_in_relation(rel, concrete):
-                    return False
-            return True
+            values[j] = value
+            return all(
+                tuple_in_relation(rel, tuple(values[a] for a in args)) for rel, args in due[j]
+            )
 
         # when only FULL pairs constrain j, any value works for those
         tried = (0,) if candidates.is_full else candidates.offsets
@@ -474,7 +462,7 @@ def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[i
         if choice is None:
             return None
         values[j] = choice
-    return tuple(values[i] for i in range(inst.num_vars))
+    return tuple(values)
 
 
 @lru_cache(maxsize=64)
@@ -482,10 +470,15 @@ def _median_modulus(t: Template, used: frozenset[str]) -> int | None:
     """`find_modular_median` of the relations of t that one component uses,
     searched once per value: every stuck extraction re-proves that no median
     exists, and a relation no constraint of the component uses may be too
-    wide for the exhaustive closure check."""
+    wide for the exhaustive closure check.  A closure check refused by its
+    size cap verifies no median, so it counts as None."""
     from .polymorphism import find_modular_median
 
-    return find_modular_median(Template(t.name, tuple(r for r in t.relations if r.name in used)))
+    relations = tuple(r for r in t.relations if r.name in used)
+    try:
+        return find_modular_median(Template(t.name, relations))
+    except CapExceededError:
+        return None
 
 
 def solve(
@@ -513,7 +506,6 @@ def solve(
 
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
-    inst.validate_against(t)
     stats = SolveStats()
     prep = preprocess(inst, t)
     if prep.unsat:
@@ -554,7 +546,8 @@ def solve(
             reasons.append(reason)
             continue
         try:
-            witness = brute.brute_solve(sub, prep.template, node_cap or brute.DEFAULT_NODE_CAP)
+            cap = brute.DEFAULT_NODE_CAP if node_cap is None else node_cap
+            witness = brute.brute_solve(sub, prep.template, cap)
         except CapExceededError as e:
             reasons.append(f"{reason}; {e}" if reason else str(e))
             continue

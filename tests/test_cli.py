@@ -230,6 +230,16 @@ class TestPoly:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"--window {window} " in err and f"window {needed} of modulus {modulus}" in err
 
+    def test_huge_offsets_refused(self, files, capsys):
+        # the closure check over offsets +-10^9 is over its size cap
+        t = Template("wide", (binary_relation("w", (-(10**9), 1, 10**9)),))
+        wide = files["dir"] / "wide.json"
+        wide.write_text(to_json(template_to_dict(t)))
+        code, report, err = run(capsys, ["poly", str(wide)])
+        assert code == 2
+        assert report is None
+        assert err.startswith("refused:") and err.count("\n") == 1
+
     def test_verification_window_is_enough(self, files, capsys):
         code, report, _ = run(capsys, ["poly", files["t13.json"], "--window", "31"])
         assert code == 0
@@ -253,6 +263,19 @@ class TestEndo:
                 "checked_upto": 9,
             },
         }
+
+    def test_check_refuses_huge_distances(self, files, capsys):
+        # the reflection is an endomorphism, but its stable numbers up to
+        # 10^9 are over the cap
+        t = Template("wide", (binary_relation("w", (-(10**9), -1, 1, 10**9)),))
+        wide = files["dir"] / "wide.json"
+        wide.write_text(to_json(template_to_dict(t)))
+        spec = files["dir"] / "reflect.txt"
+        spec.write_text("p=1; values=0; drift=-1\n")
+        code, report, err = run(capsys, ["endo", "check", str(wide), "--spec", str(spec)])
+        assert code == 2
+        assert report is None
+        assert err.startswith("refused:") and "cap" in err
 
     def test_check_rejects_non_endomorphism(self, files, capsys):
         code, report, _ = run(

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,8 @@ from distcsp.endomorphism import (
     search_periodic_endomorphism,
     stable_numbers,
 )
-from distcsp.errors import InputError, InternalInvariantError
+from distcsp.errors import CapExceededError, InputError, InternalInvariantError
+from distcsp.model import Template
 from helpers import (
     DIST12,
     DIST13,
@@ -167,6 +169,15 @@ class TestClassifyEndomorphism:
         for spec in (ENDO1, IDENTITY, PeriodicMapSpec(1, (5,), 1)):
             got = classify_endomorphism(spec, DIST13)
             assert all(q % got.minimal_stable == 0 for q in got.stable_numbers_upto)
+
+    def test_huge_distance_refused_at_once(self):
+        # listing the stable numbers up to period * D = 10^9 would not finish
+        t = Template("wide", (binary_relation("w", symmetric(1, 10**9)),))
+        reflection = PeriodicMapSpec(1, (0,), -1)
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="cap"):
+            classify_endomorphism(reflection, t)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestComposeMaps:

@@ -26,6 +26,7 @@ from helpers import (
     TERNARY_CHAIN,
     TWODEC_FALSE,
     TWODEC_TRUE,
+    binary_relation,
     oracle_in_relation,
     oracle_median,
     oracle_two_decomposable,
@@ -126,6 +127,20 @@ class TestPreservesRelation:
         for rel in (DIST12.relations[0], RelationDef("r", 2, "full")):
             with pytest.raises(InputError, match="window"):
                 preserves_relation(1, rel, window=-1)
+
+    def test_huge_shift_grid_refused_at_once(self):
+        # offsets +-10^9 would ask numpy for a grid of about 1.4 * 10^20 cells
+        rel = binary_relation("w", (-(10**9), 1, 10**9))
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="cap"):
+            preserves_relation(1, rel)
+        assert time.perf_counter() - start < 1.0
+
+    def test_many_orbit_triples_refused_at_once(self):
+        # a 441-cell grid is small, but 10^6 orbit triples of it are not
+        rel = binary_relation("many", tuple(range(1, 101)))
+        with pytest.raises(CapExceededError, match="orbit triples"):
+            preserves_relation(1, rel, window=10)
 
 
 class TestRandomTrials:

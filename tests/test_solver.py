@@ -49,18 +49,16 @@ FAN = graph_instance("dist12", 5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 4
 
 def completion_edges(matrix, inst):
     """The ordered pairs the matrix stores, once checked on their own terms:
-    they hold both orientations of every pair sharing a constraint, and the
-    breadth-first order is a perfect elimination order of them read
-    backwards, so each variable's earlier neighbours form a clique."""
+    they hold both orientations of every pair sharing a constraint, and
+    index order reversed is a perfect elimination order of them, so each
+    variable's lower neighbours form a clique."""
     edges = set(matrix.cells)
     assert all((l, k) in edges for k, l in edges)
     for c in inst.constraints:
         assert all((a, b) in edges for a in c.args for b in c.args if a != b)
-    order = bfs_order(inst)
-    assert matrix.order == order
-    for i, v in enumerate(order):
-        earlier = [u for u in order[:i] if (u, v) in edges]
-        assert all((a, b) in edges for a in earlier for b in earlier if a != b)
+    for v in range(inst.num_vars):
+        lower = [u for u in range(v) if (u, v) in edges]
+        assert all((a, b) in edges for a in lower for b in lower if a != b)
     return edges
 
 
@@ -144,16 +142,25 @@ class TestComponents:
         assert bfs_depths(adjacency, 6) == {6: 0}
 
     def test_chordal_completion_fills_along_the_order(self):
-        # eliminating 3, 4 and 2 in turn adds the fill edges (2,4), (2,5), (1,5)
+        # eliminating 5, 4 and 3 in turn adds the fill edges (0,4), (0,3), (0,2)
         hexagon = co_occurrence_adjacency(graph_instance("r", 6, cycle_edges(6)))
-        order = list(bfs_depths(hexagon, 0))
-        assert order == [0, 1, 5, 2, 4, 3]
-        filled = chordal_completion(hexagon, order)
-        assert filled[2] == {1, 3, 4, 5} and filled[5] == {0, 1, 2, 4}
+        filled = chordal_completion(hexagon)
+        assert filled[0] == {1, 2, 3, 4, 5} and filled[3] == {0, 2, 4}
         assert sum(map(len, filled)) // 2 == 6 + 3
         for edges in ([(i, i + 1) for i in range(5)], complete_edges(5)):
             adjacency = co_occurrence_adjacency(graph_instance("r", 6, edges))
-            assert chordal_completion(adjacency, list(bfs_depths(adjacency, 0))) == adjacency
+            assert chordal_completion(adjacency) == adjacency
+
+    def test_split_numbers_each_component_in_canonical_order(self):
+        # the hexagon's breadth-first order becomes index order; its
+        # completion fills (3,4), (2,3), (1,2)
+        inst = graph_instance("r", 6, cycle_edges(6))
+        ((variables, sub),) = split_components(inst)
+        assert variables == bfs_order(inst) == [0, 1, 5, 2, 4, 3]
+        assert bfs_order(sub) == list(range(6))
+        filled = chordal_completion(co_occurrence_adjacency(sub))
+        assert filled[2] == {0, 1, 3, 4} and filled[3] == {1, 2, 4, 5}
+        assert sum(map(len, filled)) // 2 == 6 + 3
 
     def test_split_renumbers_each_component(self):
         inst = Instance(
@@ -224,7 +231,7 @@ class TestPropagate:
         assert matrix.stats.proper_replacements == 0
 
     def test_trace_lines_name_pairs_and_midpoints(self):
-        # the 4-cycle's fill edge (1,3) goes from FULL to finite
+        # the 4-cycle's fill edge (0,2) goes from FULL to finite
         inst = graph_instance("dist13", 4, cycle_edges(4))
         matrix = initialize_pairs(inst, DIST13)
         lines = []
@@ -233,7 +240,7 @@ class TestPropagate:
         pattern = re.compile(r"^pair=\(\d+,\d+\) via \d+ old=(FULL|\{[-\d,]*\}) new=(FULL|\{[-\d,]*\})$")
         for line in lines:
             assert pattern.match(line), line
-        assert any(line.startswith("pair=(1,3) via ") and "old=FULL" in line for line in lines)
+        assert any(line.startswith("pair=(0,2) via ") and "old=FULL" in line for line in lines)
 
     def test_worklist_reaches_the_reference_fixpoint(self):
         for make_template in (random_any_template, random_median_template):
@@ -348,11 +355,45 @@ class TestExtractSolution:
         assert witness == (0, -2, -1)
         assert verify_assignment(inst, DIST12, witness) == (True, None)
 
-    def test_disconnected_matrix_rejected(self):
-        inst = Instance(3, (Constraint("dist13", (0, 1)),))
-        matrix = propagate(initialize_pairs(inst, DIST13))
-        with pytest.raises(InputError, match="connected component"):
-            extract_solution(matrix, inst, DIST13)
+    def test_disconnected_matrix_gives_a_verified_witness(self):
+        # the two components interleave; each one's lowest variable takes 0
+        inst = Instance(5, (Constraint("dist13", (0, 2)), Constraint("dist13", (3, 1))))
+        witness = self.run(inst, DIST13)
+        assert witness == (0, 0, -3, -3, 0)
+        assert verify_assignment(inst, DIST13, witness) == (True, None)
+
+    def test_any_numbering_extracts_median_instances(self):
+        # the completeness argument of `propagate` holds for every
+        # elimination order, so a shuffled numbering never gets stuck
+        rng = random.Random(13)
+        extracted = shuffled_order = filled = 0
+        for i in range(200):
+            t = random_median_template(rng, f"t{i}")
+            inst = random_connected_instance(t, rng.randint(2, 6), rng, extra=1)
+            if i % 3 == 0:
+                second = random_connected_instance(t, 3, rng, extra=1)
+                inst, t = disjoint_union((inst, t), (second, t))
+            perm = list(range(inst.num_vars))
+            rng.shuffle(perm)
+            renamed = tuple(
+                Constraint(c.relation, tuple(perm[a] for a in c.args)) for c in inst.constraints
+            )
+            inst = Instance(inst.num_vars, renamed)
+            prep = preprocess(inst, t)
+            if prep.unsat:
+                continue
+            matrix = propagate(initialize_pairs(prep.instance, prep.template), debug=True)
+            if matrix.empty_pair is not None:
+                assert brute_solve(inst, t) is None
+                continue
+            witness = extract_solution(matrix, prep.instance, prep.template)
+            assert witness is not None
+            assert verify_assignment(inst, t, witness) == (True, None)
+            extracted += 1
+            canonical = [v for variables, _ in split_components(prep.instance) for v in variables]
+            shuffled_order += canonical != list(range(inst.num_vars))
+            filled += matrix.neighbours != co_occurrence_adjacency(prep.instance)
+        assert extracted >= 60 and shuffled_order >= 30 and filled >= 25
 
     def test_empty_matrix_rejected(self):
         matrix = initialize_pairs(
@@ -391,6 +432,27 @@ class TestSolve:
         verdict = solve(inst, DIST12, mode="brute", node_cap=3)
         assert verdict.status == "unknown"
         assert "cap" in verdict.reason
+
+    def test_zero_node_cap_refuses_every_search(self):
+        # a cap of 0 is a cap, not "unset"
+        inst = graph_instance("dist12", 4, complete_edges(4))
+        for mode in ("auto", "brute"):
+            verdict = solve(inst, DIST12, mode=mode, node_cap=0)
+            assert verdict.status == "unknown" and "cap 0" in verdict.reason
+
+    def test_refused_median_check_verifies_no_median(self):
+        # the closure check of offsets up to 10^5 is over its size cap, so
+        # the stuck K4 has no verified median and stays undecided
+        t = Template("far", (binary_relation("d", (-(10**5), -2, -1, 1, 2, 10**5)),))
+        inst = graph_instance("d", 4, complete_edges(4))
+        for mode in ("consistency", "auto"):
+            start = time.perf_counter()
+            verdict = solve(inst, t, mode=mode, debug=True)
+            assert time.perf_counter() - start < 1.0
+            assert verdict.status == "unknown"
+            assert verdict.reason.startswith(
+                "witness extraction failed; no modular median verified"
+            )
 
     def test_auto_cap_exceeded_reports_both_reasons(self):
         inst = graph_instance("dist12", 4, complete_edges(4))
