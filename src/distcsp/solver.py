@@ -289,15 +289,15 @@ def initialize_pairs(inst: Instance, t: Template, variable_ids: list[int] | None
 
 def _check_bounds(matrix: PairMatrix, bounded: set[tuple[int, int]], widest: int) -> None:
     # A fixpoint property.  Each pair in `bounded` (finite after
-    # initialisation) lies in [-D, D], D = `widest`.  At the fixpoint every triangle of
-    # the completion gives max P(a,b) <= max P(a,m) + max P(m,b) (infinite
-    # for FULL), and on a chordal graph that triangle inequality extends to
-    # paths: a counterexample path from a to b with the fewest edges closes
-    # a cycle of length >= 4 with the edge (a,b), and a chord of that cycle
-    # gives a counterexample with fewer edges.  So every completion edge,
-    # fill edges included, lies within D times its hop distance over the
-    # bounded pairs.  Mid-propagation a pair first tightened through a
-    # detour may transiently hold a wider set.
+    # initialisation) lies in [-D, D], D = `widest`.  At the fixpoint every
+    # triangle of the completion gives max P(a,b) <= max P(a,m) + max P(m,b)
+    # (infinite for FULL), and on a chordal graph that triangle inequality
+    # extends to paths: a counterexample path from a to b with the fewest
+    # edges closes a cycle of length >= 4 with the edge (a,b), and a chord
+    # of that cycle gives a counterexample with fewer edges.  So every
+    # completion edge, fill edges included, lies within D times its hop
+    # distance over the bounded pairs.  Mid-propagation a pair first
+    # tightened through a detour may transiently hold a wider set.
     hop_graph: list[set[int]] = [set() for _ in range(matrix.size)]
     for k, l in bounded:
         hop_graph[k].add(l)
@@ -540,13 +540,13 @@ def solve(
 
     # exhaustive search goes last, so that no component found unsat by
     # propagation waits behind it
+    cap = brute.DEFAULT_NODE_CAP if node_cap is None else node_cap
     reasons = []
     for variables, sub, reason in pending:
         if mode == "consistency":
             reasons.append(reason)
             continue
         try:
-            cap = brute.DEFAULT_NODE_CAP if node_cap is None else node_cap
             witness = brute.brute_solve(sub, prep.template, cap)
         except CapExceededError as e:
             reasons.append(f"{reason}; {e}" if reason else str(e))
