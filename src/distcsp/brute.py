@@ -6,7 +6,9 @@ realized distance: along a spanning tree of the co-occurrence graph,
 adjacent variables constrained by an orbit differ by at most D, and
 variables adjacent only through FULL constraints can be set equal.  Scanning
 that window completely is therefore a full decision procedure, not a
-heuristic.
+heuristic.  Candidates are the values allowed by the finite pair sets to
+lower variables, ANDed as plain-int bitmasks; a binary constraint on two
+distinct variables is its own pair set and needs no per-candidate check.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _estimate(plans, biggest: int) -> int:
     total = 0
     for comp, pair_sets, _ in plans:
         # variables with a finite pair to a lower one branch over 2D + 1
-        linked = len({j for i, j in pair_sets if i < j})
+        linked = len({j for _, j in pair_sets})
         window = 2 * (len(comp) - 1) * biggest + 1
         total += (2 * biggest + 1) ** linked * window ** (len(comp) - 1 - linked)
     return total
@@ -61,7 +63,7 @@ def _estimate(plans, biggest: int) -> int:
 
 def _component_plans(inst: Instance, t: Template):
     """Per component: its variables in canonical order, finite pair sets
-    and induced instance."""
+    of value[j] - value[i] keyed by (i, j) with i < j, and induced instance."""
     plans = []
     for comp, sub in split_components(inst):
         pair_sets: dict[tuple[int, int], set[int]] = {}
@@ -74,8 +76,9 @@ def _component_plans(inst: Instance, t: Template):
                 if a == b:
                     continue
                 allowed = projected_offsets(rel, pi + 1, pj + 1)
-                for key, offs in (((a, b), allowed), ((b, a), {-s for s in allowed})):
-                    pair_sets[key] = pair_sets.get(key, offs) & offs
+                if a > b:
+                    a, b, allowed = b, a, {-s for s in allowed}
+                pair_sets[a, b] = pair_sets.get((a, b), allowed) & allowed
         plans.append((comp, pair_sets, sub))
     return plans
 
@@ -106,28 +109,39 @@ def brute_solve(
     values = [0] * inst.num_vars
     for comp, pair_sets, sub in plans:
         half = (len(comp) - 1) * biggest
-        # check each constraint once, at the assignment of its highest variable
+        # links[j] holds (i, lo, mask) for each pair set to a lower i: bit k
+        # set when value[j] - value[i] = lo + k; the estimate bounds the width
+        links: list[list[tuple[int, int, int]]] = [[] for _ in comp]
+        for (i, j), offs in pair_sets.items():
+            lo = min(offs, default=0)
+            packed = bytearray((max(offs, default=lo) - lo) // 8 + 1)
+            for s in offs:
+                packed[(s - lo) // 8] |= 1 << (s - lo) % 8
+            links[j].append((i, lo, int.from_bytes(packed, "little")))
+        # check each constraint once, at the assignment of its highest variable,
+        # unless it is FULL or a binary one that its own pair set enforces
         due: list[list] = [[] for _ in comp]
         for c in sub.constraints:
-            due[max(c.args)].append((t.relation(c.relation), c.args))
+            rel = t.relation(c.relation)
+            if rel.has_tuples and (rel.arity > 2 or c.args[0] == c.args[1]):
+                due[max(c.args)].append((rel, c.args))
         local = [0] * len(comp)
 
-        def passes(step: int) -> bool:
-            return all(
-                tuple_in_relation(rel, tuple(local[a] for a in args)) for rel, args in due[step]
-            )
-
         def domain(j: int) -> range | list[int]:
-            allowed: set[int] | None = None
-            for i in range(j):
-                offs = pair_sets.get((i, j))
-                if offs is None:
-                    continue
-                shifted = {local[i] + s for s in offs}
-                allowed = shifted if allowed is None else allowed & shifted
-            if allowed is None:
+            if not links[j]:
                 return range(-half, half + 1)
-            return sorted(v for v in allowed if -half <= v <= half)
+            # AND the masks translated by local[i], with bit 0 at value base
+            base, bits = -half, -1
+            for i, lo, mask in links[j]:
+                shift = local[i] + lo
+                if shift > base:
+                    bits, base = bits >> (shift - base), shift
+                bits &= mask >> (base - shift)
+            out = []
+            while bits and (value := base + (bits & -bits).bit_length() - 1) <= half:
+                out.append(value)
+                bits &= bits - 1
+            return out
 
         # candidates[step] holds the untried values of variable step; the
         # search goes one step deeper after each value that passes and
@@ -137,7 +151,9 @@ def brute_solve(
             step = len(candidates) - 1
             for value in candidates[step]:
                 local[step] = value
-                if passes(step):
+                if not due[step] or all(
+                    tuple_in_relation(rel, tuple(local[a] for a in args)) for rel, args in due[step]
+                ):
                     break
             else:
                 candidates.pop()

@@ -22,6 +22,10 @@ from .model import MAX_SPAN, RelationDef, Template, projected_offsets, tuple_in_
 
 IntTuple = tuple[int, ...]
 
+# each orbit triple costs one numpy round, 0.17-0.43 ms, as much as about 5,000
+# cells at 47 ns each (2-vCPU machine, Python 3.11): the least charge per triple
+ROUND_CELLS = 5_000
+
 
 def modular_median(d: int, x: int, y: int, z: int) -> int:
     """The congruence-aware median of x, y, z for modulus d."""
@@ -76,8 +80,8 @@ def preserves_relation(d: int, rel: RelationDef, window: int | None = None) -> P
     FULL and EMPTY bodies are closed under anything and report trivially.
     numpy, which only this check needs, is imported on first use.  Raises
     CapExceededError, before that import, when one shift grid exceeds
-    `model.MAX_SPAN` cells or all orbit triples together exceed
-    `brute.DEFAULT_NODE_CAP`.
+    `model.MAX_SPAN` cells or all orbit triples together, each charged at
+    least `ROUND_CELLS`, exceed `brute.DEFAULT_NODE_CAP` cells.
     """
     if d < 1:
         raise InputError(f"modulus must be positive, got {d}")
@@ -89,7 +93,7 @@ def preserves_relation(d: int, rel: RelationDef, window: int | None = None) -> P
     bound = preservation_window(d, rel) if window is None else window
     grid = (2 * bound + 1) ** 2
     triples = len(tuples) ** 3
-    if grid > MAX_SPAN or triples * grid > DEFAULT_NODE_CAP:
+    if grid > MAX_SPAN or triples * max(grid, ROUND_CELLS) > DEFAULT_NODE_CAP:
         raise CapExceededError(
             f"closure check of {rel.name} over {triples} orbit triples of {grid} shifts "
             f"exceeds the cap of {MAX_SPAN} shifts or {DEFAULT_NODE_CAP} cells"

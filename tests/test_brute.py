@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+from distcsp import brute
 from distcsp.brute import (
     DEFAULT_NODE_CAP,
     brute_solve,
@@ -9,18 +12,53 @@ from distcsp.brute import (
     verify_assignment,
 )
 from distcsp.errors import CapExceededError, InputError
-from distcsp.model import Constraint, Instance, RelationDef, Template
+from distcsp.model import MAX_SPAN, Constraint, Instance, RelationDef, Template
+from distcsp.solver import solve
 from helpers import (
     DIST12,
     DIST13,
     binary_relation,
     complete_edges,
+    disjoint_union,
     graph_instance,
     oracle_satisfiable,
     petersen_edges,
     random_any_template,
     random_connected_instance,
 )
+
+FULL = RelationDef("all", 2, "full")
+
+
+def two_component_cases(count: int = 300, seed: int = 21):
+    """Seeded pairs of connected (instance, template) parts: binary and
+    ternary relations, FULL links in half the templates, repeated variables."""
+    rng = random.Random(seed)
+    for i in range(count):
+        parts = []
+        for _ in range(2):
+            t = random_any_template(rng, f"t{i}")
+            if rng.random() < 0.5:
+                t = Template(t.name, (*t.relations, FULL))
+            n = rng.choice((2, 3, 3, 4))
+            parts.append((random_connected_instance(t, n, rng, extra=1), t))
+        yield parts
+
+
+# least witnesses of two_component_cases() under the search order, recorded
+# from the search over plain offset sets that re-checked every constraint
+PINNED_WITNESSES = {
+    3: (0, -3, -5, 0, -3, 0),
+    15: (0, 0, -9, -9, 0, -3, 0),
+    21: (0, -5, -8, 0, -2),
+    24: (0, 3, 0, -9, 0, -2, -3),
+    30: (0, -3, 0, -3, -1),
+    36: (0, -4, -4, 0, 1, 1),
+    48: (0, -5, 0, -10, -10),
+    57: (0, 0, 0, -3, -9, -9),
+    75: (0, 0, 0, 0, -10, -10),
+    84: (0, -8, -4, 0, -2, 0),
+}
 
 
 class TestVerifyAssignment:
@@ -110,3 +148,56 @@ class TestBruteSolve:
         t = Template("t", (RelationDef("r", 3, ((0, 2), (1, 2))),))
         inst = Instance(2, (Constraint("r", (0, 0, 1)),))
         assert brute_solve(inst, t) == (0, 2)
+
+    def test_decisions_match_the_oracle_on_each_component(self):
+        sat = 0
+        for parts in two_component_cases():
+            expected = [oracle_satisfiable(inst, t) is not None for inst, t in parts]
+            for (inst, t), decided in zip(parts, expected):
+                assert (brute_solve(inst, t) is not None) == decided
+            inst, t = disjoint_union(*parts)
+            witness = brute_solve(inst, t)
+            assert (witness is not None) == all(expected)
+            if witness is not None:
+                sat += 1
+                assert verify_assignment(inst, t, witness) == (True, None)
+        assert sat >= 50
+
+    def test_least_witnesses_are_pinned(self):
+        cases = list(two_component_cases(max(PINNED_WITNESSES) + 1))
+        for idx, witness in PINNED_WITNESSES.items():
+            assert brute_solve(*disjoint_union(*cases[idx])) == witness
+
+    def test_offsets_wider_than_the_span_cap_are_decided(self):
+        far = 3_000_000
+        assert far > MAX_SPAN
+        t = Template("wide", (binary_relation("wide", (0, far)),))
+        # v0 - v1 in {0, far}: the least value of v1 is -far
+        inst = Instance(2, (Constraint("wide", (1, 0)),))
+        assert search_space_estimate(inst, t) < DEFAULT_NODE_CAP
+        assert brute_solve(inst, t) == (0, -far)
+        verdict = solve(inst, t, mode="brute")
+        assert verdict.status == "sat"
+        assert verify_assignment(inst, t, verdict.witness) == (True, None)
+
+
+class TestOracleIndependence:
+    def test_shares_only_the_component_split_with_the_solver(self):
+        # the oracle must not lean on the solver's propagation or its
+        # offset-set kernel, whose span cap it does not share
+        tree = ast.parse(Path(brute.__file__).read_text())
+        from_solver = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in ("solver", "distcsp.solver")
+            for alias in node.names
+        ]
+        assert from_solver == ["split_components"]
+        used = {
+            name
+            for node in ast.walk(tree)
+            for name in (
+                getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+            )
+        }
+        assert "OffsetSet" not in used

@@ -142,6 +142,14 @@ class TestPreservesRelation:
         with pytest.raises(CapExceededError, match="orbit triples"):
             preserves_relation(1, rel, window=10)
 
+    def test_many_rounds_over_a_tiny_grid_refused_at_once(self):
+        # 9-cell grids, but each of the 10^6 orbit triples costs a numpy round
+        rel = binary_relation("many", tuple(range(1, 101)))
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="orbit triples"):
+            preserves_relation(1, rel, window=1)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestRandomTrials:
     def test_no_violation_on_preserved_fixture(self):
