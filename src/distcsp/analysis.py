@@ -16,10 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapExceededError, DisconnectedTemplateError, InputError
-from .model import Template
-
-# widened windows abort once they reach this many cells
-_WINDOW_CAP = 2**20
+from .model import MAX_SPAN, Template
 
 
 @dataclass(frozen=True)
@@ -76,9 +73,9 @@ def _walk_lengths(distances: tuple[int, ...], upto: int) -> list[int | None]:
     biggest = max(distances)
     half = upto + 10 * biggest
     while True:
-        if 2 * half + 1 > _WINDOW_CAP:
+        if 2 * half + 1 > MAX_SPAN:
             raise CapExceededError(
-                f"walk search window exceeded {_WINDOW_CAP} cells for distances {distances}"
+                f"walk search window exceeded {MAX_SPAN} cells for distances {distances}"
             )
         depth: dict[int, int] = {0: 0}
         queue = deque([0])
@@ -123,14 +120,10 @@ def stretch_constant(t: Template) -> int:
     Any endomorphism e of a connected template satisfies
     d(e(x), e(y)) <= d(x, y) + stretch_constant in the graph metric.
     """
-    distances = gaifman_distances(t)
-    if math.gcd(*distances) != 1:
+    report = analyze_template(t)
+    if report.stretch_bound is None:
         raise DisconnectedTemplateError(f"template {t.name} is disconnected")
-    biggest = max(distances)
-    if biggest == 1:
-        return 0
-    table = _walk_lengths(distances, biggest - 1)
-    return max(biggest * table[q] for q in range(1, biggest))  # type: ignore[operator]
+    return report.stretch_bound
 
 
 def analyze_template(t: Template) -> AnalysisReport:

@@ -17,10 +17,8 @@ from itertools import combinations
 
 from .analysis import max_distance_or_zero
 from .errors import CapExceededError, InputError
-from .model import Instance, Template, projected_offsets, tuple_in_relation
+from .model import DEFAULT_NODE_CAP, Instance, Template, projected_offsets, tuple_in_relation
 from .solver import split_components
-
-DEFAULT_NODE_CAP = 100_000_000
 
 
 def verify_assignment(

@@ -42,6 +42,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _emit(doc: dict) -> None:
@@ -108,16 +110,10 @@ def _cmd_poly(args) -> int:
     if args.trials < 0:
         raise InputError(f"--trials must be non-negative, got {args.trials}")
     d_max = polymorphism.default_modulus_bound(t) if args.max_d is None else args.max_d
-    found = polymorphism.find_modular_median(t, d_max, window=args.window)
+    found = polymorphism.find_modular_median(t, d_max)
     if found is None:
         _emit({"found": False, "max_modulus_checked": d_max})
         return EXIT_UNKNOWN
-    needed = polymorphism.verification_window(t, found)
-    if args.window is not None and args.window < needed:
-        raise InputError(
-            f"--window {args.window} is below the verification window {needed} "
-            f"of modulus {found}; the narrower check proves nothing"
-        )
     for rel in t.relations:
         witness = polymorphism.random_preservation_trials(found, rel, trials=args.trials)
         if witness is not None:
@@ -125,12 +121,11 @@ def _cmd_poly(args) -> int:
                 f"windowed check accepted modulus {found} but randomized trials "
                 f"found the violation {witness} on relation {rel.name}"
             )
-    window = needed if args.window is None else args.window
     _emit(
         {
             "found": True,
             "modulus": found,
-            "verified_window": window,
+            "verified_window": polymorphism.verification_window(t, found),
             "randomized_trials": args.trials,
         }
     )
@@ -224,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("poly", help="search for a modular median the template is closed under")
     p.add_argument("template")
     p.add_argument("--max-d", type=int, default=None, help="largest modulus to try")
-    p.add_argument("--window", type=int, default=None, help="override the shift window")
     p.add_argument("--trials", type=int, default=0, help="randomized confirmation trials")
     p.set_defaults(run=_cmd_poly)
 

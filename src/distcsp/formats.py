@@ -39,6 +39,9 @@ def _load(text: str, what: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(what, f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except (ValueError, RecursionError) as e:
+        # an integer past the interpreter's digit limit, or nesting past its stack
+        raise ParseError(what, f"unreadable JSON: {e}") from None
 
 
 def _object(value: Any, path: str) -> dict:

@@ -33,6 +33,10 @@ EMPTY = "empty"
 # refused rather than built.
 MAX_SPAN = 1 << 20
 
+# Most cells, nodes or candidates any exhaustive search may visit; a search
+# estimated above it raises CapExceededError before it starts.
+DEFAULT_NODE_CAP = 100_000_000
+
 
 def _check_int(value: object, what: str) -> int:
     # bool is an int subclass but never a valid offset

@@ -16,9 +16,15 @@ import random
 from dataclasses import dataclass
 
 from .analysis import max_distance_or_zero
-from .brute import DEFAULT_NODE_CAP
 from .errors import CapExceededError, InputError
-from .model import MAX_SPAN, RelationDef, Template, projected_offsets, tuple_in_relation
+from .model import (
+    DEFAULT_NODE_CAP,
+    MAX_SPAN,
+    RelationDef,
+    Template,
+    projected_offsets,
+    tuple_in_relation,
+)
 
 IntTuple = tuple[int, ...]
 
@@ -70,27 +76,26 @@ def _modular_median_grid(d: int, x, y, z):
     )
 
 
-def preserves_relation(d: int, rel: RelationDef, window: int | None = None) -> PreservationResult:
+def preserves_relation(d: int, rel: RelationDef) -> PreservationResult:
     """Exhaustively check that m_d maps orbit triples of ``rel`` back into it.
 
     Since m_d commutes with translation, the first tuple's base point is
-    pinned to 0 and the other two range over [-window, window]; the default
-    window grows with both the relation's offsets and the modulus, wide
-    enough that any violation shows up at some in-window configuration.
+    pinned to 0 and the other two range over [-W, W], where W is
+    `preservation_window`(d, rel); it grows with both the relation's offsets
+    and the modulus, wide enough that any violation shows up at some
+    in-window configuration.
     FULL and EMPTY bodies are closed under anything and report trivially.
     numpy, which only this check needs, is imported on first use.  Raises
     CapExceededError, before that import, when one shift grid exceeds
     `model.MAX_SPAN` cells or all orbit triples together, each charged at
-    least `ROUND_CELLS`, exceed `brute.DEFAULT_NODE_CAP` cells.
+    least `ROUND_CELLS`, exceed `model.DEFAULT_NODE_CAP` cells.
     """
     if d < 1:
         raise InputError(f"modulus must be positive, got {d}")
-    if window is not None and window < 0:
-        raise InputError(f"shift window must be non-negative, got {window}")
     if not rel.has_tuples:
         return PreservationResult(True, trivial=True)
     tuples = rel.offset_tuples
-    bound = preservation_window(d, rel) if window is None else window
+    bound = preservation_window(d, rel)
     grid = (2 * bound + 1) ** 2
     triples = len(tuples) ** 3
     if grid > MAX_SPAN or triples * max(grid, ROUND_CELLS) > DEFAULT_NODE_CAP:
@@ -172,24 +177,20 @@ def default_modulus_bound(t: Template) -> int:
     return 2 * biggest if biggest else 1
 
 
-def find_modular_median(
-    t: Template, d_max: int | None = None, window: int | None = None
-) -> int | None:
+def find_modular_median(t: Template, d_max: int | None = None) -> int | None:
     """Smallest modulus d <= d_max that every relation of ``t`` is closed under.
 
-    ``d_max`` defaults to `default_modulus_bound`; ``window`` overrides each
-    relation's exhaustive shift window as in `preserves_relation`.  A
-    rejected modulus is always refuted, but an accepted one is proved only
-    when ``window`` is at least `verification_window` for it: a narrower
-    window skips configurations that may hold the violation, so its answer
-    is no proof.
+    ``d_max`` defaults to `default_modulus_bound`.  Each modulus is checked
+    by `preserves_relation` over each relation's `preservation_window`, so
+    the largest shift an accepted d was checked at is
+    `verification_window`(t, d).
     """
     if d_max is None:
         d_max = default_modulus_bound(t)
     if d_max < 1:
         raise InputError(f"modulus bound must be positive, got {d_max}")
     for d in range(1, d_max + 1):
-        if all(preserves_relation(d, rel, window).preserved for rel in t.relations):
+        if all(preserves_relation(d, rel).preserved for rel in t.relations):
             return d
     return None
 
@@ -202,24 +203,22 @@ def verification_window(t: Template, d: int) -> int:
     )
 
 
-def check_two_decomposable(
-    rel: RelationDef, window: int | None = None
-) -> tuple[bool, IntTuple | None]:
+def check_two_decomposable(rel: RelationDef) -> tuple[bool, IntTuple | None]:
     """Whether ``rel`` contains every tuple all of whose pairwise projections extend.
 
     A candidate tuple t (first component pinned to 0, the rest ranging over
-    [-window, window]) passes the pairwise test when for each coordinate pair
+    [-(k*delta + 1), k*delta + 1] for arity k and largest offset delta)
+    passes the pairwise test when for each coordinate pair
     (i, j) some orbit of the relation realizes the gap t_j - t_i.  Relations
     closed under a majority operation contain all such candidates, so a
     counterexample here refutes every modular median at once.  Arity < 3 and
     marker bodies are vacuously decomposable.  Raises CapExceededError
-    instead of enumerating more than `brute.DEFAULT_NODE_CAP` candidates.
+    instead of enumerating more than `model.DEFAULT_NODE_CAP` candidates.
     """
     if rel.arity < 3 or not rel.has_tuples:
         return True, None
     k = rel.arity
-    delta = rel.max_offset()
-    bound = k * delta + 1 if window is None else window
+    bound = k * rel.max_offset() + 1
     count = (2 * bound + 1) ** (k - 1)
     if count > DEFAULT_NODE_CAP:
         raise CapExceededError(

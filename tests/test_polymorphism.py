@@ -1,10 +1,14 @@
+import ast
+import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from distcsp import analysis, polymorphism
 from distcsp.errors import CapExceededError, InputError
 from distcsp.model import RelationDef, tuple_in_relation
 from distcsp.polymorphism import (
@@ -122,12 +126,6 @@ class TestPreservesRelation:
         with pytest.raises(InputError):
             preserves_relation(0, DIST13.relations[0])
 
-    def test_negative_window_rejected(self):
-        # an empty shift range would pass every check vacuously
-        for rel in (DIST12.relations[0], RelationDef("r", 2, "full")):
-            with pytest.raises(InputError, match="window"):
-                preserves_relation(1, rel, window=-1)
-
     def test_huge_shift_grid_refused_at_once(self):
         # offsets +-10^9 would ask numpy for a grid of about 1.4 * 10^20 cells
         rel = binary_relation("w", (-(10**9), 1, 10**9))
@@ -137,17 +135,22 @@ class TestPreservesRelation:
         assert time.perf_counter() - start < 1.0
 
     def test_many_orbit_triples_refused_at_once(self):
-        # a 441-cell grid is small, but 10^6 orbit triples of it are not
-        rel = binary_relation("many", tuple(range(1, 101)))
+        # W = 187 gives a 140,625-cell grid, under the span cap, but 27,000
+        # orbit triples of it make 3.8 * 10^9 cells
+        rel = binary_relation("many", tuple(range(1, 31)))
+        assert preservation_window(1, rel) == 187
         with pytest.raises(CapExceededError, match="orbit triples"):
-            preserves_relation(1, rel, window=10)
+            preserves_relation(1, rel)
 
     def test_many_rounds_over_a_tiny_grid_refused_at_once(self):
-        # 9-cell grids, but each of the 10^6 orbit triples costs a numpy round
-        rel = binary_relation("many", tuple(range(1, 101)))
+        # 21,952 orbit triples of a 3,969-cell grid make 8.7 * 10^7 cells,
+        # under the cap, but each triple costs a numpy round: charged at
+        # ROUND_CELLS they make 1.1 * 10^8
+        rel = RelationDef("many", 3, tuple(itertools.product(range(-4, 5), repeat=2))[:28])
+        assert (2 * preservation_window(1, rel) + 1) ** 2 == 3_969
         start = time.perf_counter()
         with pytest.raises(CapExceededError, match="orbit triples"):
-            preserves_relation(1, rel, window=1)
+            preserves_relation(1, rel)
         assert time.perf_counter() - start < 1.0
 
 
@@ -196,12 +199,6 @@ class TestFindModularMedian:
         with pytest.raises(InputError):
             find_modular_median(DIST13, 0)
 
-    def test_window_passed_to_every_check(self):
-        assert find_modular_median(DIST13, window=0) == 1
-        assert find_modular_median(DIST13, window=5) == 2
-        with pytest.raises(InputError, match="window"):
-            find_modular_median(DIST12, window=-1)
-
 
 class TestTwoDecomposable:
     def test_single_orbit_ternary(self):
@@ -246,3 +243,21 @@ class TestTwoDecomposable:
             rel = RelationDef("r", 3, tuple(tuples))
             window = 3 * rel.max_offset() + 1
             assert check_two_decomposable(rel) == oracle_two_decomposable(rel, window)
+
+
+class TestImports:
+    @pytest.mark.parametrize("module", [polymorphism, analysis])
+    def test_no_search_or_solver_imports(self, module):
+        # the closure checks and the distance profile take their caps from
+        # model and stay independent of the searches they certify
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                if node.module is None:
+                    imported |= {alias.name for alias in node.names}
+                else:
+                    imported.add(node.module.rsplit(".", 1)[-1])
+        assert not imported & {"brute", "solver"}
