@@ -64,7 +64,7 @@ def _component_plans(inst: Instance, t: Template):
     of value[j] - value[i] keyed by (i, j) with i < j, and induced instance."""
     plans = []
     for comp, sub in split_components(inst):
-        pair_sets: dict[tuple[int, int], set[int]] = {}
+        pair_sets: dict[tuple[int, int], frozenset[int]] = {}
         for c in sub.constraints:
             rel = t.relation(c.relation)
             if not rel.has_tuples:
@@ -75,7 +75,7 @@ def _component_plans(inst: Instance, t: Template):
                     continue
                 allowed = projected_offsets(rel, pi + 1, pj + 1)
                 if a > b:
-                    a, b, allowed = b, a, {-s for s in allowed}
+                    a, b, allowed = b, a, frozenset(-s for s in allowed)
                 pair_sets[a, b] = pair_sets.get((a, b), allowed) & allowed
         plans.append((comp, pair_sets, sub))
     return plans

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 from .errors import CapExceededError, InputError
 
@@ -163,6 +163,10 @@ class OffsetSet:
         reversed_mask = int(bin(mask)[:1:-1], 2)
         return _make(-(self.lo + mask.bit_length() - 1), reversed_mask)
 
+    def shifted(self, k: int) -> "OffsetSet":
+        """The set translated by k, {s + k : s in S}; FULL and EMPTY are unchanged."""
+        return _make(self.lo + k, self.mask) if self.mask else self
+
     def __contains__(self, value: int) -> bool:
         if self.mask is None:
             return True
@@ -275,6 +279,16 @@ class RelationDef:
     def _tuple_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.offset_tuples)
 
+    @cached_property
+    def _projections(self) -> dict[tuple[int, int], frozenset[int]]:
+        # `projected_offsets` by coordinate pair, filled as pairs are asked for
+        return {}
+
+    @cached_property
+    def _projection_sets(self) -> dict[tuple[int, int], OffsetSet]:
+        # `project_constraint` by coordinate pair, filled as pairs are asked for
+        return {}
+
     def max_offset(self) -> int:
         """Largest absolute offset component appearing in the body (0 for markers)."""
         if not self.has_tuples:
@@ -282,12 +296,17 @@ class RelationDef:
         return max((abs(c) for v in self.offset_tuples for c in v), default=0)
 
 
-def projected_offsets(rel: RelationDef, i: int, j: int) -> set[int]:
+def projected_offsets(rel: RelationDef, i: int, j: int) -> frozenset[int]:
     """Offsets of coordinate j minus coordinate i over all orbits of ``rel``.
 
     Coordinates are 1-based; the implicit first component of every orbit
-    representative is 0.  The result is a plain set, with no span cap.
+    representative is 0.  The result is a frozenset, with no span cap,
+    computed once per relation and coordinate pair and shared by every
+    caller.
     """
+    cached = rel._projections.get((i, j))
+    if cached is not None:
+        return cached
     if not rel.has_tuples:
         raise InputError(f"cannot project relation {rel.name} with body {rel.body}")
     if not (1 <= i <= rel.arity and 1 <= j <= rel.arity):
@@ -298,12 +317,17 @@ def projected_offsets(rel: RelationDef, i: int, j: int) -> set[int]:
     for v in rel.offset_tuples:
         w = (0, *v)
         out.add(w[j - 1] - w[i - 1])
-    return out
+    frozen = rel._projections[(i, j)] = frozenset(out)
+    return frozen
 
 
 def project_constraint(rel: RelationDef, i: int, j: int) -> OffsetSet:
-    """`projected_offsets` as an OffsetSet, for the solver's pair matrix."""
-    return OffsetSet(projected_offsets(rel, i, j))
+    """`projected_offsets` as an OffsetSet, for the solver's pair matrix;
+    built once per relation and coordinate pair."""
+    cached = rel._projection_sets.get((i, j))
+    if cached is None:
+        cached = rel._projection_sets[(i, j)] = OffsetSet(projected_offsets(rel, i, j))
+    return cached
 
 
 def tuple_in_relation(rel: RelationDef, values: tuple[int, ...]) -> bool:
@@ -344,6 +368,18 @@ class Template:
             return self._by_name[name]
         except KeyError:
             raise InputError(f"template {self.name} has no relation named {name!r}") from None
+
+
+_Record = TypeVar("_Record")
+
+
+def _trusted(cls: type[_Record], **fields: object) -> _Record:
+    """A frozen dataclass built from fields that come from an already
+    validated instance, without the checks of its ``__post_init__``."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
 
 
 @dataclass(frozen=True)

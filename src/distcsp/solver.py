@@ -38,6 +38,7 @@ from .model import (
     OffsetSet,
     RelationDef,
     Template,
+    _trusted,
     project_constraint,
     tuple_in_relation,
 )
@@ -205,8 +206,12 @@ def split_components(inst: Instance) -> list[tuple[list[int], Instance]]:
             place.update((v, (constraints, i)) for i, v in enumerate(variables))
             components.append((variables, constraints))
     for c in inst.constraints:
-        place[c.args[0]][0].append(Constraint(c.relation, tuple(place[a][1] for a in c.args)))
-    return [(variables, Instance(len(variables), tuple(cs))) for variables, cs in components]
+        args = tuple(place[a][1] for a in c.args)
+        place[c.args[0]][0].append(_trusted(Constraint, relation=c.relation, args=args))
+    return [
+        (variables, _trusted(Instance, num_vars=len(variables), constraints=tuple(cs)))
+        for variables, cs in components
+    ]
 
 
 def chordal_completion(adjacency: list[set[int]]) -> list[set[int]]:
@@ -364,6 +369,11 @@ def propagate(
     median the chordal fixpoint may be weaker than full path consistency;
     unsat answers stay sound either way.
 
+    Each sumset A + B is computed once per call and then read from a memo
+    keyed on the (lo, mask) pairs of A and B; offset sets are values, so
+    equal keys give equal sums, and a sum over the span cap raises on its
+    first computation as before.
+
     Propagation stops as soon as some pair empties.  When debug is set, the
     replacement budget is enforced and, on reaching a fixpoint, every
     finite cell is checked against the hop-distance bound of
@@ -382,6 +392,7 @@ def propagate(
         widest = max((max(-cells[p].offsets[0], cells[p].offsets[-1]) for p in bounded), default=0)
     pending = deque(sorted((k, l) for k, l in bounded if k < l))
     queued = set(pending)
+    sums: dict[tuple[int, int | None, int, int], OffsetSet] = {}
 
     def revise(x: int, m: int, via: int, left: OffsetSet) -> bool:
         """P(x,m) <- P(x,m) & (left + P(via,m)), left being P(x,via);
@@ -389,8 +400,12 @@ def propagate(
         right = cells[(via, m)]
         if right.is_full:
             return False
+        key = (left.lo, left.mask, right.lo, right.mask)
+        total = sums.get(key)
+        if total is None:
+            total = sums[key] = left + right
         old = cells[(x, m)]
-        new = old & (left + right)
+        new = old & total
         if new == old:
             return False
         matrix.set_pair(x, m, new)
@@ -448,7 +463,7 @@ def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[i
         candidates = _FULL
         for i in matrix.neighbours[j]:
             if i < j:
-                candidates &= matrix.cells[(i, j)] + OffsetSet.of((values[i],))
+                candidates &= matrix.cells[(i, j)].shifted(values[i])
 
         def acceptable(value: int) -> bool:
             values[j] = value

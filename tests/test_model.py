@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +15,17 @@ from distcsp.model import (
     RelationDef,
     Template,
     project_constraint,
+    projected_offsets,
     tuple_in_relation,
+)
+from distcsp.solver import solve
+from helpers import (
+    DIST12,
+    DIST13,
+    TERNARY_CHAIN,
+    TWODEC_TRUE,
+    graph_instance,
+    random_connected_instance,
 )
 
 finite_sets = st.builds(OffsetSet.of, st.lists(st.integers(-40, 40), max_size=8))
@@ -112,6 +124,24 @@ class TestOffsetSetRepresentation:
     def test_bool_offsets_rejected(self):
         with pytest.raises(InputError):
             OffsetSet.of([True])
+
+
+class TestOffsetSetShift:
+    def test_equals_the_sum_with_a_singleton(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            members = [rng.randint(-60, 60) for _ in range(rng.randint(1, 10))]
+            k = rng.randint(-200, 200)
+            s = OffsetSet.of(members)
+            assert s.shifted(k) == s + OffsetSet.of((k,))
+            assert offsets(s.shifted(k)) == tuple(sorted({m + k for m in members}))
+            assert_normalised(s.shifted(k))
+
+    def test_full_and_empty_unchanged(self):
+        for k in (-9, 0, 9):
+            for s in (OffsetSet.full(), OffsetSet.of([])):
+                assert s.shifted(k) is s
+                assert s.shifted(k) == s + OffsetSet.of((k,))
 
 
 # members in roughly -10^4..10^4: a few scattered values, or a run up to a
@@ -256,6 +286,39 @@ class TestProjectConstraint:
     def test_marker_bodies_rejected(self):
         with pytest.raises(InputError):
             project_constraint(RelationDef("r", 2, FULL), 1, 2)
+
+    def test_cached_projection_cannot_be_mutated(self):
+        rel = RelationDef("r", 3, ((1, 2), (2, 1)))
+        gaps = projected_offsets(rel, 2, 3)
+        assert projected_offsets(rel, 2, 3) is gaps
+        with pytest.raises(AttributeError):
+            gaps.add(99)
+        gaps |= {99}
+        assert projected_offsets(rel, 2, 3) == {-1, 1}
+        assert offsets(project_constraint(rel, 2, 3)) == (-1, 1)
+        assert project_constraint(rel, 2, 3) is project_constraint(rel, 2, 3)
+        assert rel == RelationDef("r", 3, ((2, 1), (1, 2)))
+        assert hash(rel) == hash(RelationDef("r", 3, ((2, 1), (1, 2))))
+
+    def test_same_template_solves_alike_twice(self):
+        # the second solve reads the projections the first one cached
+        rng = random.Random(8)
+        cases = [
+            (graph_instance("dist13", 9, [(i, i + 1) for i in range(8)] + [(0, 8)]), DIST13),
+            (graph_instance("dist12", 4, [(a, b) for a in range(4) for b in range(a + 1, 4)]), DIST12),
+        ]
+        for t in (DIST12, TERNARY_CHAIN, TWODEC_TRUE):
+            cases += [(random_connected_instance(t, rng.randint(3, 7), rng), t) for _ in range(10)]
+        for inst, t in cases:
+            fresh = Template(t.name, tuple(RelationDef(r.name, r.arity, r.body) for r in t.relations))
+            expected = solve(inst, fresh)
+            for _ in range(2):
+                verdict = solve(inst, t)
+                assert (verdict.status, verdict.witness, verdict.reason) == (
+                    expected.status,
+                    expected.witness,
+                    expected.reason,
+                )
 
 
 class TestTupleInRelation:

@@ -1,10 +1,11 @@
 import random
 import re
 import time
+from collections import Counter
 
 import pytest
 
-from distcsp import polymorphism
+from distcsp import model, polymorphism
 from distcsp.brute import brute_solve, verify_assignment
 from distcsp.errors import InputError, InternalInvariantError
 from distcsp.model import Constraint, Instance, OffsetSet, RelationDef, Template
@@ -34,6 +35,7 @@ from helpers import (
     random_any_template,
     random_connected_instance,
     random_median_template,
+    spanning_tree_edges,
 )
 
 CHAIN_T = Template("chain", (binary_relation("r1", (1,)), binary_relation("r13", (1, 3))))
@@ -60,6 +62,12 @@ def completion_edges(matrix, inst):
         lower = [u for u in range(v) if (u, v) in edges]
         assert all((a, b) in edges for a in lower for b in lower if a != b)
     return edges
+
+
+def grid_edges(rows, cols):
+    return [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)] + [
+        (r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)
+    ]
 
 
 def cell_sets(matrix):
@@ -177,6 +185,19 @@ class TestComponents:
             ([1, 3, 4], Instance(3, (Constraint("r", (1, 2)), Constraint("s", (2, 0, 1))))),
         ]
         assert component_variables(inst) == components_of(inst)
+
+    def test_split_builds_components_without_revalidating(self, monkeypatch):
+        # the renumbered constraints and induced instances come from an
+        # already validated instance, so no integer is checked again
+        inst = graph_instance("r", 8, cycle_edges(4) + [(4, 5), (6, 7)])
+        checked = []
+        monkeypatch.setattr(model, "_check_int", lambda value, what: checked.append(value))
+        split = split_components(inst)
+        assert checked == []
+        monkeypatch.undo()
+        for _, sub in split:
+            revalidated = tuple(Constraint(c.relation, c.args) for c in sub.constraints)
+            assert sub == Instance(sub.num_vars, revalidated)
 
 
 class TestInitializePairs:
@@ -316,6 +337,43 @@ class TestPropagate:
             propagate(matrix)
             assert matrix.empty_pair is None
             assert cell_sets(matrix) == oracle_pair_closure(inst, DIST13, edges)
+
+    def test_memoised_sums_reach_the_reference_fixpoint(self):
+        # grids repeat each sum many times within one propagation; chorded
+        # dist12 graphs tighten through short odd cycles
+        cases = [
+            (graph_instance("dist13", rows * rows, grid_edges(rows, rows)), DIST13)
+            for rows in (4, 5)
+        ]
+        rng = random.Random(12)
+        for _ in range(20):
+            n = rng.randint(4, 8)
+            chords = rng.sample([(a, b) for a in range(n) for b in range(a + 1, n)], n // 2)
+            cases.append((graph_instance("dist12", n, spanning_tree_edges(n, rng) + chords), DIST12))
+        for inst, t in cases:
+            matrix = initialize_pairs(inst, t)
+            edges = completion_edges(matrix, inst)
+            propagate(matrix)
+            reference = oracle_pair_closure(inst, t, edges)
+            if reference is None:
+                assert matrix.empty_pair is not None
+                continue
+            assert matrix.empty_pair is None
+            assert cell_sets(matrix) == reference
+
+    def test_each_distinct_sum_computed_once(self, monkeypatch):
+        computed = Counter()
+        add = OffsetSet.__add__
+
+        def counting_add(a, b):
+            computed[a.lo, a.mask, b.lo, b.mask] += 1
+            return add(a, b)
+
+        matrix = initialize_pairs(graph_instance("dist13", 25, grid_edges(5, 5)), DIST13)
+        monkeypatch.setattr(OffsetSet, "__add__", counting_add)
+        propagate(matrix)
+        monkeypatch.undo()
+        assert computed and max(computed.values()) == 1
 
     def test_mirror_invariant_at_fixpoint(self):
         rng = random.Random(4)
