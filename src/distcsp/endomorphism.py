@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .analysis import gaifman_distances, max_distance_or_zero
+from .analysis import is_connected, max_distance_or_zero
 from .errors import CapExceededError, InputError, InternalInvariantError
 from .model import EMPTY, MAX_SPAN, RelationDef, Template, tuple_in_relation
 
@@ -158,13 +158,8 @@ def classify_endomorphism(spec: PeriodicMapSpec, t: Template) -> EndoClassificat
         )
     if spec.drift == 0:
         return EndoClassification(FINITE_RANGE, None, None, (), 0)
-    distances = ()
-    try:
-        distances = gaifman_distances(t)
-    except InputError:
-        pass
-    biggest = max(distances) if distances else 1
-    cap = spec.period * biggest
+    biggest = max_distance_or_zero(t)
+    cap = spec.period * max(biggest, 1)
     if cap > MAX_SPAN:
         raise CapExceededError(f"stable numbers up to {cap} exceed the cap {MAX_SPAN}")
     stables = stable_numbers(spec, cap)
@@ -179,7 +174,7 @@ def classify_endomorphism(spec: PeriodicMapSpec, t: Template) -> EndoClassificat
         raise InternalInvariantError(
             f"stable numbers {stables} are not the multiples of {minimal} up to {cap}"
         )
-    if distances and math.gcd(*distances) == 1 and biggest % minimal != 0:
+    if biggest % minimal != 0 and is_connected(t):
         raise InternalInvariantError(
             f"minimal stable number {minimal} does not divide the largest distance {biggest}"
         )

@@ -32,6 +32,9 @@ IntTuple = tuple[int, ...]
 # cells at 47 ns each (2-vCPU machine, Python 3.11): the least charge per triple
 ROUND_CELLS = 5_000
 
+# the base points of `random_preservation_trials` range over [-SHIFT_BOUND, SHIFT_BOUND]
+SHIFT_BOUND = 1_000_000
+
 
 def modular_median(d: int, x: int, y: int, z: int) -> int:
     """The congruence-aware median of x, y, z for modulus d."""
@@ -146,13 +149,12 @@ def random_preservation_trials(
     d: int,
     rel: RelationDef,
     trials: int = 100_000,
-    shift_bound: int = 1_000_000,
     seed: int = 0,
 ) -> tuple[IntTuple, IntTuple, IntTuple] | None:
     """Randomized search for a closure violation; returns the first witness found.
 
-    Samples orbit triples with unconstrained base points, far outside the
-    exhaustive check's window.  Used to cross-examine windowed verdicts.
+    Samples orbit triples with base points up to `SHIFT_BOUND`, far outside
+    the exhaustive check's window.  Used to cross-examine windowed verdicts.
     """
     if not rel.has_tuples:
         return None
@@ -160,7 +162,7 @@ def random_preservation_trials(
     vectors = [(0, *v) for v in rel.offset_tuples]
     for _ in range(trials):
         picked = [rng.choice(vectors) for _ in range(3)]
-        bases = [rng.randint(-shift_bound, shift_bound) for _ in range(3)]
+        bases = [rng.randint(-SHIFT_BOUND, SHIFT_BOUND) for _ in range(3)]
         t1, t2, t3 = (
             tuple(b + c for c in v) for b, v in zip(bases, picked)
         )

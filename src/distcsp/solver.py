@@ -133,25 +133,21 @@ def preprocess(inst: Instance, t: Template) -> Preprocessed:
                 order.append(a)
         pattern = "".join(str(slot[a]) for a in c.args)
         arity = len(order)
-        if rel.is_full:
-            if arity == 1:
-                continue
-            name = f"{rel.name}~{pattern}"
-            derived.setdefault(name, RelationDef(name, arity, "full"))
-            keep(Constraint(name, tuple(order)))
-            continue
-        first_pos = [c.args.index(v) for v in order]
-        filtered = set()
-        for v in rel.offset_tuples:
-            w = (0, *v)
-            if all(w[i] == w[first_pos[slot[c.args[i]]]] for i in range(len(c.args))):
-                filtered.add(tuple(w[p] - w[first_pos[0]] for p in first_pos[1:]))
-        if not filtered:
-            return Preprocessed(inst, t, True)
+        body = rel.body  # a FULL relation stays FULL
+        if rel.has_tuples:
+            first_pos = [c.args.index(v) for v in order]
+            filtered = set()
+            for v in rel.offset_tuples:
+                w = (0, *v)
+                if all(w[i] == w[first_pos[slot[c.args[i]]]] for i in range(len(c.args))):
+                    filtered.add(tuple(w[p] - w[first_pos[0]] for p in first_pos[1:]))
+            if not filtered:
+                return Preprocessed(inst, t, True)
+            body = tuple(filtered)
         if arity == 1:
-            continue  # some orbit survives at every base point
+            continue  # FULL, or some orbit survives at every base point
         name = f"{rel.name}~{pattern}"
-        derived.setdefault(name, RelationDef(name, arity, tuple(filtered)))
+        derived.setdefault(name, RelationDef(name, arity, body))
         keep(Constraint(name, tuple(order)))
 
     template = t
@@ -276,11 +272,11 @@ def initialize_pairs(inst: Instance, t: Template, variable_ids: list[int] | None
     matrix = PairMatrix(size, variable_ids or list(range(size)), co_occurrence_adjacency(inst))
     for c in inst.constraints:
         rel = t.relation(c.relation)
-        if len(set(c.args)) != len(c.args):
+        if len(set(c.args)) != len(c.args) or rel.is_empty:
             raise InputError(
-                f"constraint {c.relation}{c.args} has repeated variables; preprocess first"
+                f"constraint {c.relation}{c.args} repeats a variable or is EMPTY; preprocess first"
             )
-        if not rel.has_tuples:
+        if rel.is_full:
             continue
         for pi in range(len(c.args)):
             for pj in range(pi + 1, len(c.args)):
@@ -447,17 +443,20 @@ def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[i
 
     Each next variable takes the least value compatible with the pair sets
     to its lower neighbours in the completion that also satisfies every
-    original constraint whose highest variable it is.  Returns None when
-    some step has no candidate, which cannot happen for templates closed
-    under a modular median (see `propagate`).  Any numbering works: a
-    variable with no lower completion neighbour is the lowest one of its
-    component and takes 0.
+    constraint of arity 3 or more whose highest variable it is: the pair
+    sets already enforce the binary constraints of a preprocessed instance,
+    and FULL ones always hold.  Returns None when some step has no
+    candidate, which cannot happen for templates closed under a modular
+    median (see `propagate`).  Any numbering works: a variable with no lower
+    completion neighbour is the lowest one of its component and takes 0.
     """
     if matrix.empty_pair is not None:
         raise InternalInvariantError("extraction attempted on an empty pair matrix")
     due: list[list[tuple[RelationDef, tuple[int, ...]]]] = [[] for _ in range(inst.num_vars)]
     for c in inst.constraints:
-        due[max(c.args)].append((t.relation(c.relation), c.args))
+        rel = t.relation(c.relation)
+        if rel.has_tuples and rel.arity > 2:
+            due[max(c.args)].append((rel, c.args))
     values = [0] * inst.num_vars
     for j in range(inst.num_vars):
         candidates = _FULL
@@ -465,33 +464,33 @@ def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[i
             if i < j:
                 candidates &= matrix.cells[(i, j)].shifted(values[i])
 
-        def acceptable(value: int) -> bool:
-            values[j] = value
-            return all(
-                tuple_in_relation(rel, tuple(values[a] for a in args)) for rel, args in due[j]
-            )
-
         # when only FULL pairs constrain j, any value works for those
-        tried = (0,) if candidates.is_full else candidates.offsets
-        choice = next((v for v in tried if acceptable(v)), None)
-        if choice is None:
+        for value in (0,) if candidates.is_full else candidates.offsets:
+            values[j] = value
+            if all(tuple_in_relation(rel, tuple(values[a] for a in args)) for rel, args in due[j]):
+                break
+        else:
             return None
-        values[j] = choice
     return tuple(values)
 
 
+def component_template(inst: Instance, t: Template) -> Template:
+    """The relations of t that the constraints of inst name, in t's order:
+    all that deciding one component depends on.  A relation it does not use
+    could only widen the exhaustive search or the median closure check."""
+    used = {c.relation for c in inst.constraints}
+    return Template(t.name, tuple(r for r in t.relations if r.name in used))
+
+
 @lru_cache(maxsize=64)
-def _median_modulus(t: Template, used: frozenset[str]) -> int | None:
-    """`find_modular_median` of the relations of t that one component uses,
-    searched once per value: every stuck extraction re-proves that no median
-    exists, and a relation no constraint of the component uses may be too
-    wide for the exhaustive closure check.  A closure check refused by its
-    size cap verifies no median, so it counts as None."""
+def _median_modulus(t: Template) -> int | None:
+    """`find_modular_median` of t, searched once per value: every stuck
+    extraction re-proves that no median exists.  A closure check refused by
+    its size cap verifies no median, so it counts as None."""
     from .polymorphism import find_modular_median
 
-    relations = tuple(r for r in t.relations if r.name in used)
     try:
-        return find_modular_median(Template(t.name, relations))
+        return find_modular_median(t)
     except CapExceededError:
         return None
 
@@ -509,13 +508,13 @@ def solve(
     Modes: "consistency" runs propagation plus greedy extraction and may
     answer unknown; "brute" searches every component exhaustively; "auto"
     runs consistency first and then searches each component whose
-    extraction got stuck, alone, when it fits under the search cap.  Sat
-    verdicts always carry a witness that has been re-verified; unsat
-    verdicts from propagation are sound unconditionally.  Propagation is
-    undecided, not failed, for a component whose pair set would span more
-    than `model.MAX_SPAN` integers.  The instance is unsat when some
-    component is; otherwise unknown, with the reason of the first component
-    left undecided, when some component is.
+    extraction got stuck, alone and over its `component_template`, when it
+    fits under the search cap.  Sat verdicts always carry a witness that
+    has been re-verified; unsat verdicts from propagation are sound
+    unconditionally.  Propagation is undecided, not failed, for a component
+    whose pair set would span more than `model.MAX_SPAN` integers.  The
+    instance is unsat when some component is; otherwise unknown, with the
+    reason of the first component left undecided, when some component is.
     """
     from . import brute
 
@@ -528,41 +527,42 @@ def solve(
     components = split_components(prep.instance)
     stats.components = len(components)
     settled = []
-    pending = []  # components left to the exhaustive search, with the reason
+    pending = []  # undecided components, with their own relations and the reason
+    stuck = "witness extraction failed; no modular median verified for the template"
     for variables, sub in components:
-        if mode == "brute":
-            pending.append((variables, sub, None))
-            continue
-        try:
-            matrix = initialize_pairs(sub, prep.template, variables)
-            propagate(matrix, trace=trace, debug=debug)
-        except CapExceededError as e:
-            pending.append((variables, sub, f"propagation refused: {e}"))
-            continue
-        stats.absorb(matrix.stats)
-        if matrix.empty_pair is not None:
-            return Verdict.unsat(stats)
-        witness = extract_solution(matrix, sub, prep.template)
-        if witness is not None:
-            settled.append((variables, witness))
-            continue
-        if _median_modulus(prep.template, frozenset(c.relation for c in sub.constraints)):
+        reason = None  # brute mode searches every component
+        if mode != "brute":
+            try:
+                matrix = initialize_pairs(sub, prep.template, variables)
+                propagate(matrix, trace=trace, debug=debug)
+            except CapExceededError as e:
+                reason = f"propagation refused: {e}"
+            else:
+                stats.absorb(matrix.stats)
+                if matrix.empty_pair is not None:
+                    return Verdict.unsat(stats)
+                witness = extract_solution(matrix, sub, prep.template)
+                if witness is not None:
+                    settled.append((variables, witness))
+                    continue
+                reason = stuck
+        own = component_template(sub, prep.template)
+        if reason == stuck and _median_modulus(own):
             raise InternalInvariantError(
                 "extraction failed although its relations are closed under a modular median"
             )
-        reason = "witness extraction failed; no modular median verified for the template"
-        pending.append((variables, sub, reason))
+        pending.append((variables, sub, own, reason))
 
     # exhaustive search goes last, so that no component found unsat by
     # propagation waits behind it
     cap = brute.DEFAULT_NODE_CAP if node_cap is None else node_cap
     reasons = []
-    for variables, sub, reason in pending:
+    for variables, sub, own, reason in pending:
         if mode == "consistency":
             reasons.append(reason)
             continue
         try:
-            witness = brute.brute_solve(sub, prep.template, cap)
+            witness = brute.brute_solve(sub, own, cap)
         except CapExceededError as e:
             reasons.append(f"{reason}; {e}" if reason else str(e))
             continue

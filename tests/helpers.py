@@ -162,10 +162,14 @@ def oracle_two_decomposable(rel: RelationDef, window: int):
 
 
 def oracle_satisfiable(inst: Instance, t: Template, window: int | None = None):
-    """Exhaustive satisfiability via itertools; first variable pinned to 0.
+    """Exhaustive satisfiability by plain enumeration; first variable pinned to 0.
 
     Only sound for connected instances, where any witness can be translated
-    so the first variable is 0 and all values stay within (n-1)*D.
+    so the first variable is 0 and all values stay within (n-1)*D.  Values
+    are tried in the order of itertools.product over the window, depth
+    first, and a constraint is checked as soon as its highest variable has
+    a value; that only skips assignments that fail it, so the witness is the
+    first one in product order.
     """
     gaps = [
         abs(w[j] - w[i])
@@ -181,14 +185,52 @@ def oracle_satisfiable(inst: Instance, t: Template, window: int | None = None):
         window = (inst.num_vars - 1) * biggest
     rels = {rel.name: rel for rel in t.relations}
     span = range(-window, window + 1)
-    for rest in itertools.product(span, repeat=inst.num_vars - 1):
-        values = (0, *rest)
-        if all(
-            oracle_in_relation(rels[c.relation], [values[a] for a in c.args])
-            for c in inst.constraints
-        ):
-            return values
-    return None
+    due: list[list[Constraint]] = [[] for _ in range(inst.num_vars)]
+    for c in inst.constraints:
+        due[max(c.args)].append(c)
+    values = [0] * inst.num_vars
+
+    def extend(j: int) -> bool:
+        if j == inst.num_vars:
+            return True
+        for values[j] in span if j else (0,):
+            if all(
+                oracle_in_relation(rels[c.relation], [values[a] for a in c.args]) for c in due[j]
+            ) and extend(j + 1):
+                return True
+        return False
+
+    return tuple(values) if extend(0) else None
+
+
+def oracle_decides(inst: Instance, t: Template) -> bool:
+    """Satisfiability of any instance by `oracle_satisfiable`, one component
+    at a time.
+
+    A FULL constraint always holds and an EMPTY one never does, so the
+    components are those of the other constraints.  Each is renumbered in
+    breadth-first order, so that every constraint is checked early in the
+    enumeration.
+    """
+    rels = {rel.name: rel for rel in t.relations}
+    if any(rels[c.relation].body == "empty" for c in inst.constraints):
+        return False
+    kept = Instance(
+        inst.num_vars, tuple(c for c in inst.constraints if rels[c.relation].body != "full")
+    )
+    for comp in components_of(kept):
+        place = {v: i for i, v in enumerate(bfs_order(kept, comp[0]))}
+        sub = Instance(
+            len(comp),
+            tuple(
+                Constraint(c.relation, tuple(place[a] for a in c.args))
+                for c in kept.constraints
+                if c.args[0] in place
+            ),
+        )
+        if oracle_satisfiable(sub, t) is None:
+            return False
+    return True
 
 
 def spanning_tree_edges(n: int, rng) -> list[tuple[int, int]]:
@@ -343,14 +385,14 @@ def components_of(inst: Instance) -> list[list[int]]:
     return out
 
 
-def bfs_order(inst: Instance) -> list[int]:
-    """Breadth-first order from variable 0 over the co-occurrence graph,
+def bfs_order(inst: Instance, start: int = 0) -> list[int]:
+    """Breadth-first order from start over the co-occurrence graph,
     neighbours taken in ascending order."""
     adjacency: list[set[int]] = [set() for _ in range(inst.num_vars)]
     for c in inst.constraints:
         for a in c.args:
             adjacency[a].update(b for b in c.args if b != a)
-    order, queue = [0], deque([0])
+    order, queue = [start], deque([start])
     while queue:
         for w in sorted(adjacency[queue.popleft()]):
             if w not in order:

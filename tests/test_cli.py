@@ -277,6 +277,31 @@ class TestEndo:
             },
         }
 
+    @pytest.mark.parametrize(
+        "template, spec, bound",
+        [(DIST12, "p=3; values=0,-2,-1; drift=0", 6), (EQUALITY, "p=1; values=0; drift=0", None)],
+        ids=["dist12_core", "equality_constant"],
+    )
+    def test_check_bounds_a_finite_range(self, files, capsys, template, spec, bound):
+        # the equality template realizes no distance, so it has no stretch bound
+        path = files["dir"] / "drift0.json"
+        path.write_text(to_json(template_to_dict(template)))
+        spec_path = files["dir"] / "drift0.txt"
+        spec_path.write_text(spec + "\n")
+        code, report, _ = run(capsys, ["endo", "check", str(path), "--spec", str(spec_path)])
+        assert code == 0
+        assert report == {
+            "endomorphism": True,
+            "classification": {
+                "kind": "finite_range",
+                "direction": None,
+                "minimal_stable": None,
+                "stable_numbers": [],
+                "checked_upto": 0,
+                "generated_range_bound": bound,
+            },
+        }
+
     def test_check_refuses_huge_distances(self, files, capsys):
         # the reflection is an endomorphism, but its stable numbers up to
         # 10^9 are over the cap

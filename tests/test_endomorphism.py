@@ -170,6 +170,12 @@ class TestClassifyEndomorphism:
             got = classify_endomorphism(spec, DIST13)
             assert all(q % got.minimal_stable == 0 for q in got.stable_numbers_upto)
 
+    def test_template_without_distances_lists_up_to_one_period(self):
+        # {0} realizes no distance, so D counts as 1 and nothing is divided by it
+        got = classify_endomorphism(PeriodicMapSpec(2, (0, 5), 1), EQUALITY)
+        assert got.kind == PERIODIC and got.minimal_stable == 2
+        assert got.stable_numbers_upto == (2,) and got.checked_upto == 2
+
     def test_huge_distance_refused_at_once(self):
         # listing the stable numbers up to period * D = 10^9 would not finish
         t = Template("wide", (binary_relation("w", symmetric(1, 10**9)),))

@@ -4,6 +4,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distcsp import model, polymorphism
 from distcsp.brute import brute_solve, verify_assignment
@@ -14,6 +16,7 @@ from distcsp.solver import (
     bfs_depths,
     chordal_completion,
     co_occurrence_adjacency,
+    component_template,
     extract_solution,
     initialize_pairs,
     preprocess,
@@ -24,6 +27,7 @@ from distcsp.solver import (
 from helpers import (
     DIST12,
     DIST13,
+    TWODEC_FALSE,
     bfs_order,
     binary_relation,
     complete_edges,
@@ -31,6 +35,7 @@ from helpers import (
     cycle_edges,
     disjoint_union,
     graph_instance,
+    oracle_decides,
     oracle_pair_closure,
     random_any_template,
     random_connected_instance,
@@ -114,6 +119,23 @@ class TestPreprocess:
         inst = Instance(2, (Constraint("dist13", (0, 1)), Constraint("dist13", (0, 1))))
         prep = preprocess(inst, DIST13)
         assert len(prep.instance.constraints) == 1
+
+    def test_unary_full_leftovers_dropped(self):
+        t = Template("t", (RelationDef("u", 1, "full"), RelationDef("R", 3, "full")))
+        inst = Instance(2, (Constraint("u", (0,)), Constraint("R", (1, 1, 1))))
+        prep = preprocess(inst, t)
+        assert not prep.unsat and prep.instance.constraints == ()
+
+    def test_full_relation_keeps_its_distinct_variables_together(self):
+        t = Template("t", (RelationDef("R", 3, "full"),))
+        inst = Instance(3, (Constraint("R", (1, 1, 2)),))
+        prep = preprocess(inst, t)
+        (c,) = prep.instance.constraints
+        assert c.relation == "R~001" and c.args == (1, 2)
+        assert prep.template.relation("R~001").is_full
+        assert component_variables(prep.instance) == [[0], [1, 2]]
+        verdict = solve(inst, t, debug=True)
+        assert verdict.witness == (0, 0, 0) and verdict.stats.components == 2
 
 
 def component_variables(inst):
@@ -222,6 +244,12 @@ class TestInitializePairs:
         inst = Instance(1, (Constraint("dist13", (0, 0)),))
         with pytest.raises(InputError, match="preprocess"):
             initialize_pairs(inst, DIST13)
+
+    def test_empty_relation_rejected(self):
+        # no cell would hold it, and extraction checks only arity 3 and up
+        t = Template("t", (RelationDef("e", 2, "empty"),))
+        with pytest.raises(InputError, match="preprocess"):
+            initialize_pairs(Instance(2, (Constraint("e", (0, 1)),)), t)
 
     def test_mirror_invariant_on_setup(self):
         inst = Instance(2, (Constraint("diff", (1, 0)),))
@@ -651,6 +679,30 @@ class TestSolve:
         verdict = solve(edges, DIST13, mode="brute")
         assert verdict.status == "sat" and verdict.witness == (0, -3) * 10
 
+    def test_component_template_keeps_the_named_relations_in_order(self):
+        a, b = binary_relation("a", (1,)), binary_relation("b", (2,))
+        t = Template("t", (a, b, FAR.relations[0]))
+        inst = Instance(3, (Constraint("far", (0, 1)), Constraint("a", (1, 2))))
+        own = component_template(inst, t)
+        assert own.name == "t" and [r.name for r in own.relations] == ["a", "far"]
+
+    @pytest.mark.parametrize("mode", ["auto", "brute"])
+    def test_unused_relation_leaves_the_search_window_alone(self, mode):
+        # with the {0, 50} relation in the window, the fan's estimate was
+        # 101^4 = 104060401, over the cap
+        t = Template("dist12-far", DIST12.relations + FAR.relations)
+        verdict = solve(FAN, t, mode=mode, debug=True)
+        assert verdict.status == "sat" and verdict.witness == (0, -2, -1, -1, -2)
+
+    def test_each_component_is_searched_over_its_own_relations(self):
+        path = graph_instance("far", 6, [(i, i + 1) for i in range(5)])
+        verdict = solve(*disjoint_union((FAN, DIST12), (path, FAR)), mode="auto", debug=True)
+        assert verdict.status == "sat"
+        assert verdict.witness == (0, -2, -1, -1, -2) + (0,) * 6
+
+
+FAR = Template("far", (binary_relation("far", (0, 50)),))
+
 
 WIDE = Template("wide", (binary_relation("w", (-(10**9), 1, 10**9)),))
 WIDE_PATH = graph_instance("w", 6, [(i, i + 1) for i in range(5)])
@@ -702,3 +754,47 @@ class TestLargeComponents:
         verdict = solve(inst, DIST13, mode="consistency", debug=True)
         assert time.perf_counter() - start < 5.0
         assert verdict.status == "sat" and verdict.stats.components == n
+
+
+@st.composite
+def small_cases(draw):
+    """A template of binary and ternary relations with offsets in [-3, 3],
+    FULL and EMPTY bodies among them, and an instance of at most 5
+    variables over it, repeated variables allowed."""
+    n = draw(st.integers(1, 5))
+    relations = []
+    for idx in range(draw(st.integers(1, 3))):
+        arity = draw(st.sampled_from((2, 3)))
+        offsets = st.tuples(*[st.integers(-3, 3)] * (arity - 1))
+        kind = draw(st.sampled_from(("tuples",) * 3 + ("full", "empty")))
+        body = kind if kind != "tuples" else tuple(draw(st.lists(offsets, min_size=1, max_size=4)))
+        relations.append(RelationDef(f"r{idx}", arity, body))
+    atoms = st.sampled_from(relations).flatmap(
+        lambda rel: st.tuples(st.just(rel.name), st.tuples(*[st.integers(0, n - 1)] * rel.arity))
+    )
+    constraints = draw(st.lists(atoms, max_size=10))
+    return (
+        Instance(n, tuple(Constraint(name, args) for name, args in constraints)),
+        Template("drawn", tuple(relations)),
+    )
+
+
+class TestDecisionContract:
+    @settings(max_examples=300, deadline=3000)
+    @given(small_cases())
+    # drawn cases rarely get extraction stuck; the first two do, unsat and
+    # sat, and the third has pairwise-consistent values outside its relation
+    @example((graph_instance("dist12", 4, complete_edges(4)), DIST12))
+    @example((FAN, Template("t", DIST12.relations + (RelationDef("spare", 3, ((3, -3),)),))))
+    @example((Instance(3, (Constraint("r", (0, 1, 2)),)), TWODEC_FALSE))
+    def test_every_mode_agrees_with_the_oracle(self, case):
+        # auto and brute always decide instances this small; consistency may
+        # leave them undecided, but never decides them wrongly
+        inst, t = case
+        expected = "sat" if oracle_decides(inst, t) else "unsat"
+        for mode in MODES:
+            verdict = solve(inst, t, mode=mode, debug=True)
+            if mode != "consistency" or verdict.status != "unknown":
+                assert verdict.status == expected, mode
+            if verdict.status == "sat":
+                assert verify_assignment(inst, t, verdict.witness) == (True, None)
