@@ -124,8 +124,19 @@ class OffsetSet:
         if a is None or b is None:
             return _FULL
         _check_span(a.bit_length() + b.bit_length() - 1)
-        # shift the denser mask once per member of the sparser set
-        if a.bit_count() < b.bit_count():
+        # A mask of c >= 2 members, top bit t, is the progression of step
+        # g = t / (c - 1) exactly when shifting it down by g drops only its
+        # top member.  Two progressions of one step g, of ca and cb members,
+        # sum to the repunit ((1 << g*(ca+cb-1)) - 1) // ((1 << g) - 1):
+        # one mask stacked on the other's top member, in linear time.
+        ca, cb = a.bit_count(), b.bit_count()
+        if ca > 1 and cb > 1:
+            ta, tb = a.bit_length() - 1, b.bit_length() - 1
+            g = ta // (ca - 1)
+            if a >> g == a ^ (1 << ta) and b >> g == b ^ (1 << tb):
+                return _make(self.lo + other.lo, b | a << tb)
+        # otherwise shift the denser mask once per member of the sparser set
+        if ca < cb:
             sparse, wide = self, b
         else:
             sparse, wide = other, a

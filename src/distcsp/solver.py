@@ -237,9 +237,9 @@ class PairMatrix:
     `adjacency`, whose variables `split_components` numbered in canonical
     order.  `cells` holds one set per completion edge, in both
     orientations; `get` answers FULL for any other pair, which neither a
-    constraint nor a triangle of the completion ever bounds.  The mirror
-    invariant S(P(l,k)) = -S(P(k,l)) is maintained on every update; both
-    directions of a pair change atomically.
+    constraint nor a triangle of the completion ever bounds.  Every update
+    writes both orientations, keeping the mirror invariant
+    S(P(l,k)) = -S(P(k,l)).
     """
 
     def __init__(self, size: int, variable_ids: list[int], adjacency: list[set[int]]):
@@ -255,10 +255,6 @@ class PairMatrix:
     def get(self, k: int, l: int) -> OffsetSet:
         return self.cells.get((k, l), _FULL)
 
-    def set_pair(self, k: int, l: int, value: OffsetSet) -> None:
-        self.cells[(k, l)] = value
-        self.cells[(l, k)] = -value
-
 
 def initialize_pairs(inst: Instance, t: Template, variable_ids: list[int] | None = None) -> PairMatrix:
     """Pair matrix for one preprocessed component.
@@ -266,10 +262,12 @@ def initialize_pairs(inst: Instance, t: Template, variable_ids: list[int] | None
     Pairs sharing a constraint start at the intersection of the projections
     of all covering constraints (intersecting every conjunct instead of
     picking one is sound and only tightens); fill edges of the completion
-    start FULL.
+    start FULL.  The mirror cell P(l,k) takes the reverse projection, which
+    the relation caches like the forward one, so nothing is negated.
     """
     size = inst.num_vars
     matrix = PairMatrix(size, variable_ids or list(range(size)), co_occurrence_adjacency(inst))
+    cells = matrix.cells
     for c in inst.constraints:
         rel = t.relation(c.relation)
         if len(set(c.args)) != len(c.args) or rel.is_empty:
@@ -281,8 +279,9 @@ def initialize_pairs(inst: Instance, t: Template, variable_ids: list[int] | None
         for pi in range(len(c.args)):
             for pj in range(pi + 1, len(c.args)):
                 k, l = c.args[pi], c.args[pj]
-                tightened = matrix.get(k, l) & project_constraint(rel, pi + 1, pj + 1)
-                matrix.set_pair(k, l, tightened)
+                tightened = cells[(k, l)] & project_constraint(rel, pi + 1, pj + 1)
+                cells[(k, l)] = tightened
+                cells[(l, k)] &= project_constraint(rel, pj + 1, pi + 1)
                 if tightened.is_empty:
                     matrix.empty_pair = (k, l)
     return matrix
@@ -328,18 +327,26 @@ def propagate(
     finite and shrank since it was last popped; at the start, every finite
     edge.  Popping {k, l} revises, for every common neighbour m of k and l
     in the completion, P(k,m) via l and P(l,m) via k, and queues each
-    revised cell that shrank.  `PairMatrix.set_pair` writes the mirror
-    cell, so each pair is revised in one orientation.
+    revised cell that shrank.  Each revision writes the mirror cell too, so
+    each pair is revised in one orientation.  A revision of a finite cell
+    that reads a pair still in the worklist is deferred: it is skipped,
+    since that pair's pop runs it again.
 
     The drained queue is the fixpoint over the triangles of the completion:
     a revision X <- X & (A + B) can shrink X only when A and B are both
     finite.  Every finite cell is queued at the start and whenever it
-    shrinks, and popping it re-runs every revision that reads it (revising
-    (l, k) via m gives the negation of revising (k, l) via m).  So the later
-    of the pops of A and B ran the revision on their final values, and X
-    has only shrunk since: every revision is a no-op.  The greatest fixpoint
-    is unique, so it is the same cell for cell whatever the order of
-    revisions.
+    shrinks, and popping it runs every revision that reads it (revising
+    (l, k) via m gives the negation of revising (k, l) via m), save those
+    deferred to the other operand's pop.  Take the later of the last pops
+    of A and B, say A's.  A does not change during its own pop, and B is
+    not queued when the revision comes up there, or B would be popped again
+    later; so the revision ran, undeferred, on the final values of A and B,
+    and X has only shrunk since: every revision is a no-op.  Revisions of a
+    FULL cell are never deferred.  That costs nothing in soundness, but a
+    cell made finite early starts its own propagation early: deferring them
+    too stretched the 31-vertex odd `dist13` cycle from 30 pops to 58.  The
+    greatest fixpoint is unique, so it is the same cell for cell whatever
+    the order of revisions.
 
     Partial path consistency on the chordal completion decides median-closed
     templates, although it closes fewer triangles than full path
@@ -366,9 +373,11 @@ def propagate(
     unsat answers stay sound either way.
 
     Each sumset A + B is computed once per call and then read from a memo
-    keyed on the (lo, mask) pairs of A and B; offset sets are values, so
-    equal keys give equal sums, and a sum over the span cap raises on its
-    first computation as before.
+    keyed on the (lo, mask) pairs of A and B, and each new cell is negated
+    once per value for its mirror; offset sets are values, so equal keys
+    give equal results, and a sum over the span cap raises on its first
+    computation as before.  `(A + B) & X` returns X itself exactly when the
+    sum covers X, so a no-op revision is told by identity.
 
     Propagation stops as soon as some pair empties.  When debug is set, the
     replacement budget is enforced and, on reaching a fixpoint, every
@@ -389,22 +398,29 @@ def propagate(
     pending = deque(sorted((k, l) for k, l in bounded if k < l))
     queued = set(pending)
     sums: dict[tuple[int, int | None, int, int], OffsetSet] = {}
+    negations: dict[tuple[int, int], OffsetSet] = {}
 
     def revise(x: int, m: int, via: int, left: OffsetSet) -> bool:
         """P(x,m) <- P(x,m) & (left + P(via,m)), left being P(x,via);
         queues the pair if it shrank and tells whether it emptied."""
         right = cells[(via, m)]
-        if right.is_full:
+        if right.mask is None:
+            return False
+        old = cells[(x, m)]
+        if old.mask is not None and ((via, m) if via < m else (m, via)) in queued:
             return False
         key = (left.lo, left.mask, right.lo, right.mask)
         total = sums.get(key)
         if total is None:
             total = sums[key] = left + right
-        old = cells[(x, m)]
-        new = old & total
-        if new == old:
+        new = total & old
+        if new is old:
             return False
-        matrix.set_pair(x, m, new)
+        key = (new.lo, new.mask)
+        mirror = negations.get(key)
+        if mirror is None:
+            mirror = negations[key] = -new
+        cells[(x, m)], cells[(m, x)] = new, mirror
         stats.proper_replacements += 1
         if old.is_full:
             stats.full_to_finite += 1
@@ -463,7 +479,11 @@ def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[i
         for i in matrix.neighbours[j]:
             if i < j:
                 candidates &= matrix.cells[(i, j)].shifted(values[i])
-
+        if candidates.is_empty:
+            return None
+        if not due[j]:
+            values[j] = candidates.lo  # the least candidate; 0 when FULL
+            continue
         # when only FULL pairs constrain j, any value works for those
         for value in (0,) if candidates.is_full else candidates.offsets:
             values[j] = value

@@ -210,7 +210,85 @@ class TestOffsetSetAgainstPlainSets:
         assert (a == OffsetSet.full()) is False
 
 
+def progression(lo: int, step: int, count: int) -> list[int]:
+    return [lo + step * i for i in range(count)]
+
+
+# progressions from -10^4..10^4 of up to 40 members, singletons included
+progressions = st.builds(
+    progression, st.integers(-10_000, 10_000), st.integers(1, 60), st.integers(1, 40)
+)
+
+
+def assert_plain_sumset(xs, ys) -> None:
+    total = OffsetSet.of(xs) + OffsetSet.of(ys)
+    expected = {x + y for x in xs for y in ys}
+    assert offsets(total) == tuple(sorted(expected))
+    assert total == OffsetSet.of(expected)
+    assert_normalised(total)
+
+
+class TestProgressionSum:
+    """`+` sums two progressions of one step in closed form and every other
+    pair of sets by shifts; both must give the plain-set sumset."""
+
+    @given(
+        st.integers(-10_000, 10_000),
+        st.integers(-10_000, 10_000),
+        st.integers(1, 60),
+        st.integers(1, 40),
+        st.integers(1, 40),
+    )
+    def test_equal_steps(self, lo_a, lo_b, step, ca, cb):
+        assert_plain_sumset(progression(lo_a, step, ca), progression(lo_b, step, cb))
+
+    @given(progressions, progressions)
+    def test_any_steps(self, xs, ys):
+        assert_plain_sumset(xs, ys)
+
+    @given(progressions, member_lists)
+    def test_progression_and_any_set(self, xs, ys):
+        assert_plain_sumset(xs, ys)
+        assert_plain_sumset(ys, xs)
+
+    def test_seeded_operands(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            step = rng.randint(1, 9)
+            xs = progression(rng.randint(-300, 300), step, rng.randint(1, 12))
+            ys = rng.choice(
+                [
+                    progression(rng.randint(-300, 300), step, rng.randint(1, 12)),
+                    progression(rng.randint(-300, 300), rng.randint(1, 9), rng.randint(1, 12)),
+                    [rng.randint(-300, 300)],
+                    xs[:-1] + [xs[-1] + 1],  # not a progression: the last gap widened
+                    [rng.randint(-30, 30) for _ in range(rng.randint(2, 6))],
+                ]
+            )
+            assert_plain_sumset(xs, ys)
+
+    def test_negative_bases(self):
+        assert_plain_sumset([-9, -6, -3], [-40, -37])
+        assert_plain_sumset([-1], [-5, -3, -1, 1])
+        assert offsets(OffsetSet.of([-3, -1, 1, 3]) + OffsetSet.of([-3, -1, 1, 3])) == tuple(
+            range(-6, 7, 2)
+        )
+
+
 class TestSpanCap:
+    def test_progression_sum_refuses_a_wider_set(self):
+        # 2**20 - 1 = 5 * 209715: steps of 209715 reach MAX_SPAN exactly
+        step = (MAX_SPAN - 1) // 5
+        three, four = OffsetSet.of(progression(-7, step, 3)), OffsetSet.of(progression(5, step, 4))
+        total = three + four
+        assert offsets(total) == tuple(progression(-2, step, 6))
+        assert total.mask.bit_length() == MAX_SPAN
+        with pytest.raises(CapExceededError):
+            four + four
+        wide = OffsetSet.of(progression(0, MAX_SPAN // 4, 3))
+        with pytest.raises(CapExceededError):
+            wide + wide
+
     def test_constructor_refuses_a_wider_set(self):
         assert offsets(OffsetSet.of([0, MAX_SPAN - 1])) == (0, MAX_SPAN - 1)
         with pytest.raises(CapExceededError):

@@ -403,6 +403,43 @@ class TestPropagate:
         monkeypatch.undo()
         assert computed and max(computed.values()) == 1
 
+    @pytest.mark.parametrize(
+        "inst",
+        [graph_instance("dist13", r * c, grid_edges(r, c)) for r, c in ((4, 4), (5, 5), (3, 7))]
+        + [graph_instance("dist13", n, cycle_edges(n)) for n in (17, 31)],
+        ids=["grid4x4", "grid5x5", "grid3x7", "cycle17", "cycle31"],
+    )
+    def test_deferred_revisions_reach_the_reference_fixpoint(self, inst):
+        # a revision deferred to the pop of the queued pair it reads still
+        # runs; the odd cycles empty and the grids close
+        matrix = initialize_pairs(inst, DIST13)
+        edges = completion_edges(matrix, inst)
+        propagate(matrix, debug=True)
+        for (k, l), cell in matrix.cells.items():
+            assert matrix.get(l, k) == -cell
+        reference = oracle_pair_closure(inst, DIST13, edges)
+        if reference is None:
+            assert matrix.empty_pair is not None
+        else:
+            assert matrix.empty_pair is None
+            assert cell_sets(matrix) == reference
+
+    def test_deferral_saves_intersections(self, monkeypatch):
+        # running every revision of every pop took 1,067 intersections here
+        calls = 0
+        intersect = OffsetSet.__and__
+
+        def counting_and(a, b):
+            nonlocal calls
+            calls += 1
+            return intersect(a, b)
+
+        matrix = initialize_pairs(graph_instance("dist13", 25, grid_edges(5, 5)), DIST13)
+        monkeypatch.setattr(OffsetSet, "__and__", counting_and)
+        propagate(matrix)
+        monkeypatch.undo()
+        assert 0 < calls < 1067
+
     def test_mirror_invariant_at_fixpoint(self):
         rng = random.Random(4)
         for i in range(20):
@@ -587,6 +624,18 @@ class TestSolve:
             inst = graph_instance("dist12", n, complete_edges(n))
             assert solve(inst, t, mode="consistency").status == "unknown"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", ["auto", "consistency"])
+    def test_dist13_witnesses_are_pinned(self, mode):
+        # least witnesses: 3 down per hop from vertex 0 along a shortest path
+        cases = [
+            (graph_instance("dist13", 24, [(i, i + 1) for i in range(23)]), lambda i: i),
+            (graph_instance("dist13", 24, cycle_edges(24)), lambda i: min(i, 24 - i)),
+            (graph_instance("dist13", 25, grid_edges(5, 5)), lambda i: i // 5 + i % 5),
+        ]
+        for inst, hops in cases:
+            verdict = solve(inst, DIST13, mode=mode, debug=True)
+            assert verdict.witness == tuple(-3 * hops(i) for i in range(inst.num_vars))
 
     def test_unconstrained_instance(self):
         verdict = solve(Instance(1, ()), DIST13)
