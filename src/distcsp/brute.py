@@ -73,9 +73,10 @@ def _component_plans(inst: Instance, t: Template):
                 a, b = c.args[pi], c.args[pj]
                 if a == b:
                     continue
-                allowed = projected_offsets(rel, pi + 1, pj + 1)
-                if a > b:
-                    a, b, allowed = b, a, frozenset(-s for s in allowed)
+                if a < b:
+                    allowed = projected_offsets(rel, pi + 1, pj + 1)
+                else:
+                    a, b, allowed = b, a, projected_offsets(rel, pj + 1, pi + 1)
                 pair_sets[a, b] = pair_sets.get((a, b), allowed) & allowed
         plans.append((comp, pair_sets, sub))
     return plans

@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable
 
 from .errors import CapExceededError, InputError, InternalInvariantError
@@ -102,58 +103,66 @@ def preprocess(inst: Instance, t: Template) -> Preprocessed:
 
     A constraint using the same variable several times is rewritten over its
     distinct variables by keeping exactly the orbits whose components agree
-    at the repeated positions.  Unary leftovers are all of Z (dropped) or
-    empty (unsatisfiable).  Duplicate constraints are dropped.
+    at the repeated positions, under a name no relation of t has.  Unary
+    leftovers are all of Z (dropped) or empty (unsatisfiable).  Duplicate
+    constraints are dropped.  The same pass does `Instance.validate_against`'s
+    checks; an instance that needs no change comes back as it is.
     """
-    inst.validate_against(t)
     derived: dict[str, RelationDef] = {}
     kept: list[Constraint] = []
-    seen: set[Constraint] = set()
+    seen: set[tuple[str, tuple[int, ...]]] = set()
 
-    def keep(c: Constraint) -> None:
-        if c not in seen:
-            seen.add(c)
-            kept.append(c)
+    def unsat() -> Preprocessed:
+        # a malformed constraint is an error even after an unsatisfiable one
+        inst.validate_against(t)
+        return Preprocessed(inst, t, True)
 
     for c in inst.constraints:
         rel = t.relation(c.relation)
-        if rel.is_empty:
-            return Preprocessed(inst, t, True)
-        if len(set(c.args)) == len(c.args):
-            if rel.arity == 1:
-                continue  # unary FULL says nothing
-            keep(c)
-            continue
-        # positions of first occurrences, in order
-        order: list[int] = []
-        slot: dict[int, int] = {}
-        for a in c.args:
-            if a not in slot:
-                slot[a] = len(order)
-                order.append(a)
-        pattern = "".join(str(slot[a]) for a in c.args)
-        arity = len(order)
-        body = rel.body  # a FULL relation stays FULL
-        if rel.has_tuples:
-            first_pos = [c.args.index(v) for v in order]
-            filtered = set()
-            for v in rel.offset_tuples:
-                w = (0, *v)
-                if all(w[i] == w[first_pos[slot[c.args[i]]]] for i in range(len(c.args))):
-                    filtered.add(tuple(w[p] - w[first_pos[0]] for p in first_pos[1:]))
-            if not filtered:
-                return Preprocessed(inst, t, True)
-            body = tuple(filtered)
-        if arity == 1:
-            continue  # FULL, or some orbit survives at every base point
-        name = f"{rel.name}~{pattern}"
-        derived.setdefault(name, RelationDef(name, arity, body))
-        keep(Constraint(name, tuple(order)))
+        if len(c.args) != rel.arity or rel.is_empty:
+            return unsat()  # validation raises on the arity mismatch
+        if len(set(c.args)) < len(c.args):
+            # positions of first occurrences, in order
+            order: list[int] = []
+            slot: dict[int, int] = {}
+            for a in c.args:
+                if a not in slot:
+                    slot[a] = len(order)
+                    order.append(a)
+            pattern = "".join(str(slot[a]) for a in c.args)
+            arity = len(order)
+            body = rel.body  # a FULL relation stays FULL
+            if rel.has_tuples:
+                first_pos = [c.args.index(v) for v in order]
+                filtered = set()
+                for v in rel.offset_tuples:
+                    w = (0, *v)
+                    if all(w[i] == w[first_pos[slot[c.args[i]]]] for i in range(len(c.args))):
+                        filtered.add(tuple(w[p] - w[first_pos[0]] for p in first_pos[1:]))
+                if not filtered:
+                    return unsat()
+                body = tuple(filtered)
+            if arity == 1:
+                continue  # FULL, or some orbit survives at every base point
+            # a pattern has no "~", so only a relation of t can take the name
+            name = f"{rel.name}~{pattern}"
+            while any(r.name == name for r in t.relations):
+                name += "~"
+            derived.setdefault(name, RelationDef(name, arity, body))
+            c = _trusted(Constraint, relation=name, args=tuple(order))
+        elif rel.arity == 1:
+            continue  # unary FULL says nothing
+        key = (c.relation, c.args)
+        if key not in seen:
+            seen.add(key)
+            kept.append(c)
 
-    template = t
-    if derived:
-        template = Template(t.name, t.relations + tuple(derived.values()))
-    return Preprocessed(Instance(inst.num_vars, tuple(kept)), template, False)
+    if not derived and len(kept) == len(inst.constraints):
+        return Preprocessed(inst, t, False)
+    template = Template(t.name, t.relations + tuple(derived.values())) if derived else t
+    return Preprocessed(
+        _trusted(Instance, num_vars=inst.num_vars, constraints=tuple(kept)), template, False
+    )
 
 
 def co_occurrence_adjacency(inst: Instance) -> list[set[int]]:
@@ -161,7 +170,9 @@ def co_occurrence_adjacency(inst: Instance) -> list[set[int]]:
     adjacency: list[set[int]] = [set() for _ in range(inst.num_vars)]
     for c in inst.constraints:
         for a in c.args:
-            adjacency[a].update(b for b in c.args if b != a)
+            adjacency[a].update(c.args)
+    for v, neighbours in enumerate(adjacency):
+        neighbours.discard(v)
     return adjacency
 
 
@@ -190,20 +201,26 @@ def split_components(inst: Instance) -> list[tuple[list[int], Instance]]:
     lowest one, neighbours in ascending order) and the instance it induces,
     with those variables renumbered 0..m-1 in that order, so the canonical
     order of every component is index order; the constraints are
-    distributed in one pass.
+    distributed in one pass.  A connected instance already in canonical
+    order, such as a component split off before, comes back as it is.
     """
+    size = inst.num_vars
     adjacency = co_occurrence_adjacency(inst)
-    place: dict[int, tuple[list[Constraint], int]] = {}
+    index = [0] * size
+    owner: list[list[Constraint] | None] = [None] * size
     components = []
-    for start in range(inst.num_vars):
-        if start not in place:
+    for start in range(size):
+        if owner[start] is None:
             variables = list(bfs_depths(adjacency, start))
+            if len(variables) == size and variables == list(range(size)):
+                return [(variables, inst)]
             constraints: list[Constraint] = []
-            place.update((v, (constraints, i)) for i, v in enumerate(variables))
+            for i, v in enumerate(variables):
+                index[v], owner[v] = i, constraints
             components.append((variables, constraints))
     for c in inst.constraints:
-        args = tuple(place[a][1] for a in c.args)
-        place[c.args[0]][0].append(_trusted(Constraint, relation=c.relation, args=args))
+        args = tuple(map(index.__getitem__, c.args))
+        owner[c.args[0]].append(_trusted(Constraint, relation=c.relation, args=args))
     return [
         (variables, _trusted(Instance, num_vars=len(variables), constraints=tuple(cs)))
         for variables, cs in components
@@ -236,18 +253,25 @@ class PairMatrix:
     `neighbours` is the `chordal_completion` of the co-occurrence graph
     `adjacency`, whose variables `split_components` numbered in canonical
     order.  `cells` holds one set per completion edge, in both
-    orientations; `get` answers FULL for any other pair, which neither a
-    constraint nor a triangle of the completion ever bounds.  Every update
-    writes both orientations, keeping the mirror invariant
-    S(P(l,k)) = -S(P(k,l)).
+    orientations: the given cells of the pairs that constraints bound, and
+    FULL on every other completion edge; `get` answers FULL for any other
+    pair, which neither a constraint nor a triangle of the completion ever
+    bounds.  Every update writes both orientations, keeping the mirror
+    invariant S(P(l,k)) = -S(P(k,l)).
     """
 
-    def __init__(self, size: int, variable_ids: list[int], adjacency: list[set[int]]):
+    def __init__(
+        self,
+        size: int,
+        variable_ids: list[int],
+        adjacency: list[set[int]],
+        cells: dict[tuple[int, int], OffsetSet],
+    ):
         self.size = size
         self.variable_ids = list(variable_ids)
         self.neighbours = chordal_completion(adjacency)
-        self.cells: dict[tuple[int, int], OffsetSet] = {
-            (k, l): _FULL for k in range(size) for l in self.neighbours[k]
+        self.cells = {
+            (k, l): cells.get((k, l), _FULL) for k, row in enumerate(self.neighbours) for l in row
         }
         self.stats = SolveStats()
         self.empty_pair: tuple[int, int] | None = None
@@ -257,33 +281,50 @@ class PairMatrix:
 
 
 def initialize_pairs(inst: Instance, t: Template, variable_ids: list[int] | None = None) -> PairMatrix:
-    """Pair matrix for one preprocessed component.
+    """Pair matrix for one preprocessed component, in one pass over its constraints.
 
     Pairs sharing a constraint start at the intersection of the projections
     of all covering constraints (intersecting every conjunct instead of
     picking one is sound and only tightens); fill edges of the completion
-    start FULL.  The mirror cell P(l,k) takes the reverse projection, which
-    the relation caches like the forward one, so nothing is negated.
+    start FULL.  Each relation's coordinate pairs, with the forward and
+    reverse projections it caches, are looked up once per call; the mirror
+    cell P(l,k) takes the reverse one, so nothing is negated.
     """
     size = inst.num_vars
-    matrix = PairMatrix(size, variable_ids or list(range(size)), co_occurrence_adjacency(inst))
-    cells = matrix.cells
+    adjacency: list[set[int]] = [set() for _ in range(size)]
+    cells: dict[tuple[int, int], OffsetSet] = {}
+    plans: dict[str, list[tuple[int, int, OffsetSet, OffsetSet]] | None] = {}
+    empty_pair = None
     for c in inst.constraints:
-        rel = t.relation(c.relation)
-        if len(set(c.args)) != len(c.args) or rel.is_empty:
+        args = c.args
+        for a in args:
+            adjacency[a].update(args)
+        if c.relation not in plans:
+            rel = t.relation(c.relation)
+            coords = combinations(range(1, rel.arity + 1), 2) if rel.has_tuples else ()
+            plans[c.relation] = None if rel.is_empty else [
+                (i - 1, j - 1, project_constraint(rel, i, j), project_constraint(rel, j, i))
+                for i, j in coords
+            ]
+        plan = plans[c.relation]
+        if plan is None or len(set(args)) != len(args):
             raise InputError(
                 f"constraint {c.relation}{c.args} repeats a variable or is EMPTY; preprocess first"
             )
-        if rel.is_full:
-            continue
-        for pi in range(len(c.args)):
-            for pj in range(pi + 1, len(c.args)):
-                k, l = c.args[pi], c.args[pj]
-                tightened = cells[(k, l)] & project_constraint(rel, pi + 1, pj + 1)
-                cells[(k, l)] = tightened
-                cells[(l, k)] &= project_constraint(rel, pj + 1, pi + 1)
-                if tightened.is_empty:
-                    matrix.empty_pair = (k, l)
+        for i, j, forward, reverse in plan:
+            k, l = args[i], args[j]
+            old = cells.get((k, l))
+            if old is None:
+                cells[(k, l)], cells[(l, k)] = forward, reverse
+                continue
+            cells[(k, l)] = tightened = old & forward
+            cells[(l, k)] &= reverse
+            if tightened.is_empty:
+                empty_pair = (k, l)
+    for v, neighbours in enumerate(adjacency):
+        neighbours.discard(v)
+    matrix = PairMatrix(size, variable_ids or list(range(size)), adjacency, cells)
+    matrix.empty_pair = empty_pair
     return matrix
 
 
@@ -326,8 +367,10 @@ def propagate(
     The worklist holds the completion edges {k, l}, k < l, whose cell is
     finite and shrank since it was last popped; at the start, every finite
     edge.  Popping {k, l} revises, for every common neighbour m of k and l
-    in the completion, P(k,m) via l and P(l,m) via k, and queues each
-    revised cell that shrank.  Each revision writes the mirror cell too, so
+    in the completion, P(k,m) via l and then P(l,m) via k, and queues each
+    revised cell that shrank.  The triangle's two cells are read once: the
+    second revision takes the first one's result for P(k,m), and neither
+    reads the dict again.  Each revision writes the mirror cell too, so
     each pair is revised in one orientation.  A revision of a finite cell
     that reads a pair still in the worklist is deferred: it is skipped,
     since that pair's pop runs it again.
@@ -400,22 +443,20 @@ def propagate(
     sums: dict[tuple[int, int | None, int, int], OffsetSet] = {}
     negations: dict[tuple[int, int], OffsetSet] = {}
 
-    def revise(x: int, m: int, via: int, left: OffsetSet) -> bool:
-        """P(x,m) <- P(x,m) & (left + P(via,m)), left being P(x,via);
-        queues the pair if it shrank and tells whether it emptied."""
-        right = cells[(via, m)]
+    def revise(x: int, m: int, via: int, left: OffsetSet, right: OffsetSet, old: OffsetSet):
+        """P(x,m) <- old & (left + right), old being P(x,m), left P(x,via) and
+        right P(via,m); returns the new P(x,m), queued if it shrank."""
         if right.mask is None:
-            return False
-        old = cells[(x, m)]
+            return old
         if old.mask is not None and ((via, m) if via < m else (m, via)) in queued:
-            return False
+            return old
         key = (left.lo, left.mask, right.lo, right.mask)
         total = sums.get(key)
         if total is None:
             total = sums[key] = left + right
         new = total & old
         if new is old:
-            return False
+            return old
         key = (new.lo, new.mask)
         mirror = negations.get(key)
         if mirror is None:
@@ -428,12 +469,12 @@ def propagate(
             trace(f"pair=({ids[x]},{ids[m]}) via {ids[via]} old={old} new={new}")
         if new.is_empty:
             matrix.empty_pair = (x, m)
-            return True
+            return new
         key = (x, m) if x < m else (m, x)
         if key not in queued:
             queued.add(key)
             pending.append(key)
-        return False
+        return new
 
     while pending and matrix.empty_pair is None:
         k, l = pair = pending.popleft()
@@ -441,7 +482,9 @@ def propagate(
         stats.sweeps += 1
         forward, backward = cells[pair], cells[(l, k)]
         for m in sorted(neighbours[k] & neighbours[l]):
-            if revise(k, m, l, forward) or revise(l, m, k, backward):
+            km, lm = cells[(k, m)], cells[(l, m)]
+            km = revise(k, m, l, forward, lm, km)
+            if km.mask == 0 or revise(l, m, k, backward, km, lm).mask == 0:
                 break
     if debug:
         budget += stats.full_to_finite * (2 * matrix.size * widest + 1)

@@ -12,7 +12,7 @@ from distcsp.cli import run_cli
 from distcsp.endomorphism import PeriodicMapSpec, format_map_spec
 from distcsp.errors import CapExceededError, InternalInvariantError
 from distcsp.formats import instance_to_dict, template_to_dict, to_json
-from distcsp.model import Template
+from distcsp.model import Constraint, Instance, RelationDef, Template
 from helpers import (
     DIST12,
     DIST13,
@@ -178,6 +178,20 @@ class TestSolve:
         assert report == {"verdict": "sat", "witness": [0] * n}
         assert err == ""
 
+
+    def test_derived_relation_name_cannot_clash(self, files, capsys):
+        # preprocess rewrites r(0,0,1) under a name other than the user's r~001
+        t = Template("t", (RelationDef("r", 3, ((0, 1), (1, 1))), binary_relation("r~001", (1,))))
+        inst = Instance(2, (Constraint("r", (0, 0, 1)), Constraint("r~001", (0, 1))))
+        paths = []
+        for name, doc in (("clash_t.json", template_to_dict(t)), ("clash.json", instance_to_dict(inst))):
+            path = files["dir"] / name
+            path.write_text(to_json(doc))
+            paths.append(str(path))
+        code, report, err = run(capsys, ["solve", *paths])
+        assert code == 0
+        assert report == {"verdict": "sat", "witness": [0, 1]}
+        assert err == ""
 
     def test_span_cap_maps_to_unknown(self, files, capsys):
         # pair sets over offsets +-10^9 would need masks of 2*10^9 bits

@@ -13,6 +13,7 @@ from distcsp.errors import InputError, InternalInvariantError
 from distcsp.model import Constraint, Instance, OffsetSet, RelationDef, Template
 from distcsp.solver import (
     MODES,
+    SolveStats,
     bfs_depths,
     chordal_completion,
     co_occurrence_adjacency,
@@ -92,8 +93,34 @@ class TestPreprocess:
     def test_no_repeats_is_untouched(self):
         inst = Instance(2, (Constraint("dist13", (0, 1)),))
         prep = preprocess(inst, DIST13)
-        assert prep.instance.constraints == inst.constraints
+        assert prep.instance is inst
         assert prep.template is DIST13
+
+    def test_arity_checked_in_the_same_pass(self):
+        inst = Instance(3, (Constraint("dist13", (0, 1)), Constraint("dist13", (0, 1, 2))))
+        with pytest.raises(InputError, match=r"relation has arity 2, got 3 arguments"):
+            preprocess(inst, DIST13)
+        # a malformed constraint is reported even behind an EMPTY one
+        t = Template("t", (RelationDef("e", 2, "empty"), binary_relation("r", (1,))))
+        inst = Instance(3, (Constraint("e", (0, 1)), Constraint("r", (0, 1, 2))))
+        with pytest.raises(InputError, match=r"r\(0, 1, 2\): relation has arity 2, got 3"):
+            preprocess(inst, t)
+
+    def test_derived_name_avoids_the_template_names(self):
+        t = Template(
+            "t",
+            (
+                RelationDef("r", 3, ((0, 1), (1, 1))),
+                binary_relation("r~001", (1,)),
+                binary_relation("r~001~", (5,)),
+            ),
+        )
+        inst = Instance(2, (Constraint("r", (0, 0, 1)), Constraint("r~001", (0, 1))))
+        prep = preprocess(inst, t)
+        assert [c.relation for c in prep.instance.constraints] == ["r~001~~", "r~001"]
+        assert prep.template.relation("r~001~~").offset_tuples == ((1,),)
+        verdict = solve(inst, t, debug=True)
+        assert verdict.status == "sat" and verdict.witness == (0, 1)
 
     def test_empty_relation_is_unsatisfiable(self):
         t = Template("t", (RelationDef("r", 2, "empty"),))
@@ -222,7 +249,107 @@ class TestComponents:
             assert sub == Instance(sub.num_vars, revalidated)
 
 
+    def test_split_returns_a_canonical_instance_itself(self):
+        # a path numbered along itself, and every component split off before
+        path = graph_instance("r", 5, [(i, i + 1) for i in range(4)])
+        ((variables, sub),) = split_components(path)
+        assert variables == [0, 1, 2, 3, 4] and sub is path
+        ((_, hexagon),) = split_components(graph_instance("r", 6, cycle_edges(6)))
+        ((variables, sub),) = split_components(hexagon)
+        assert variables == list(range(6)) and sub is hexagon
+
+    def test_split_renumbers_along_the_reference_order(self):
+        rng = random.Random(17)
+        same = renumbered = 0
+        for i in range(150):
+            t = random_any_template(rng, f"t{i}")
+            inst = random_connected_instance(t, rng.randint(1, 6), rng, extra=1)
+            if i % 2:
+                inst, t = disjoint_union((inst, t), (inst, t))
+            perm = list(range(inst.num_vars))
+            if i % 3:
+                rng.shuffle(perm)
+            inst = Instance(
+                inst.num_vars,
+                tuple(Constraint(c.relation, tuple(perm[a] for a in c.args)) for c in inst.constraints),
+            )
+            split = split_components(inst)
+            assert [sorted(variables) for variables, _ in split] == components_of(inst)
+            if len(split) == 1 and split[0][1] is inst:
+                assert split[0][0] == bfs_order(inst) == list(range(inst.num_vars))
+                same += 1
+                continue
+            for variables, sub in split:
+                assert variables == bfs_order(inst, variables[0])
+                index = {v: i for i, v in enumerate(variables)}
+                expected = tuple(
+                    Constraint(c.relation, tuple(index[a] for a in c.args))
+                    for c in inst.constraints
+                    if c.args[0] in index
+                )
+                assert sub == Instance(len(variables), expected)
+                renumbered += 1
+        assert same >= 10 and renumbered >= 100
+
+
 class TestInitializePairs:
+    def test_one_pass_matches_the_definition(self):
+        # every covering projection intersected as plain sets, FULL on the
+        # other completion edges; pairs are bound in both orientations, by
+        # ternary and FULL relations, and some empty out
+        rng = random.Random(21)
+        extra = (
+            RelationDef("f2", 2, "full"),
+            RelationDef("f3", 3, "full"),
+            binary_relation("one", (1,)),
+            binary_relation("two", (2, 3)),
+        )
+        emptied = both = 0
+        for i in range(200):
+            base = random_any_template(rng, f"t{i}")
+            t = Template(base.name, base.relations + extra)
+            n = rng.randint(3, 6)
+            inst = Instance(
+                n,
+                tuple(
+                    Constraint(rel.name, tuple(rng.sample(range(n), rel.arity)))
+                    for rel in rng.choices(t.relations, k=rng.randint(1, 8))
+                ),
+            )
+            matrix = initialize_pairs(inst, t)
+            reference = {}
+            for c in inst.constraints:
+                rel = t.relation(c.relation)
+                if rel.is_full:
+                    continue
+                rows = [(0, *v) for v in rel.offset_tuples]
+                for a, k in enumerate(c.args):
+                    for b, l in enumerate(c.args):
+                        if a != b:
+                            gaps = {w[b] - w[a] for w in rows}
+                            reference[k, l] = reference.get((k, l), gaps) & gaps
+            oriented = {
+                (c.args[a], c.args[b])
+                for c in inst.constraints
+                if not t.relation(c.relation).is_full
+                for a in range(len(c.args))
+                for b in range(a + 1, len(c.args))
+            }
+            both += any((l, k) in oriented for k, l in oriented)
+            filled = chordal_completion(co_occurrence_adjacency(inst))
+            for k in range(n):
+                for l in filled[k]:
+                    reference.setdefault((k, l), None)
+            assert matrix.neighbours == filled
+            assert cell_sets(matrix) == reference
+            empty = [pair for pair, gaps in reference.items() if gaps == set()]
+            if empty:
+                assert matrix.empty_pair in empty
+                emptied += 1
+            else:
+                assert matrix.empty_pair is None
+        assert emptied >= 20 and both >= 20
+
     def test_single_constraint_projections(self):
         inst = Instance(2, (Constraint("dist13", (0, 1)),))
         matrix = initialize_pairs(inst, DIST13)
@@ -627,15 +754,17 @@ class TestSolve:
 
     @pytest.mark.parametrize("mode", ["auto", "consistency"])
     def test_dist13_witnesses_are_pinned(self, mode):
-        # least witnesses: 3 down per hop from vertex 0 along a shortest path
+        # least witnesses: 3 down per hop from vertex 0 along a shortest
+        # path; the propagation counters are pinned too
         cases = [
-            (graph_instance("dist13", 24, [(i, i + 1) for i in range(23)]), lambda i: i),
-            (graph_instance("dist13", 24, cycle_edges(24)), lambda i: min(i, 24 - i)),
-            (graph_instance("dist13", 25, grid_edges(5, 5)), lambda i: i // 5 + i % 5),
+            (graph_instance("dist13", 24, [(i, i + 1) for i in range(23)]), lambda i: i, (0, 23, 0)),
+            (graph_instance("dist13", 24, cycle_edges(24)), lambda i: min(i, 24 - i), (31, 54, 21)),
+            (graph_instance("dist13", 25, grid_edges(5, 5)), lambda i: i // 5 + i % 5, (74, 90, 50)),
         ]
-        for inst, hops in cases:
+        for inst, hops, (replacements, sweeps, full_to_finite) in cases:
             verdict = solve(inst, DIST13, mode=mode, debug=True)
             assert verdict.witness == tuple(-3 * hops(i) for i in range(inst.num_vars))
+            assert verdict.stats == SolveStats(replacements, sweeps, full_to_finite, components=1)
 
     def test_unconstrained_instance(self):
         verdict = solve(Instance(1, ()), DIST13)
