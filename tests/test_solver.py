@@ -4,10 +4,10 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from distcsp import model, polymorphism
+from distcsp import model, polymorphism, solver
 from distcsp.brute import brute_solve, verify_assignment
 from distcsp.errors import InputError, InternalInvariantError
 from distcsp.model import Constraint, Instance, OffsetSet, RelationDef, Template
@@ -24,11 +24,14 @@ from distcsp.solver import (
     propagate,
     solve,
     split_components,
+    sweep,
 )
 from helpers import (
     DIST12,
     DIST13,
+    EQUALITY,
     TWODEC_FALSE,
+    TWODEC_TRUE,
     bfs_order,
     binary_relation,
     complete_edges,
@@ -41,6 +44,7 @@ from helpers import (
     random_any_template,
     random_connected_instance,
     random_median_template,
+    random_offset_run,
     spanning_tree_edges,
 )
 
@@ -205,8 +209,8 @@ class TestComponents:
         assert filled[0] == {1, 2, 3, 4, 5} and filled[3] == {0, 2, 4}
         assert sum(map(len, filled)) // 2 == 6 + 3
         for edges in ([(i, i + 1) for i in range(5)], complete_edges(5)):
-            adjacency = co_occurrence_adjacency(graph_instance("r", 6, edges))
-            assert chordal_completion(adjacency) == adjacency
+            inst = graph_instance("r", 6, edges)
+            assert chordal_completion(co_occurrence_adjacency(inst)) == co_occurrence_adjacency(inst)
 
     def test_split_numbers_each_component_in_canonical_order(self):
         # the hexagon's breadth-first order becomes index order; its
@@ -581,6 +585,143 @@ class TestPropagate:
                 assert matrix.get(l, k) == -cell
 
 
+def progression_steps(t):
+    """The steps of the relations' offsets, computed apart from the solver:
+    None when some relation with offset tuples is not binary or not a
+    progression; otherwise the set of steps, empty when every relation
+    has one offset."""
+    steps = set()
+    for rel in t.relations:
+        if not rel.has_tuples:
+            continue
+        if rel.arity != 2:
+            return None
+        offsets = [v for (v,) in rel.offset_tuples]
+        gaps = {b - a for a, b in zip(offsets, offsets[1:])}
+        if len(gaps) > 1:
+            return None
+        steps |= gaps
+    return steps
+
+
+class TestSweep:
+    def test_one_step_rule_on_fixtures(self):
+        two = Template("two", (binary_relation("a", (0, 2)), binary_relation("b", (-3, -1, 1))))
+        mixed = Template("mixed", (binary_relation("a", (0, 2)), binary_relation("b", (0, 3))))
+        full = Template("full", (RelationDef("f", 2, "full"), binary_relation("b", (1,))))
+        cases = [
+            (DIST13, True), (DIST12, False), (EQUALITY, True), (two, True),
+            (mixed, False), (full, True), (TWODEC_TRUE, False),
+        ]  # fmt: skip
+        for t, accepted in cases:
+            named = tuple(Constraint(r.name, tuple(range(r.arity))) for r in t.relations)
+            matrix = initialize_pairs(Instance(max(r.arity for r in t.relations), named), t)
+            assert matrix.one_step is accepted, t.name
+
+    def test_accepted_templates_have_the_common_step_as_a_median(self):
+        # every template the rule accepts is closed under m_g for its
+        # common step g (any g for single offsets), as the sweep's proof needs
+        rng = random.Random(29)
+        accepted = rejected = 0
+        for i in range(40):
+            relations = []
+            for idx in range(rng.choice((1, 2, 3))):
+                d = rng.choice((1, 2, 3, 4)) if idx == 0 or rng.random() < 0.3 else relations[0][1]
+                relations.append((binary_relation(f"r{idx}", random_offset_run(rng, d)), d))
+            t = Template(f"t{i}", tuple(rel for rel, _ in relations))
+            constraints = tuple(Constraint(rel.name, (0, 1)) for rel in t.relations)
+            matrix = initialize_pairs(Instance(2, constraints), t)
+            steps = progression_steps(t)
+            assert matrix.one_step == (steps is not None and len(steps) <= 1), t
+            if not matrix.one_step:
+                rejected += 1
+                continue
+            accepted += 1
+            g = min(steps, default=1)
+            assert polymorphism.find_modular_median(t) is not None, t
+            for rel in t.relations:
+                assert polymorphism.preserves_relation(g, rel).preserved, (g, rel)
+        assert accepted >= 25 and rejected >= 3
+
+    def test_sweep_pops_nothing_and_traces_every_replacement(self):
+        inst = graph_instance("dist13", 8, cycle_edges(8))
+        lines = []
+        verdict = solve(inst, DIST13, mode="consistency", trace=lines.append)
+        assert verdict.stats.sweeps == 0 and verdict.stats.proper_replacements == len(lines) > 0
+        pattern = re.compile(r"^pair=\(\d+,\d+\) via \d+ old=(FULL|\{[-\d,]*\}) new=(FULL|\{[-\d,]*\})$")
+        assert all(pattern.match(line) for line in lines), lines
+
+    def test_sweep_reaches_a_superset_of_the_worklist_fixpoint(self):
+        rng = random.Random(31)
+        for i in range(40):
+            t = Template(f"t{i}", (binary_relation("r", random_offset_run(rng, rng.choice((1, 2, 3)))),))
+            inst = random_connected_instance(t, rng.randint(2, 7), rng, extra=3)
+            prep = preprocess(inst, t)
+            if prep.unsat:
+                continue
+            swept = sweep(initialize_pairs(prep.instance, prep.template))
+            fixed = propagate(initialize_pairs(prep.instance, prep.template))
+            assert swept.one_step and (swept.empty_pair is None) == (fixed.empty_pair is None)
+            if swept.empty_pair is None:
+                for pair, cell in swept.cells.items():
+                    assert cell.is_full or set(fixed.cells[pair].offsets) <= set(cell.offsets)
+
+    def test_an_empty_cell_stops_the_sweep(self):
+        matrix = sweep(initialize_pairs(graph_instance("dist13", 5, cycle_edges(5)), DIST13))
+        assert matrix.empty_pair is not None and matrix.cells[matrix.empty_pair].is_empty
+
+    def test_stuck_extraction_after_the_sweep_is_an_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(solver, "extract_solution", lambda matrix, inst, t: None)
+        with pytest.raises(InternalInvariantError):
+            solve(graph_instance("dist13", 4, cycle_edges(4)), DIST13, mode="auto")
+
+    def test_debug_runs_the_worklist_after_the_sweep(self, monkeypatch):
+        # a translated witness is still a solution, but not the least one
+        real = solver.extract_solution
+        calls = []
+
+        def first_translated(matrix, inst, t):
+            witness = real(matrix, inst, t)
+            calls.append(witness)
+            return witness if len(calls) > 1 else tuple(v + 1 for v in witness)
+
+        monkeypatch.setattr(solver, "extract_solution", first_translated)
+        inst = graph_instance("dist13", 6, cycle_edges(6))
+        assert solve(inst, DIST13, mode="consistency").witness == (1, -2, -5, -8, -5, -2)
+        calls.clear()
+        with pytest.raises(InternalInvariantError):
+            solve(inst, DIST13, mode="consistency", debug=True)
+        assert len(calls) == 2
+
+    def test_the_split_hands_each_component_its_graph(self, monkeypatch):
+        handed = []
+        real = solver.initialize_pairs
+
+        def spy(sub, t, variables, adjacency=None):
+            handed.append((sub, adjacency and [set(neighbours) for neighbours in adjacency]))
+            return real(sub, t, variables, adjacency)
+
+        monkeypatch.setattr(solver, "initialize_pairs", spy)
+        # two components, both renumbered, one swept and one propagated
+        inst, t = disjoint_union(
+            (graph_instance("dist13", 6, cycle_edges(6)), DIST13),
+            (graph_instance("dist12", 5, cycle_edges(5)), DIST12),
+        )
+        verdict = solve(inst, t, mode="consistency")
+        assert verdict.status == "sat" and verdict.stats.sweeps > 0
+        assert len(handed) == 2
+        for sub, graph in handed:
+            assert graph == co_occurrence_adjacency(sub)
+        adjacency = co_occurrence_adjacency(inst)
+        assert chordal_completion(adjacency) is adjacency
+
+    def test_a_sat_answer_does_not_revalidate(self, monkeypatch):
+        validated = []
+        monkeypatch.setattr(Instance, "validate_against", lambda inst, t: validated.append(inst))
+        verdict = solve(graph_instance("dist13", 6, cycle_edges(6)), DIST13, mode="consistency")
+        assert verdict.status == "sat" and validated == []
+
+
 class TestExtractSolution:
     def run(self, inst, t):
         prep = preprocess(inst, t)
@@ -755,11 +896,13 @@ class TestSolve:
     @pytest.mark.parametrize("mode", ["auto", "consistency"])
     def test_dist13_witnesses_are_pinned(self, mode):
         # least witnesses: 3 down per hop from vertex 0 along a shortest
-        # path; the propagation counters are pinned too
+        # path; the propagation counters are pinned too.  dist13 is one-step,
+        # so each is swept: no worklist pop, one replacement per revision
+        # that shrank a cell
         cases = [
-            (graph_instance("dist13", 24, [(i, i + 1) for i in range(23)]), lambda i: i, (0, 23, 0)),
-            (graph_instance("dist13", 24, cycle_edges(24)), lambda i: min(i, 24 - i), (31, 54, 21)),
-            (graph_instance("dist13", 25, grid_edges(5, 5)), lambda i: i // 5 + i % 5, (74, 90, 50)),
+            (graph_instance("dist13", 24, [(i, i + 1) for i in range(23)]), lambda i: i, (0, 0, 0)),
+            (graph_instance("dist13", 24, cycle_edges(24)), lambda i: min(i, 24 - i), (21, 0, 21)),
+            (graph_instance("dist13", 25, grid_edges(5, 5)), lambda i: i // 5 + i % 5, (64, 0, 50)),
         ]
         for inst, hops, (replacements, sweeps, full_to_finite) in cases:
             verdict = solve(inst, DIST13, mode=mode, debug=True)
@@ -976,3 +1119,18 @@ class TestDecisionContract:
                 assert verdict.status == expected, mode
             if verdict.status == "sat":
                 assert verify_assignment(inst, t, verdict.witness) == (True, None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_consistency_witness_is_the_least_on_median_templates(self, seed):
+        # on a template with a modular median, consistency mode decides, and
+        # its witness is the exhaustive search's least one
+        rng = random.Random(seed)
+        t = random_median_template(rng, "m")
+        assume(polymorphism.find_modular_median(t) is not None)
+        inst = random_connected_instance(t, rng.randint(1, 7), rng, extra=rng.randint(0, 3))
+        if rng.random() < 0.3:
+            inst, t = disjoint_union((inst, t), (random_connected_instance(t, 3, rng), t))
+        verdict = solve(inst, t, mode="consistency", debug=True)
+        assert verdict.status != "unknown"
+        assert verdict.witness == brute_solve(inst, t)
