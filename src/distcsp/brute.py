@@ -1,4 +1,4 @@
-"""Exhaustive decision procedure; it shares only the component numbering with the solver.
+"""Exhaustive decision procedure: one depth-first search over a complete window.
 
 Satisfiable components always have a witness whose values stay within
 (m-1) * D of the root, where m is the component size and D the largest
@@ -9,6 +9,11 @@ that window completely is therefore a full decision procedure, not a
 heuristic.  Candidates are the values allowed by the finite pair sets to
 lower variables, ANDed as plain-int bitmasks; a binary constraint on two
 distinct variables is its own pair set and needs no per-candidate check.
+
+Called directly, as the oracle, it shares only the component numbering with
+the solver; `solve`'s fallback hands it the propagation fixpoint of a stuck
+component instead, whose finite cells replace the projections.  Either way,
+it skips mirrored subtrees of components closed under negation.
 """
 
 from __future__ import annotations
@@ -46,44 +51,60 @@ def search_space_estimate(inst: Instance, t: Template) -> int:
     one after another, so their estimates add up.
     """
     inst.validate_against(t)
-    return _estimate(_component_plans(inst, t), max_distance_or_zero(t))
+    biggest = max_distance_or_zero(t)
+    return sum(_plan(sub, t, biggest)[0] for _, sub in split_components(inst))
 
 
-def _estimate(plans, biggest: int) -> int:
-    total = 0
-    for comp, pair_sets, _ in plans:
-        # variables with a finite pair to a lower one branch over 2D + 1
-        linked = len({j for _, j in pair_sets})
-        window = 2 * (len(comp) - 1) * biggest + 1
-        total += (2 * biggest + 1) ** linked * window ** (len(comp) - 1 - linked)
-    return total
+def _plan(sub: Instance, t: Template, biggest: int):
+    """A component's search space estimate, the constraints due at each
+    variable and whether every relation it names is closed under negation."""
+    linked: set[int] = set()  # paired with a lower variable: 2D + 1 values
+    # check each constraint once, at the assignment of its highest variable,
+    # unless it is FULL or a binary one that its own pair set enforces
+    due: list[list] = [[] for _ in range(sub.num_vars)]
+    mirror = True
+    for c in sub.constraints:
+        rel = t.relation(c.relation)
+        mirror = mirror and rel.negation_closed
+        if rel.has_tuples:
+            low = min(c.args)
+            linked.update(a for a in c.args if a != low)
+            if rel.arity > 2 or c.args[0] == c.args[1]:
+                due[max(c.args)].append((rel, c.args))
+    window = 2 * (sub.num_vars - 1) * biggest + 1
+    estimate = (2 * biggest + 1) ** len(linked) * window ** (sub.num_vars - 1 - len(linked))
+    return estimate, due, mirror
 
 
-def _component_plans(inst: Instance, t: Template):
-    """Per component: its variables in canonical order, finite pair sets
-    of value[j] - value[i] keyed by (i, j) with i < j, and induced instance."""
-    plans = []
-    for comp, sub in split_components(inst):
-        pair_sets: dict[tuple[int, int], frozenset[int]] = {}
-        for c in sub.constraints:
-            rel = t.relation(c.relation)
-            if not rel.has_tuples:
+def _projection_links(sub: Instance, t: Template) -> list[list[tuple[int, int, int]]]:
+    """Per variable j, (i, lo, mask) for each lower i paired with it by the
+    projections: bit k set when value[j] - value[i] = lo + k is allowed."""
+    pair_sets: dict[tuple[int, int], frozenset[int]] = {}
+    for c in sub.constraints:
+        rel = t.relation(c.relation)
+        if not rel.has_tuples:
+            continue
+        for pi, pj in combinations(range(len(c.args)), 2):
+            a, b = c.args[pi], c.args[pj]
+            if a == b:
                 continue
-            for pi, pj in combinations(range(len(c.args)), 2):
-                a, b = c.args[pi], c.args[pj]
-                if a == b:
-                    continue
-                if a < b:
-                    allowed = projected_offsets(rel, pi + 1, pj + 1)
-                else:
-                    a, b, allowed = b, a, projected_offsets(rel, pj + 1, pi + 1)
-                pair_sets[a, b] = pair_sets.get((a, b), allowed) & allowed
-        plans.append((comp, pair_sets, sub))
-    return plans
+            if a < b:
+                allowed = projected_offsets(rel, pi + 1, pj + 1)
+            else:
+                a, b, allowed = b, a, projected_offsets(rel, pj + 1, pi + 1)
+            pair_sets[a, b] = pair_sets.get((a, b), allowed) & allowed
+    links: list[list[tuple[int, int, int]]] = [[] for _ in range(sub.num_vars)]
+    for (i, j), offs in pair_sets.items():
+        lo = min(offs, default=0)
+        packed = bytearray((max(offs, default=lo) - lo) // 8 + 1)
+        for s in offs:
+            packed[(s - lo) // 8] |= 1 << (s - lo) % 8
+        links[j].append((i, lo, int.from_bytes(packed, "little")))
+    return links
 
 
 def brute_solve(
-    inst: Instance, t: Template, node_cap: int = DEFAULT_NODE_CAP
+    inst: Instance, t: Template, node_cap: int = DEFAULT_NODE_CAP, matrix=None
 ) -> tuple[int, ...] | None:
     """Depth-first search for the least witness under the search order, or None.
 
@@ -93,42 +114,47 @@ def brute_solve(
     Binary projections of the covering constraints prune candidates early;
     they are implied constraints, so pruning never loses a witness.  Raises
     CapExceededError instead of starting a search estimated over node_cap.
+
+    matrix is the `solver.PairMatrix` at the fixpoint of `solver.propagate`
+    for inst, a component that `solve` has preprocessed and numbered: inst
+    is not validated or split again, and the finite cells to lower variables,
+    implied too, replace the projections, but not in the estimate.
+
+    When every relation a component names is closed under negation, a step
+    whose lower variables are all 0 tries only values <= 0, as negation maps
+    solutions to solutions in the symmetric window: the least is not positive.
     """
-    inst.validate_against(t)
-    for c in inst.constraints:
-        if t.relation(c.relation).is_empty:
-            return None
-    plans = _component_plans(inst, t)
+    if matrix is None:
+        inst.validate_against(t)
+        for c in inst.constraints:
+            if t.relation(c.relation).is_empty:
+                return None
+        components = split_components(inst)
+    else:
+        components = [(list(range(inst.num_vars)), inst)]
     biggest = max_distance_or_zero(t)
-    estimate = _estimate(plans, biggest)
+    plans = [(comp, sub, *_plan(sub, t, biggest)) for comp, sub in components]
+    estimate = sum(estimate for _, _, estimate, _, _ in plans)
     if estimate > node_cap:
         raise CapExceededError(
             f"search space estimate {estimate} exceeds the cap {node_cap}"
         )
     values = [0] * inst.num_vars
-    for comp, pair_sets, sub in plans:
+    for comp, sub, _, due, mirror in plans:
         half = (len(comp) - 1) * biggest
-        # links[j] holds (i, lo, mask) for each pair set to a lower i: bit k
-        # set when value[j] - value[i] = lo + k; the estimate bounds the width
-        links: list[list[tuple[int, int, int]]] = [[] for _ in comp]
-        for (i, j), offs in pair_sets.items():
-            lo = min(offs, default=0)
-            packed = bytearray((max(offs, default=lo) - lo) // 8 + 1)
-            for s in offs:
-                packed[(s - lo) // 8] |= 1 << (s - lo) % 8
-            links[j].append((i, lo, int.from_bytes(packed, "little")))
-        # check each constraint once, at the assignment of its highest variable,
-        # unless it is FULL or a binary one that its own pair set enforces
-        due: list[list] = [[] for _ in comp]
-        for c in sub.constraints:
-            rel = t.relation(c.relation)
-            if rel.has_tuples and (rel.arity > 2 or c.args[0] == c.args[1]):
-                due[max(c.args)].append((rel, c.args))
+        # links[j] holds (i, lo, mask) for each finite pair set to a lower i
+        if matrix is None:
+            links = _projection_links(sub, t)
+        else:
+            links = [[] for _ in comp]
+            for (i, j), cell in matrix.cells.items():
+                if i < j and cell.mask is not None:
+                    links[j].append((i, cell.lo, cell.mask))
         local = [0] * len(comp)
 
-        def domain(j: int) -> range | list[int]:
+        def domain(j: int, top: int) -> range | list[int]:
             if not links[j]:
-                return range(-half, half + 1)
+                return range(-half, top + 1)
             # AND the masks translated by local[i], with bit 0 at value base
             base, bits = -half, -1
             for i, lo, mask in links[j]:
@@ -137,7 +163,7 @@ def brute_solve(
                     bits, base = bits >> (shift - base), shift
                 bits &= mask >> (base - shift)
             out = []
-            while bits and (value := base + (bits & -bits).bit_length() - 1) <= half:
+            while bits and (value := base + (bits & -bits).bit_length() - 1) <= top:
                 out.append(value)
                 bits &= bits - 1
             return out
@@ -159,7 +185,8 @@ def brute_solve(
                 continue
             if step + 1 == len(comp):
                 break
-            candidates.append(iter(domain(step + 1)))
+            top = 0 if mirror and not any(local[: step + 1]) else half
+            candidates.append(iter(domain(step + 1, top)))
         if not candidates:
             return None
         for g, value in zip(comp, local):

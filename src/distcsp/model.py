@@ -291,6 +291,13 @@ class RelationDef:
         return frozenset(self.offset_tuples)
 
     @cached_property
+    def negation_closed(self) -> bool:
+        """Whether x -> -x maps the relation onto itself, -T = T for its
+        offset tuples T; FULL and EMPTY are."""
+        tuples = self._tuple_set if self.has_tuples else ()
+        return all(tuple(-c for c in v) in tuples for v in tuples)
+
+    @cached_property
     def _projections(self) -> dict[tuple[int, int], frozenset[int]]:
         # `projected_offsets` by coordinate pair, filled as pairs are asked for
         return {}

@@ -204,12 +204,13 @@ def split_components(inst: Instance) -> list[tuple[list[int], Instance]]:
     distributed in one pass.  A connected instance already in canonical
     order, such as a component split off before, comes back as it is.
     """
-    return [(variables, sub) for variables, sub, _ in _split_with_graphs(inst)]
+    return [(variables, sub) for variables, sub, _ in _split_with_graphs(inst, False)]
 
 
-def _split_with_graphs(inst: Instance) -> list[tuple[list[int], Instance, list[set[int]]]]:
+def _split_with_graphs(inst: Instance, graphs: bool) -> list[tuple[list[int], Instance, list]]:
     """`split_components`, each component with its co-occurrence graph in its
-    own numbering, translated from the one graph of inst."""
+    own numbering, translated from the one graph of inst when graphs is set
+    (a component that needs no renumbering keeps that graph anyway)."""
     size = inst.num_vars
     adjacency = co_occurrence_adjacency(inst)
     index = [0] * size
@@ -223,7 +224,7 @@ def _split_with_graphs(inst: Instance) -> list[tuple[list[int], Instance, list[s
             constraints: list[Constraint] = []
             for i, v in enumerate(variables):
                 index[v], owner[v] = i, constraints
-            graph = [{index[w] for w in adjacency[v]} for v in variables]
+            graph = [{index[w] for w in adjacency[v]} for v in variables] if graphs else None
             components.append((variables, constraints, graph))
     for c in inst.constraints:
         args = tuple(map(index.__getitem__, c.args))
@@ -459,16 +460,21 @@ def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = Fa
     Partial path consistency on the chordal completion decides median-closed
     templates, although it closes fewer triangles than full path
     consistency.  Take the variables in index order and a partial
-    assignment of the lower ones that respects every completion edge among
-    them.  The next variable v's lower neighbours form a clique, and each
-    triangle of v with two of them, a and b, is path-consistent, so v's
-    candidate sets P(a,v) + x_a and P(b,v) + x_b intersect.  A modular
-    median is a majority polymorphism, and it preserves these pp-definable
-    sets, so they have the 2-Helly property (Jeavons, Cohen & Cooper, AIJ
-    1998): pairwise intersection implies a common point.  Every value in
-    the joint intersection respects every edge from v to a lower variable,
-    and a constraint of higher arity, whose variables form a clique, holds
-    as soon as its binary projections do (2-decomposability).  So the
+    assignment x of the lower ones that respects every completion edge
+    among them.  The next variable v's lower neighbours a_1..a_k form a
+    clique.  Let Q hold of (y_1..y_k) when some z lies in every candidate
+    set P(a_i,v) + y_i.  Q is pp-definable from the cells, and they from the
+    relations, so a modular median, a majority polymorphism, preserves Q,
+    and Q is 2-decomposable: it holds of every tuple whose binary
+    projections it holds of (Jeavons, Cohen & Cooper, AIJ 1998).  Every
+    cell is nonempty, so Q's projection on (i, j) holds exactly when the
+    two candidate sets meet, and for x they do: x_{a_j} - x_{a_i} lies in
+    P(a_i,a_j), within P(a_i,v) + P(v,a_j) at the fixpoint.  So v has a
+    candidate.  (The sets' own closure would not do: the plain median
+    preserves every set, and {1,2}, {2,3}, {1,3} meet pairwise only.)
+    Every candidate respects every edge from v to a lower variable, and a
+    constraint of higher arity, whose variables form a clique, holds as
+    soon as its binary projections do (2-decomposability again).  So the
     greedy walk of `extract_solution` never gets stuck, and every candidate
     it sees extends to a full solution.  Nothing here needs the canonical
     numbering or a connected matrix: any numbering, with its own
@@ -630,8 +636,8 @@ def solve(
     Modes: "consistency" runs propagation plus greedy extraction and may
     answer unknown; "brute" searches every component exhaustively; "auto"
     runs consistency first and then searches each component whose
-    extraction got stuck, alone and over its `component_template`, when it
-    fits under the search cap.  Sat verdicts always carry a witness that
+    extraction got stuck, alone, over its `component_template` and from its
+    propagated cells, when it fits under the search cap.  Sat verdicts always carry a witness that
     has been re-verified; unsat verdicts from propagation are sound
     unconditionally.  Propagation is undecided, not failed, for a component
     whose pair set would span more than `model.MAX_SPAN` integers.  The
@@ -646,13 +652,13 @@ def solve(
     prep = preprocess(inst, t)
     if prep.unsat:
         return Verdict.unsat(stats)
-    components = _split_with_graphs(prep.instance)
+    components = _split_with_graphs(prep.instance, graphs=mode != "brute")
     stats.components = len(components)
     settled = []
     pending = []  # undecided components, with their own relations and the reason
     stuck = "witness extraction failed; no modular median verified for the template"
     for variables, sub, adjacency in components:
-        reason = None  # brute mode searches every component
+        reason = matrix = None  # brute mode searches every component
         if mode != "brute":
             try:
                 matrix = initialize_pairs(sub, prep.template, variables, adjacency)
@@ -661,7 +667,7 @@ def solve(
                 else:
                     propagate(matrix, trace=trace, debug=debug)
             except CapExceededError as e:
-                reason = f"propagation refused: {e}"
+                reason, matrix = f"propagation refused: {e}", None
             else:
                 stats.absorb(matrix.stats)
                 if matrix.empty_pair is not None:
@@ -683,18 +689,18 @@ def solve(
             raise InternalInvariantError(
                 "extraction failed although its relations are closed under a modular median"
             )
-        pending.append((variables, sub, own, reason))
+        pending.append((variables, sub, own, reason, matrix))
 
     # exhaustive search goes last, so that no component found unsat by
     # propagation waits behind it
     cap = brute.DEFAULT_NODE_CAP if node_cap is None else node_cap
     reasons = []
-    for variables, sub, own, reason in pending:
+    for variables, sub, own, reason, matrix in pending:
         if mode == "consistency":
             reasons.append(reason)
             continue
         try:
-            witness = brute.brute_solve(sub, own, cap)
+            witness = brute.brute_solve(sub, own, cap, matrix)
         except CapExceededError as e:
             reasons.append(f"{reason}; {e}" if reason else str(e))
             continue

@@ -1,5 +1,6 @@
 import ast
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from helpers import (
     petersen_edges,
     random_any_template,
     random_connected_instance,
+    symmetric,
 )
 
 FULL = RelationDef("all", 2, "full")
@@ -179,6 +181,85 @@ class TestBruteSolve:
         verdict = solve(inst, t, mode="brute")
         assert verdict.status == "sat"
         assert verify_assignment(inst, t, verdict.witness) == (True, None)
+
+
+# the triangles of dist12: both differences and their difference in {+-1, +-2}
+TRIANGLE12 = RelationDef(
+    "tri12", 3, ((1, 2), (2, 1), (1, -1), (-1, 1), (-1, -2), (-2, -1))
+)
+
+
+class TestMirror:
+    def test_negation_closed_flag(self):
+        assert DIST12.relations[0].negation_closed
+        assert TRIANGLE12.negation_closed
+        assert FULL.negation_closed
+        assert not binary_relation("r", (1, 3)).negation_closed
+        assert not RelationDef("chain", 3, ((1, 2),)).negation_closed
+
+    def test_an_asymmetric_relation_keeps_its_positive_witness(self):
+        # a mirror applied without the closure check would call this unsat
+        t = Template("t", (binary_relation("r", (1, 3)),))
+        assert brute_solve(Instance(2, (Constraint("r", (0, 1)),)), t) == (0, 1)
+
+    def test_a_value_after_a_nonzero_one_may_be_positive(self):
+        # 1 and 2 lie at distance 1 from 0 and 2 from each other, so one of
+        # them is positive; only the first may not be
+        t = Template("t", (binary_relation("one", (1, -1)), binary_relation("two", (2, -2))))
+        inst = Instance(
+            3, (Constraint("one", (0, 1)), Constraint("one", (0, 2)), Constraint("two", (1, 2)))
+        )
+        assert brute_solve(inst, t) == (0, -1, 1)
+
+    def test_no_positive_value_below_an_all_zero_prefix(self, monkeypatch):
+        # K4 as four triangles is unsat, so the whole tree is searched; each
+        # check is recorded with the values it sees
+        t = Template("tri", (TRIANGLE12,))
+        inst = Instance(4, tuple(Constraint("tri12", args) for args in combinations(range(4), 3)))
+        checked = []
+        real = brute.tuple_in_relation
+        monkeypatch.setattr(
+            brute, "tuple_in_relation", lambda rel, vs: checked.append(vs) or real(rel, vs)
+        )
+        assert brute_solve(inst, t) is None
+        mirrored = set(checked)
+        checked.clear()
+        monkeypatch.setattr(RelationDef, "negation_closed", property(lambda rel: False))
+        assert brute_solve(inst, t) is None
+        assert mirrored < set(checked)
+        for values in mirrored:
+            # the first nonzero value, if any, is negative
+            assert next((v for v in values if v), -1) < 0
+
+    def test_the_mirror_keeps_the_least_witness(self, monkeypatch):
+        # random relations made closed under negation, with and without FULL
+        # links, and dense graphs over distance templates, searched with the
+        # mirror and without it
+        cases = []
+        rng = random.Random(31)
+        for i in range(60):
+            relations = [
+                RelationDef(rel.name, rel.arity, rel.offset_tuples + tuple(
+                    tuple(-c for c in v) for v in rel.offset_tuples
+                ))
+                for rel in random_any_template(rng, f"t{i}").relations
+            ]
+            t = Template(f"t{i}", (*relations, FULL) if i % 2 else tuple(relations))
+            cases.append((random_connected_instance(t, rng.randint(2, 5), rng), t))
+            n = rng.randint(3, 7)
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+            edges += [tuple(rng.sample(range(n), 2)) for _ in range(n)]
+            t = Template("d", (binary_relation("d", symmetric(*rng.sample(range(1, 5), 2))),))
+            cases.append((graph_instance("d", n, edges), t))
+        assert all(rel.negation_closed for _, t in cases for rel in t.relations)
+        mirrored = [brute_solve(inst, t) for inst, t in cases]
+        monkeypatch.setattr(RelationDef, "negation_closed", property(lambda rel: False))
+        assert mirrored == [brute_solve(inst, t) for inst, t in cases]
+        # plain enumeration is quick enough up to four variables
+        small = [k for k, (inst, _) in enumerate(cases) if inst.num_vars <= 4]
+        decided = [oracle_satisfiable(*cases[k]) is not None for k in small]
+        assert [mirrored[k] is not None for k in small] == decided
+        assert len(small) >= 50 and 10 <= sum(decided) <= len(small) - 10
 
 
 class TestOracleIndependence:

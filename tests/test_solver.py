@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from distcsp import model, polymorphism, solver
-from distcsp.brute import brute_solve, verify_assignment
+from distcsp import brute, model, polymorphism, solver
+from distcsp.brute import brute_solve, search_space_estimate, verify_assignment
 from distcsp.errors import InputError, InternalInvariantError
 from distcsp.model import Constraint, Instance, OffsetSet, RelationDef, Template
 from distcsp.solver import (
@@ -46,6 +46,7 @@ from helpers import (
     random_median_template,
     random_offset_run,
     spanning_tree_edges,
+    symmetric,
 )
 
 CHAIN_T = Template("chain", (binary_relation("r1", (1,)), binary_relation("r13", (1, 3))))
@@ -294,6 +295,28 @@ class TestComponents:
                 assert sub == Instance(len(variables), expected)
                 renumbered += 1
         assert same >= 10 and renumbered >= 100
+
+
+    def test_only_the_propagation_path_translates_graphs(self, monkeypatch):
+        # two components, both renumbered
+        inst = graph_instance("r", 6, [(5, 3), (3, 1), (4, 2), (2, 0)])
+        split = solver._split_with_graphs(inst, graphs=False)
+        assert [graph for *_, graph in split] == [None, None]
+        for _, sub, graph in solver._split_with_graphs(inst, graphs=True):
+            assert graph == co_occurrence_adjacency(sub)
+        asked = []
+        real = solver._split_with_graphs
+        def spy(inst, graphs):
+            asked.append(graphs)
+            return real(inst, graphs)
+
+        monkeypatch.setattr(solver, "_split_with_graphs", spy)
+        t = Template("r", (binary_relation("r", (1,)),))
+        for mode in MODES:
+            asked.clear()
+            assert solve(inst, t, mode=mode).witness == (0, 0, -1, -1, -2, -2)
+            # brute mode, and `split_components` inside the search, ask for none
+            assert asked[0] == (mode != "brute") and not any(asked[1:])
 
 
 class TestInitializePairs:
@@ -1022,6 +1045,56 @@ class TestSolve:
         assert verdict.witness == (0, -2, -1, -1, -2) + (0,) * 6
 
 
+class TestFallback:
+    def test_a_stuck_component_hands_over_its_fixpoint(self, monkeypatch):
+        handed = []
+        real = brute.brute_solve
+
+        def spy(sub, t, cap, matrix=None):
+            handed.append(matrix and cell_sets(matrix))
+            return real(sub, t, cap, matrix)
+
+        monkeypatch.setattr(brute, "brute_solve", spy)
+        verdict = solve(FAN, DIST12, debug=True)
+        assert verdict.status == "sat" and verdict.witness == brute_solve(FAN, DIST12)
+        assert handed == [cell_sets(propagate(initialize_pairs(FAN, DIST12)))]
+        # brute mode, and a component whose propagation was refused, hand none
+        handed.clear()
+        assert solve(FAN, DIST12, mode="brute").witness == verdict.witness
+        gap = Template("gap", (binary_relation("g", (0, 2_000_000)),))
+        assert solve(graph_instance("g", 2, [(0, 1)]), gap).witness == (0, 0)
+        assert handed == [None, None]
+
+    def test_the_fixpoint_is_searched_without_a_second_split(self, monkeypatch):
+        validated, split = [], []
+        monkeypatch.setattr(Instance, "validate_against", lambda inst, t: validated.append(inst))
+        monkeypatch.setattr(brute, "split_components", lambda inst: split.append(inst))
+        assert solve(graph_instance("dist12", 4, complete_edges(4)), DIST12).status == "unsat"
+        assert solve(FAN, DIST12).status == "sat"
+        assert validated == [] and split == []
+
+    def test_the_estimate_ignores_fill_edges(self, monkeypatch):
+        # 5 and 6 extend the fan: 5 is tied to 0 by FULL only, and 6 to both
+        # by dist12, so the fixpoint bounds the pair (0, 5); the estimate
+        # still lets 5 range over the whole window of 25 values
+        t = Template("t", (*DIST12.relations, RelationDef("all", 2, "full")))
+        extra = [Constraint("all", (0, 5))] + [Constraint("dist12", e) for e in ((5, 6), (0, 6))]
+        inst = Instance(7, FAN.constraints + tuple(extra))
+        matrix = propagate(initialize_pairs(inst, t))
+        assert matrix.cells[(0, 5)].offsets == (-4, -3, -2, -1, 0, 1, 2, 3, 4)
+        assert search_space_estimate(inst, t) == 5**5 * 25
+        verdict = solve(inst, t, node_cap=5**6)
+        assert verdict.reason.endswith(f"search space estimate {5**5 * 25} exceeds the cap {5**6}")
+        # a refused component reads no cell: a stand-in without cells will do
+        real = brute.brute_solve
+        monkeypatch.setattr(brute, "brute_solve", lambda sub, t, cap, m: real(sub, t, cap, object()))
+        assert solve(inst, t, node_cap=5**6).reason == verdict.reason
+        monkeypatch.undo()
+        witness = brute_solve(inst, t)
+        assert witness[:5] == brute_solve(FAN, DIST12)
+        assert solve(inst, t, debug=True).witness == witness
+
+
 FAR = Template("far", (binary_relation("far", (0, 50)),))
 
 
@@ -1134,3 +1207,31 @@ class TestDecisionContract:
         verdict = solve(inst, t, mode="consistency", debug=True)
         assert verdict.status != "unknown"
         assert verdict.witness == brute_solve(inst, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_auto_agrees_with_the_search_called_directly(self, seed):
+        # auto's fallback searches the propagated cells of a stuck component,
+        # the direct call the constraints' projections: one verdict, one
+        # least witness.  Dense graphs in any numbering over dist12 or over
+        # a distance template that may lack one offset, so is not always
+        # closed under negation; or templates with no closure guarantee
+        rng = random.Random(seed)
+        kind = rng.randrange(3)
+        if kind < 2:
+            distances = (1, 2) if kind == 0 else rng.sample(range(1, 5), rng.randint(2, 3))
+            offsets = symmetric(*distances)
+            t = Template("d", (binary_relation("d", offsets[: len(offsets) - rng.randrange(2)]),))
+            n = rng.randint(2, 10 if kind == 0 else 8)  # 9^7 nodes at most, under the cap
+            label = rng.sample(range(n), n)
+            edges = spanning_tree_edges(n, rng) + [
+                tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(n // 2, 2 * n))
+            ]
+            inst = graph_instance("d", n, [(label[a], label[b]) for a, b in edges])
+        else:
+            t = random_any_template(rng, "a")
+            inst = random_connected_instance(t, rng.randint(1, 7), rng, extra=rng.randint(0, 5))
+        witness = brute_solve(inst, t)
+        verdict = solve(inst, t, mode="auto", debug=True)
+        assert verdict.status == ("unsat" if witness is None else "sat")
+        assert verdict.witness == witness
