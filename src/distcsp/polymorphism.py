@@ -6,7 +6,8 @@ when exactly two are, and the first argument otherwise.  Every m_d is a
 majority operation and commutes with translations.  A template all of whose
 relations are closed under some m_d admits witness extraction straight from
 the pairwise propagation fixpoint, so detecting such a modulus is the key
-tractability test.
+tractability test.  The closure check is exact and uses only the standard
+library: `preserves_relation` proves which shifts suffice.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .model import (
 
 IntTuple = tuple[int, ...]
 
-# each orbit triple costs one numpy round, 0.17-0.43 ms, as much as about 5,000
-# cells at 47 ns each (2-vCPU machine, Python 3.11): the least charge per triple
+# the least charge per orbit triple against the closure check's cap; it fixes
+# which inputs the check refuses, so it is not tied to the scan's actual cost
 ROUND_CELLS = 5_000
 
 # the base points of `random_preservation_trials` range over [-SHIFT_BOUND, SHIFT_BOUND]
@@ -65,33 +66,37 @@ def preservation_window(d: int, rel: RelationDef) -> int:
     return 6 * (rel.max_offset() + d) + 1
 
 
-def _modular_median_grid(d: int, x, y, z):
-    # same case split as modular_median, vectorized; np.select takes the
-    # first condition that holds
-    import numpy as np
-
-    rx, ry, rz = x % d, y % d, z % d
-    median = x + y + z - np.maximum(np.maximum(x, y), z) - np.minimum(np.minimum(x, y), z)
-    return np.select(
-        [(rx == ry) & (ry == rz), rx == ry, rx == rz, ry == rz],
-        [median, x, x, y],
-        default=x,
-    )
-
-
 def preserves_relation(d: int, rel: RelationDef) -> PreservationResult:
-    """Exhaustively check that m_d maps orbit triples of ``rel`` back into it.
+    """Exactly decide whether m_d maps every orbit triple of ``rel`` into it.
 
-    Since m_d commutes with translation, the first tuple's base point is
-    pinned to 0 and the other two range over [-W, W], where W is
-    `preservation_window`(d, rel); it grows with both the relation's offsets
-    and the modulus, wide enough that any violation shows up at some
-    in-window configuration.
+    m_d commutes with translation, so the first tuple's base point is pinned
+    to 0 and the others have bases a and b.  With delta = ``rel.max_offset()``
+    and G = 2*delta + d, a violation exists for some (a, b) in Z^2 iff one
+    exists with |a|, |b| <= 2G.  Proof: sort the three bases; a tuple with
+    base s has coordinates in [s - delta, s + delta], and the image's first
+    coordinate is a base.  If two consecutive bases are more than G apart,
+    move every tuple on the side away from base 0 by d towards the gap.  The
+    residues mod d stay, and the gap stays above 2*delta, so no comparison
+    across it changes and m_d picks the same argument in every coordinate.
+    If every pick lies on one side, the image is only translated and its
+    membership stays.  Otherwise some coordinate lies more than delta from
+    the first one, before and after the move, so the image is outside
+    ``rel`` both times.  Each move shrinks one gap by d and leaves base 0
+    in place; repeat until every gap is at most G.
+
+    Hence 2G <= `preservation_window`(d, rel) = W, and the verdict is that
+    of the whole [-W, W]^2 grid.  Each row a is scanned by the residue of b
+    mod d and cut where a coordinate's congruent median starts or stops
+    following b + const.  On a piece where all or no coordinates follow b
+    the offsets are constant and one membership test settles it; elsewhere
+    the offsets are distinct for each b, so a non-member shows up within
+    len(offset_tuples) + 1 steps.  m_1 is symmetric, so for d = 1 the three
+    orbits give the same images in any order, and only sorted triples are
+    scanned.  The witness is the first violation in this scan order.
     FULL and EMPTY bodies are closed under anything and report trivially.
-    numpy, which only this check needs, is imported on first use.  Raises
-    CapExceededError, before that import, when one shift grid exceeds
-    `model.MAX_SPAN` cells or all orbit triples together, each charged at
-    least `ROUND_CELLS`, exceed `model.DEFAULT_NODE_CAP` cells.
+    Raises CapExceededError when the [-W, W]^2 grid exceeds `model.MAX_SPAN`
+    cells or all orbit triples together, each charged at least
+    `ROUND_CELLS`, exceed `model.DEFAULT_NODE_CAP` cells.
     """
     if d < 1:
         raise InputError(f"modulus must be positive, got {d}")
@@ -106,42 +111,36 @@ def preserves_relation(d: int, rel: RelationDef) -> PreservationResult:
             f"closure check of {rel.name} over {triples} orbit triples of {grid} shifts "
             f"exceeds the cap of {MAX_SPAN} shifts or {DEFAULT_NODE_CAP} cells"
         )
-    import numpy as np
-
     k = rel.arity
-    delta = rel.max_offset()
+    reach = 2 * (2 * rel.max_offset() + d)
+    members = set(tuples)
     vectors = [(0, *v) for v in tuples]
-    shifts = np.arange(-bound, bound + 1, dtype=np.int64)
-    a2 = shifts[:, None]
-    a3 = shifts[None, :]
-    # encode image offset tuples as single integers for membership tests
-    span = 2 * (bound + delta)
-    radix = 2 * span + 1
-    member = np.array(
-        sorted(sum((c + span) * radix**i for i, c in enumerate(v)) for v in tuples),
-        dtype=np.int64,
-    )
-    for v1 in vectors:
-        for v2 in vectors:
-            for v3 in vectors:
-                comps = [
-                    _modular_median_grid(d, v1[j], a2 + v2[j], a3 + v3[j])
-                    for j in range(k)
+    if d == 1:
+        orbit_triples = itertools.combinations_with_replacement(vectors, 3)
+    else:
+        orbit_triples = itertools.product(vectors, repeat=3)
+    for v1, v2, v3 in orbit_triples:
+        for a in range(-reach, reach + 1):
+            t2 = tuple(a + c for c in v2)
+            for r in range(d):
+                # b ranges over r mod d; where all three are congruent, the
+                # coordinate follows b + c between its two bounds
+                spans = [
+                    (min(x, y) - c, max(x, y) - c)
+                    for x, y, c in zip(v1, t2, v3)
+                    if x % d == y % d == (r + c) % d
                 ]
-                code = np.zeros_like(comps[0])
-                for i, comp in enumerate(comps[1:]):
-                    code = code + (comp - comps[0] + span) * radix**i
-                bad = ~np.isin(code, member)
-                if bad.any():
-                    r, c = np.argwhere(bad)[0]
-                    s2, s3 = int(shifts[r]), int(shifts[c])
-                    t1 = tuple(v1)
-                    t2 = tuple(s2 + c_ for c_ in v2)
-                    t3 = tuple(s3 + c_ for c_ in v3)
-                    image = tuple(
-                        modular_median(d, t1[j], t2[j], t3[j]) for j in range(k)
-                    )
-                    return PreservationResult(False, (t1, t2, t3), image)
+                cuts = sorted(
+                    {-reach, reach + 1}.union(p for s in spans for p in s if abs(p) <= reach)
+                )
+                for lo, hi in zip(cuts, cuts[1:]):
+                    first = lo + (r - lo) % d
+                    moving = sum(p <= first < q for p, q in spans)
+                    for b in range(first, hi if 0 < moving < k else min(hi, first + 1), d):
+                        image = [modular_median(d, x, y, b + c) for x, y, c in zip(v1, t2, v3)]
+                        if tuple(v - image[0] for v in image[1:]) not in members:
+                            t3 = tuple(b + c for c in v3)
+                            return PreservationResult(False, (v1, t2, t3), tuple(image))
     return PreservationResult(True)
 
 

@@ -139,6 +139,25 @@ def oracle_falsify_closure(d, rel, trials, shift_bound, rng):
     return None
 
 
+def oracle_closure_violation(d, rel, window, beyond=-1):
+    """First orbit triple whose median escapes, over the shift box [-window, window]^2.
+
+    The first row has base 0 and the others bases a and b; only shifts with
+    max(|a|, |b|) > beyond are tried.  Returns (rows, image) or None.
+    """
+    vectors = [(0, *v) for v in rel.body]
+    span = range(-window, window + 1)
+    for v1, v2, v3 in itertools.product(vectors, repeat=3):
+        for a, b in itertools.product(span, span):
+            if max(abs(a), abs(b)) <= beyond:
+                continue
+            rows = (v1, tuple(a + c for c in v2), tuple(b + c for c in v3))
+            image = tuple(oracle_median(d, *column) for column in zip(*rows))
+            if not oracle_in_relation(rel, image):
+                return rows, image
+    return None
+
+
 def oracle_two_decomposable(rel: RelationDef, window: int):
     """Enumerate candidate tuples whose pairwise gaps all occur in the relation."""
     k = rel.arity

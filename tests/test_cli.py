@@ -434,32 +434,52 @@ class TestDeterminism:
         assert json.loads(proc.stdout)["analysis"]["max_distance"] == 3
 
 
+def run_in_fresh_process(commands):
+    """Exit codes of ``run_cli`` on each argv, in one new interpreter, and
+    whether numpy was loaded by the end."""
+    script = (
+        "import json, sys\n"
+        "from distcsp.cli import run_cli\n"
+        "codes = [run_cli(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    src = str(Path(distcsp.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestStartup:
     def test_solve_analyze_and_endo_check_leave_numpy_unloaded(self, files):
         path = files["dir"] / "path13.json"
         path.write_text(
             to_json(instance_to_dict(graph_instance("dist13", 6, [(i, i + 1) for i in range(5)])))
         )
-        commands = [
-            ["solve", files["t13.json"], str(path)],
-            ["analyze", files["t13.json"]],
-            ["endo", "check", files["t13.json"], "--spec", files["endo1.txt"]],
-        ]
-        script = (
-            "import json, sys\n"
-            "from distcsp.cli import run_cli\n"
-            "codes = [run_cli(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+        codes, numpy_loaded = run_in_fresh_process(
+            [
+                ["solve", files["t13.json"], str(path)],
+                ["analyze", files["t13.json"]],
+                ["endo", "check", files["t13.json"], "--spec", files["endo1.txt"]],
+            ]
         )
-        src = str(Path(distcsp.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(commands)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath},
-        )
-        assert proc.returncode == 0, proc.stderr
-        codes, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
         assert codes == [0, 0, 0]
+        assert not numpy_loaded
+
+    def test_poly_leaves_numpy_unloaded(self, files):
+        codes, numpy_loaded = run_in_fresh_process([["poly", files["t13.json"]]])
+        assert codes == [0]
+        assert not numpy_loaded
+
+    def test_stuck_auto_solve_leaves_numpy_unloaded(self, files):
+        # K4 over dist12 gets stuck in extraction, so auto mode re-proves
+        # that dist12 has no median before the exhaustive fallback
+        argv = ["solve", files["t12.json"], files["k4_12.json"], "--mode", "auto"]
+        codes, numpy_loaded = run_in_fresh_process([argv])
+        assert codes == [1]  # K4 is not 3-colourable
         assert not numpy_loaded

@@ -31,6 +31,7 @@ from helpers import (
     TWODEC_FALSE,
     TWODEC_TRUE,
     binary_relation,
+    oracle_closure_violation,
     oracle_in_relation,
     oracle_median,
     oracle_two_decomposable,
@@ -127,7 +128,7 @@ class TestPreservesRelation:
             preserves_relation(0, DIST13.relations[0])
 
     def test_huge_shift_grid_refused_at_once(self):
-        # offsets +-10^9 would ask numpy for a grid of about 1.4 * 10^20 cells
+        # offsets +-10^9 would make a shift grid of about 1.4 * 10^20 cells
         rel = binary_relation("w", (-(10**9), 1, 10**9))
         start = time.perf_counter()
         with pytest.raises(CapExceededError, match="cap"):
@@ -144,14 +145,39 @@ class TestPreservesRelation:
 
     def test_many_rounds_over_a_tiny_grid_refused_at_once(self):
         # 21,952 orbit triples of a 3,969-cell grid make 8.7 * 10^7 cells,
-        # under the cap, but each triple costs a numpy round: charged at
-        # ROUND_CELLS they make 1.1 * 10^8
+        # under the cap, but each triple is charged at least ROUND_CELLS:
+        # so charged they make 1.1 * 10^8
         rel = RelationDef("many", 3, tuple(itertools.product(range(-4, 5), repeat=2))[:28])
         assert (2 * preservation_window(1, rel) + 1) ** 2 == 3_969
         start = time.perf_counter()
         with pytest.raises(CapExceededError, match="orbit triples"):
             preserves_relation(1, rel)
         assert time.perf_counter() - start < 1.0
+
+
+class TestExactWindow:
+    def test_agrees_with_full_window_oracle(self):
+        rng = random.Random(18)
+        for _ in range(300):
+            k, bound = rng.randint(2, 4), rng.randint(1, 3)
+            tuples = {
+                tuple(rng.randint(-bound, bound) for _ in range(k - 1))
+                for _ in range(rng.randint(1, 4))
+            }
+            rel = RelationDef("r", k, tuple(sorted(tuples)))
+            d = rng.randint(1, 4)
+            box = 4 * rel.max_offset() + 2 * d
+            inner = oracle_closure_violation(d, rel, box)
+            found = inner or oracle_closure_violation(d, rel, preservation_window(d, rel), box)
+            # the lemma: a violation in the window has one with |a|, |b| <= 4 delta + 2d
+            assert (inner is None) == (found is None), (d, rel, found)
+            result = preserves_relation(d, rel)
+            assert result.preserved == (found is None), (d, rel)
+            if not result.preserved:
+                rows = result.witness
+                assert all(oracle_in_relation(rel, row) for row in rows)
+                image = tuple(oracle_median(d, *column) for column in zip(*rows))
+                assert image == result.image and not oracle_in_relation(rel, image)
 
 
 class TestRandomTrials:
@@ -261,3 +287,12 @@ class TestImports:
                 else:
                     imported.add(node.module.rsplit(".", 1)[-1])
         assert not imported & {"brute", "solver"}
+
+    def test_no_module_imports_numpy(self):
+        # the package needs only the standard library
+        for path in sorted(Path(polymorphism.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                assert "numpy" not in {name.split(".")[0] for name in names}, path.name
