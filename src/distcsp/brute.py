@@ -11,9 +11,20 @@ lower variables, ANDed as plain-int bitmasks; a binary constraint on two
 distinct variables is its own pair set and needs no per-candidate check.
 
 Called directly, as the oracle, it shares only the component numbering with
-the solver; `solve`'s fallback hands it the propagation fixpoint of a stuck
-component instead, whose finite cells replace the projections.  Either way,
-it skips mirrored subtrees of components closed under negation.
+the solver.  `solve` hands it one numbered component instead: with the
+propagation fixpoint of a stuck component, whose finite cells replace the
+projections, or with a finite core, whose search reads the relations' cached
+`project_constraint` sets.  Every way, it skips mirrored subtrees of
+components closed under negation.
+
+The core option narrows the window to a finite set R with max R = 0: the
+range of a drift-0 endomorphism e of the template, shifted down by its
+maximum M.  That search is complete as well.  Take any solution s,
+translated so that the root sits at a point where e takes the value M;
+then e o s is a solution, and so is e o s - M, which lies in R^n with the
+root at 0.  A variable then branches over at most max over x in R of
+|R & (x + S)| values, S a pair set to a lower variable: 2 for `dist12` over
+its core {-2, -1, 0}, against 2D + 1 = 5 in the window.
 """
 
 from __future__ import annotations
@@ -22,7 +33,14 @@ from itertools import combinations
 
 from .analysis import max_distance_or_zero
 from .errors import CapExceededError, InputError
-from .model import DEFAULT_NODE_CAP, Instance, Template, projected_offsets, tuple_in_relation
+from .model import (
+    DEFAULT_NODE_CAP,
+    Instance,
+    Template,
+    project_constraint,
+    projected_offsets,
+    tuple_in_relation,
+)
 from .solver import split_components
 
 
@@ -76,6 +94,26 @@ def _plan(sub: Instance, t: Template, biggest: int):
     return estimate, due, mirror
 
 
+def _core_estimate(links: list[list[tuple[int, int, int]]], core: tuple[int, ...], bits: int):
+    """A component's search space estimate over R = core, whose members are
+    the set bits of bits counted from min R: past the root, each variable
+    branches over the fewest values of R that one of its pair sets S to a
+    lower variable leaves for any value x of that variable, max over x in R
+    of |R & (x + S)|, or over all of R when it has none."""
+    low = core[0]
+    branches: dict[tuple[int, int], int] = {}  # per distinct pair set
+    for lo, mask in {(lo, mask) for pairs in links for _, lo, mask in pairs}:
+        # bit k of the shifted mask stands for x + lo + k, counted from low
+        shifts = [x + lo - low for x in core]
+        branches[lo, mask] = max(
+            ((mask << k if k >= 0 else mask >> -k) & bits).bit_count() for k in shifts
+        )
+    estimate = 1
+    for pairs in links[1:]:
+        estimate *= min((branches[lo, mask] for _, lo, mask in pairs), default=len(core))
+    return estimate
+
+
 def _projection_links(sub: Instance, t: Template) -> list[list[tuple[int, int, int]]]:
     """Per variable j, (i, lo, mask) for each lower i paired with it by the
     projections: bit k set when value[j] - value[i] = lo + k is allowed."""
@@ -103,8 +141,37 @@ def _projection_links(sub: Instance, t: Template) -> list[list[tuple[int, int, i
     return links
 
 
+def _links(sub: Instance, t: Template, matrix, core) -> list[list[tuple[int, int, int]]]:
+    """Per variable j, (i, lo, mask) for each finite pair set to a lower i:
+    the cells of matrix when there is one, else for a core search the cached
+    `project_constraint` sets, intersected per pair, else the projections."""
+    if matrix is not None:
+        cells = matrix.cells
+    elif core is None:
+        return _projection_links(sub, t)
+    else:
+        cells = {}
+        for c in sub.constraints:
+            rel = t.relation(c.relation)
+            if rel.has_tuples:
+                for (i, a), (j, b) in combinations(enumerate(c.args, 1), 2):
+                    if a > b:
+                        i, a, j, b = j, b, i, a
+                    cell = project_constraint(rel, i, j)
+                    cells[a, b] = cells[a, b] & cell if (a, b) in cells else cell
+    links: list[list[tuple[int, int, int]]] = [[] for _ in range(sub.num_vars)]
+    for (i, j), cell in cells.items():
+        if i < j and cell.mask is not None:
+            links[j].append((i, cell.lo, cell.mask))
+    return links
+
+
 def brute_solve(
-    inst: Instance, t: Template, node_cap: int = DEFAULT_NODE_CAP, matrix=None
+    inst: Instance,
+    t: Template,
+    node_cap: int = DEFAULT_NODE_CAP,
+    matrix=None,
+    core: tuple[int, ...] | None = None,
 ) -> tuple[int, ...] | None:
     """Depth-first search for the least witness under the search order, or None.
 
@@ -115,16 +182,28 @@ def brute_solve(
     they are implied constraints, so pruning never loses a witness.  Raises
     CapExceededError instead of starting a search estimated over node_cap.
 
-    matrix is the `solver.PairMatrix` at the fixpoint of `solver.propagate`
-    for inst, a component that `solve` has preprocessed and numbered: inst
-    is not validated or split again, and the finite cells to lower variables,
-    implied too, replace the projections, but not in the estimate.
+    matrix is a `solver.PairMatrix` of inst, a component that `solve` has
+    preprocessed and numbered: inst is not validated or split again, and
+    the finite cells to lower variables, implied too, replace the
+    projections, but not in the window's estimate.
+
+    core, the ascending values of a finite core R of t with max R = 0 (see
+    the module docstring), replaces the window for such a component, which
+    is not validated or split either: every domain is ANDed with R, the
+    witness is the least one in R^n, and the estimate is `_core_estimate`'s,
+    from the pair sets the search reads.
 
     When every relation a component names is closed under negation, a step
     whose lower variables are all 0 tries only values <= 0, as negation maps
     solutions to solutions in the symmetric window: the least is not positive.
+    Over R that bound excludes nothing, as it must unless -R = R: every
+    value of R is <= 0.
     """
-    if matrix is None:
+    if core is not None:
+        if core[-1] != 0:
+            raise InputError(f"a core must have maximum 0, got {core}")
+        core_bits = sum(1 << (v - core[0]) for v in core)
+    if matrix is None and core is None:
         inst.validate_against(t)
         for c in inst.constraints:
             if t.relation(c.relation).is_empty:
@@ -133,30 +212,34 @@ def brute_solve(
     else:
         components = [(list(range(inst.num_vars)), inst)]
     biggest = max_distance_or_zero(t)
-    plans = [(comp, sub, *_plan(sub, t, biggest)) for comp, sub in components]
-    estimate = sum(estimate for _, _, estimate, _, _ in plans)
+    plans = []
+    for comp, sub in components:
+        estimate, due, mirror = _plan(sub, t, biggest)
+        links = None
+        if core is not None:  # counted from the pair sets that the search reads
+            links = _links(sub, t, matrix, core)
+            estimate = _core_estimate(links, core, core_bits)
+        plans.append((comp, sub, estimate, due, mirror, links))
+    estimate = sum(plan[2] for plan in plans)
     if estimate > node_cap:
         raise CapExceededError(
             f"search space estimate {estimate} exceeds the cap {node_cap}"
         )
     values = [0] * inst.num_vars
-    for comp, sub, _, due, mirror in plans:
+    for comp, sub, _, due, mirror, links in plans:
         half = (len(comp) - 1) * biggest
         # links[j] holds (i, lo, mask) for each finite pair set to a lower i
-        if matrix is None:
-            links = _projection_links(sub, t)
-        else:
-            links = [[] for _ in comp]
-            for (i, j), cell in matrix.cells.items():
-                if i < j and cell.mask is not None:
-                    links[j].append((i, cell.lo, cell.mask))
+        if links is None:
+            links = _links(sub, t, matrix, core)
+        # the window or the core, with bit 0 at value lowest, starts every domain
+        lowest, every = (-half, -1) if core is None else (core[0], core_bits)
         local = [0] * len(comp)
 
         def domain(j: int, top: int) -> range | list[int]:
-            if not links[j]:
+            if not links[j] and core is None:
                 return range(-half, top + 1)
             # AND the masks translated by local[i], with bit 0 at value base
-            base, bits = -half, -1
+            base, bits = lowest, every
             for i, lo, mask in links[j]:
                 shift = local[i] + lo
                 if shift > base:

@@ -32,6 +32,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
+from .analysis import max_distance_or_zero
+from .endomorphism import search_periodic_endomorphism
 from .errors import CapExceededError, InputError, InternalInvariantError
 from .model import (
     Constraint,
@@ -41,6 +43,7 @@ from .model import (
     Template,
     _trusted,
     project_constraint,
+    projected_offsets,
     tuple_in_relation,
 )
 
@@ -52,12 +55,15 @@ MODES = ("auto", "consistency", "brute")
 @dataclass
 class SolveStats:
     """Counters from one solve; sweeps counts the changed pairs the
-    propagation worklist popped, none on a component the `sweep` decided."""
+    propagation worklist popped, none on a component the `sweep` or a core
+    search decided, and core_searches the components decided over a finite
+    core (see `solve`)."""
 
     proper_replacements: int = 0
     sweeps: int = 0
     full_to_finite: int = 0
     components: int = 0
+    core_searches: int = 0
 
     def absorb(self, other: "SolveStats") -> None:
         self.proper_replacements += other.proper_replacements
@@ -301,29 +307,21 @@ def initialize_pairs(
     reverse projections it caches, are looked up once per call; the mirror
     cell P(l,k) takes the reverse one, so nothing is negated.  The
     co-occurrence graph adjacency is completed in place, or built when not
-    given.  The same lookups decide `one_step` (a single offset fits any
-    step; FULL relations are ignored).
+    given.  `one_step` is `is_one_step` of the relations named.
     """
     size = inst.num_vars
     cells: dict[tuple[int, int], OffsetSet] = {}
     plans: dict[str, list[tuple[int, int, OffsetSet, OffsetSet]] | None] = {}
-    steps: set[int | None] = set()
     empty_pair = None
     for c in inst.constraints:
         args = c.args
         if c.relation not in plans:
             rel = t.relation(c.relation)
             coords = combinations(range(1, rel.arity + 1), 2) if rel.has_tuples else ()
-            plans[c.relation] = plan = None if rel.is_empty else [
+            plans[c.relation] = None if rel.is_empty else [
                 (i - 1, j - 1, project_constraint(rel, i, j), project_constraint(rel, j, i))
                 for i, j in coords
             ]
-            if plan:  # the progression test of `OffsetSet.__add__`, 0 for one offset
-                mask = plan[0][2].mask
-                count, top = mask.bit_count(), mask.bit_length() - 1
-                g = top // (count - 1) if count > 1 else 0
-                run = g == 0 or mask >> g == mask ^ (1 << top)
-                steps.add(g if len(plan) == 1 and run else None)
         plan = plans[c.relation]
         if plan is None or len(set(args)) != len(args):
             raise InputError(
@@ -342,8 +340,21 @@ def initialize_pairs(
     adjacency = adjacency or co_occurrence_adjacency(inst)
     matrix = PairMatrix(size, variable_ids or list(range(size)), adjacency, cells)
     matrix.empty_pair = empty_pair
-    matrix.one_step = None not in steps and len(steps - {0}) < 2
+    matrix.one_step = is_one_step(map(t.relation, plans))
     return matrix
+
+
+def is_one_step(relations) -> bool:
+    """Whether every relation with offset tuples is binary with offsets in an
+    arithmetic progression of one common step (a single offset fits any
+    step; FULL relations are ignored): then `sweep` decides."""
+    steps = set()
+    for rel in relations:
+        if rel.has_tuples:
+            offsets = sorted(projected_offsets(rel, 1, 2)) if rel.arity == 2 else ()
+            gaps = {b - a for a, b in zip(offsets, offsets[1:])}
+            steps.add(None if rel.arity > 2 or len(gaps) > 1 else max(gaps, default=0))
+    return None not in steps and len(steps - {0}) < 2
 
 
 def _check_bounds(matrix: PairMatrix, bounded: set[tuple[int, int]], widest: int) -> None:
@@ -623,6 +634,35 @@ def _median_modulus(t: Template) -> int | None:
         return None
 
 
+# Most candidate maps `_finite_core` tries: (4D + 1)^p for each period p
+CORE_CANDIDATES = 10_000
+
+
+@lru_cache(maxsize=64)
+def _finite_core(t: Template) -> tuple[int, ...] | None:
+    """The range R of a drift-0 endomorphism of t, shifted so that max R = 0,
+    ascending; None when none is found.
+
+    It is the first map of `search_periodic_endomorphism` with values in
+    [-2D, 2D] and periods p <= 3D, taken while the candidates of every
+    period so far, (4D + 1)^p each, stay within `CORE_CANDIDATES`: that
+    finds dist12's core at p = 3 and bounds the search on templates that
+    have none.  Searched once per value, as `_median_modulus` is.
+    """
+    biggest = max_distance_or_zero(t)
+    period = spent = 0
+    while period < 3 * biggest and spent + (4 * biggest + 1) ** (period + 1) <= CORE_CANDIDATES:
+        period += 1
+        spent += (4 * biggest + 1) ** period
+    if not period:
+        return None
+    spec = search_periodic_endomorphism(t, period, 2 * biggest, drift_filter=(0,))
+    if spec is None:
+        return None
+    top = max(spec.base_values)
+    return tuple(sorted({v - top for v in spec.base_values}))
+
+
 def solve(
     inst: Instance,
     t: Template,
@@ -635,9 +675,15 @@ def solve(
 
     Modes: "consistency" runs propagation plus greedy extraction and may
     answer unknown; "brute" searches every component exhaustively; "auto"
-    runs consistency first and then searches each component whose
-    extraction got stuck, alone, over its `component_template` and from its
-    propagated cells, when it fits under the search cap.  Sat verdicts always carry a witness that
+    first sends each component whose `component_template` is not one-step,
+    has no modular median and has a finite core R (`_finite_core`) to one
+    exhaustive search over R^n, instead of propagating it.  That search is
+    complete (see `brute`): it gives unsat as a proof and otherwise the least
+    witness in R^n under the search order, root at 0.  Every other
+    component, and one whose core search is estimated over the cap, runs
+    consistency, and a component whose extraction got stuck is then
+    searched alone over the window, from its propagated cells, when it fits
+    under the search cap.  Sat verdicts always carry a witness that
     has been re-verified; unsat verdicts from propagation are sound
     unconditionally.  Propagation is undecided, not failed, for a component
     whose pair set would span more than `model.MAX_SPAN` integers.  The
@@ -654,11 +700,28 @@ def solve(
         return Verdict.unsat(stats)
     components = _split_with_graphs(prep.instance, graphs=mode != "brute")
     stats.components = len(components)
+    cap = brute.DEFAULT_NODE_CAP if node_cap is None else node_cap
     settled = []
     pending = []  # undecided components, with their own relations and the reason
     stuck = "witness extraction failed; no modular median verified for the template"
     for variables, sub, adjacency in components:
         reason = matrix = None  # brute mode searches every component
+        own = component_template(sub, prep.template) if mode == "auto" else None
+        # the sweep decides a one-step component, and consistency one whose
+        # relations have a modular median; the rest may have a finite core
+        if own is not None and not is_one_step(own.relations) and _median_modulus(own) is None:
+            core = _finite_core(own)
+            if core is not None:
+                try:
+                    witness = brute.brute_solve(sub, own, cap, core=core)
+                except CapExceededError:
+                    pass  # the window search may still fit, from the fixpoint
+                else:
+                    stats.core_searches += 1
+                    if witness is None:
+                        return Verdict.unsat(stats)
+                    settled.append((variables, witness))
+                    continue
         if mode != "brute":
             try:
                 matrix = initialize_pairs(sub, prep.template, variables, adjacency)
@@ -684,16 +747,16 @@ def solve(
                     settled.append((variables, witness))
                     continue
                 reason = stuck
-        own = component_template(sub, prep.template)
+        if own is None:
+            own = component_template(sub, prep.template)
         if reason == stuck and _median_modulus(own):
             raise InternalInvariantError(
                 "extraction failed although its relations are closed under a modular median"
             )
         pending.append((variables, sub, own, reason, matrix))
 
-    # exhaustive search goes last, so that no component found unsat by
+    # the window search goes last, so that no component found unsat by
     # propagation waits behind it
-    cap = brute.DEFAULT_NODE_CAP if node_cap is None else node_cap
     reasons = []
     for variables, sub, own, reason, matrix in pending:
         if mode == "consistency":

@@ -252,6 +252,29 @@ def oracle_decides(inst: Instance, t: Template) -> bool:
     return True
 
 
+def oracle_three_colourable(n: int, edges) -> bool:
+    """Whether the graph has a proper 3-colouring, by plain backtracking in
+    vertex order.  Over dist12 = {+-1, +-2} a graph is satisfiable exactly
+    then: x mod 3 colours a solution x properly, and a colouring into
+    {0, 1, 2} is itself a solution."""
+    adjacency: list[set[int]] = [set() for _ in range(n)]
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    colours: list[int | None] = [None] * n
+
+    def extend(v: int) -> bool:
+        if v == n:
+            return True
+        for colours[v] in range(3):
+            if all(colours[w] != colours[v] for w in adjacency[v]) and extend(v + 1):
+                return True
+        colours[v] = None
+        return False
+
+    return extend(0)
+
+
 def spanning_tree_edges(n: int, rng) -> list[tuple[int, int]]:
     """A random spanning tree on n vertices: each vertex joins an earlier one."""
     return [(rng.randrange(i), i) for i in range(1, n)]

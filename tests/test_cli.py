@@ -134,12 +134,19 @@ class TestSolve:
         assert report == {"verdict": "unsat"}
 
     def test_stats(self, files, capsys):
-        code, report, _ = run(
-            capsys, ["solve", files["t12.json"], files["tri12.json"], "--stats"]
-        )
+        # auto mode searches the triangle over dist12's finite core, which
+        # pops nothing; consistency mode propagates it
+        argv = ["solve", files["t12.json"], files["tri12.json"], "--stats"]
+        code, report, _ = run(capsys, argv)
         assert code == 0
         stats = report["stats"]
         assert stats["components"] == 1
+        assert stats["core_searches"] == 1
+        assert stats["sweeps"] == 0 and stats["proper_replacements"] == 0
+        code, report, _ = run(capsys, [*argv, "--mode", "consistency"])
+        assert code == 0
+        stats = report["stats"]
+        assert stats["components"] == 1 and stats["core_searches"] == 0
         assert stats["sweeps"] >= 1
         assert stats["proper_replacements"] >= 0
 

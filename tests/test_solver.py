@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from distcsp import brute, model, polymorphism, solver
 from distcsp.brute import brute_solve, search_space_estimate, verify_assignment
-from distcsp.errors import InputError, InternalInvariantError
+from distcsp.errors import CapExceededError, InputError, InternalInvariantError
 from distcsp.model import Constraint, Instance, OffsetSet, RelationDef, Template
 from distcsp.solver import (
     MODES,
@@ -41,6 +42,7 @@ from helpers import (
     graph_instance,
     oracle_decides,
     oracle_pair_closure,
+    oracle_three_colourable,
     random_any_template,
     random_connected_instance,
     random_median_template,
@@ -58,6 +60,14 @@ CHAIN_UNSAT = Instance(
 
 # extraction gets stuck on this fan over dist12, which is satisfiable
 FAN = graph_instance("dist12", 5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 4), (3, 4)])
+
+# {+-2, +-3} has no modular median and no finite core within the budget of
+# `solver._finite_core`, so auto mode propagates it; extraction gets stuck
+# on this satisfiable theta graph: paths of 2, 3 and 4 edges from 0 to 6
+DIST23 = Template("d23", (binary_relation("d23", symmetric(2, 3)),))
+STUCK23 = graph_instance(
+    "d23", 8, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 6), (6, 7)]
+)
 
 
 def completion_edges(matrix, inst):
@@ -952,9 +962,14 @@ class TestSolve:
         assert verdict.witness == (0, 2)
 
     def test_stats_counters_present(self):
+        # auto mode decides the triangle over dist12's core, with no pop;
+        # consistency mode propagates it
         inst = graph_instance("dist12", 3, complete_edges(3))
         stats = solve(inst, DIST12).stats
-        assert stats.sweeps > 0
+        assert stats.core_searches == 1 and stats.sweeps == 0
+        assert stats.components == 1
+        stats = solve(inst, DIST12, mode="consistency").stats
+        assert stats.sweeps > 0 and stats.core_searches == 0
         assert stats.components == 1
 
     def test_debug_mode_clean_on_fixtures(self):
@@ -993,29 +1008,33 @@ class TestSolve:
 
     @pytest.mark.parametrize("n", [10, 13])
     def test_other_components_keep_their_extracted_values(self, n):
-        path = graph_instance("dist12", n, [(i, i + 1) for i in range(n - 1)])
-        assert solve(FAN, DIST12, mode="consistency").status == "unknown"
-        inst, t = disjoint_union((FAN, DIST12), (path, DIST12))
+        # {+-2, +-3} has no median and no core within the budget, so its
+        # stuck graph takes the window search; searching the path over the
+        # window, estimated at 7^(n-1), would pass the cap from n = 13
+        path = graph_instance("d23", n, [(i, i + 1) for i in range(n - 1)])
+        assert solve(STUCK23, DIST23, mode="consistency").status == "unknown"
+        inst, t = disjoint_union((STUCK23, DIST23), (path, DIST23))
         verdict = solve(inst, t, mode="auto", debug=True)
-        assert verdict.status == "sat"
-        assert verdict.witness[:5] == brute_solve(FAN, DIST12)
-        assert verdict.witness[5:] == solve(path, DIST12, mode="consistency").witness
+        assert verdict.status == "sat" and verdict.stats.core_searches == 0
+        assert verdict.witness[:8] == brute_solve(STUCK23, DIST23)
+        assert verdict.witness[8:] == solve(path, DIST23, mode="consistency").witness
 
     def test_unsat_component_outweighs_a_refused_one(self):
-        # under this cap the fan (estimate 5^4) is refused and K4 (5^3) is
-        # searched; the first refusal names the verdict's reason
+        # under this cap the stuck {+-2, +-3} graph (estimate 7^7) is refused
+        # and K4 over dist12 (core estimate 2^3) is searched; the first
+        # refusal names the verdict's reason
         k4 = graph_instance("dist12", 4, complete_edges(4))
-        inst, t = disjoint_union((FAN, DIST12), (k4, DIST12))
+        inst, t = disjoint_union((STUCK23, DIST23), (k4, DIST12))
         assert solve(inst, t, mode="auto", node_cap=200).status == "unsat"
-        verdict = solve(*disjoint_union((FAN, DIST12), (FAN, DIST12)), node_cap=200)
+        verdict = solve(*disjoint_union((STUCK23, DIST23), (STUCK23, DIST23)), node_cap=200)
         assert verdict.status == "unknown"
         assert verdict.reason == (
             "witness extraction failed; no modular median verified for the template; "
-            "search space estimate 625 exceeds the cap 200"
+            "search space estimate 823543 exceeds the cap 200"
         )
-        fan_first = solve(*disjoint_union((FAN, DIST12), (WIDE_PATH, WIDE)), node_cap=200)
-        wide_first = solve(*disjoint_union((WIDE_PATH, WIDE), (FAN, DIST12)), node_cap=200)
-        assert fan_first.reason.startswith("witness extraction failed")
+        stuck_first = solve(*disjoint_union((STUCK23, DIST23), (WIDE_PATH, WIDE)), node_cap=200)
+        wide_first = solve(*disjoint_union((WIDE_PATH, WIDE), (STUCK23, DIST23)), node_cap=200)
+        assert stuck_first.reason.startswith("witness extraction failed")
         assert wide_first.reason.startswith("propagation refused")
 
     def test_brute_mode_searches_components_one_at_a_time(self):
@@ -1050,17 +1069,17 @@ class TestFallback:
         handed = []
         real = brute.brute_solve
 
-        def spy(sub, t, cap, matrix=None):
+        def spy(sub, t, cap, matrix=None, core=None):
             handed.append(matrix and cell_sets(matrix))
-            return real(sub, t, cap, matrix)
+            return real(sub, t, cap, matrix, core)
 
         monkeypatch.setattr(brute, "brute_solve", spy)
-        verdict = solve(FAN, DIST12, debug=True)
-        assert verdict.status == "sat" and verdict.witness == brute_solve(FAN, DIST12)
-        assert handed == [cell_sets(propagate(initialize_pairs(FAN, DIST12)))]
+        verdict = solve(STUCK23, DIST23, debug=True)
+        assert verdict.status == "sat" and verdict.witness == brute_solve(STUCK23, DIST23)
+        assert handed == [cell_sets(propagate(initialize_pairs(STUCK23, DIST23)))]
         # brute mode, and a component whose propagation was refused, hand none
         handed.clear()
-        assert solve(FAN, DIST12, mode="brute").witness == verdict.witness
+        assert solve(STUCK23, DIST23, mode="brute").witness == verdict.witness
         gap = Template("gap", (binary_relation("g", (0, 2_000_000)),))
         assert solve(graph_instance("g", 2, [(0, 1)]), gap).witness == (0, 0)
         assert handed == [None, None]
@@ -1074,25 +1093,136 @@ class TestFallback:
         assert validated == [] and split == []
 
     def test_the_estimate_ignores_fill_edges(self, monkeypatch):
-        # 5 and 6 extend the fan: 5 is tied to 0 by FULL only, and 6 to both
-        # by dist12, so the fixpoint bounds the pair (0, 5); the estimate
-        # still lets 5 range over the whole window of 25 values
-        t = Template("t", (*DIST12.relations, RelationDef("all", 2, "full")))
-        extra = [Constraint("all", (0, 5))] + [Constraint("dist12", e) for e in ((5, 6), (0, 6))]
-        inst = Instance(7, FAN.constraints + tuple(extra))
+        # 8 and 9 extend the stuck graph: 8 is tied to 0 by FULL only, and 9
+        # to both by {+-2, +-3}, so the fixpoint bounds the pair (0, 8); the
+        # estimate still lets 8 range over the whole window of 55 values
+        t = Template("t", (*DIST23.relations, RelationDef("all", 2, "full")))
+        extra = [Constraint("all", (0, 8))] + [Constraint("d23", e) for e in ((8, 9), (0, 9))]
+        inst = Instance(10, STUCK23.constraints + tuple(extra))
         matrix = propagate(initialize_pairs(inst, t))
-        assert matrix.cells[(0, 5)].offsets == (-4, -3, -2, -1, 0, 1, 2, 3, 4)
-        assert search_space_estimate(inst, t) == 5**5 * 25
-        verdict = solve(inst, t, node_cap=5**6)
-        assert verdict.reason.endswith(f"search space estimate {5**5 * 25} exceeds the cap {5**6}")
+        assert matrix.cells[(0, 8)].offsets == (-6, -5, -4, -1, 0, 1, 4, 5, 6)
+        assert search_space_estimate(inst, t) == 7**8 * 55
+        verdict = solve(inst, t, node_cap=7**9)
+        assert verdict.reason.endswith(f"search space estimate {7**8 * 55} exceeds the cap {7**9}")
         # a refused component reads no cell: a stand-in without cells will do
         real = brute.brute_solve
         monkeypatch.setattr(brute, "brute_solve", lambda sub, t, cap, m: real(sub, t, cap, object()))
-        assert solve(inst, t, node_cap=5**6).reason == verdict.reason
+        assert solve(inst, t, node_cap=7**9).reason == verdict.reason
         monkeypatch.undo()
-        witness = brute_solve(inst, t)
-        assert witness[:5] == brute_solve(FAN, DIST12)
-        assert solve(inst, t, debug=True).witness == witness
+        witness = brute_solve(inst, t, 7**8 * 55)
+        assert witness[:8] == brute_solve(STUCK23, DIST23)
+        assert solve(inst, t, debug=True, node_cap=7**8 * 55).witness == witness
+
+
+class TestFiniteCore:
+    def test_dist12_has_a_core_and_4_9_none_within_the_budget(self):
+        assert solver._finite_core(DIST12) == (-2, -1, 0)
+        # periods 1 and 2 fit the budget at D = 9: 37 + 37^2 candidates
+        t = Template("d49", (binary_relation("d49", symmetric(4, 9)),))
+        start = time.perf_counter()
+        assert solver._finite_core.__wrapped__(t) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_median_templates_never_reach_the_core_search(self, monkeypatch):
+        # dist13 has a core, {-1, 0}, and the ternary boxes make some random
+        # median templates not one-step: consistency decides them all
+        assert solver._finite_core(DIST13) == (-1, 0)
+        searched, looked = [], []
+        real, real_core = brute.brute_solve, solver._finite_core
+
+        def spy(sub, t, cap, matrix=None, core=None):
+            searched.append(core)
+            return real(sub, t, cap, matrix, core)
+
+        monkeypatch.setattr(brute, "brute_solve", spy)
+        monkeypatch.setattr(solver, "_finite_core", lambda t: looked.append(t) or real_core(t))
+        rng = random.Random(5)
+        cases = [(graph_instance("dist13", 6, cycle_edges(6)), DIST13)]
+        while len(cases) < 40:
+            t = random_median_template(rng, f"m{len(cases)}")
+            if solver._median_modulus(t) is not None:
+                cases.append((random_connected_instance(t, rng.randint(2, 7), rng), t))
+        assert sum(not solver.is_one_step(t.relations) for _, t in cases) >= 10
+        for inst, t in cases:
+            assert solve(inst, t).status in ("sat", "unsat")
+        assert searched == [] and looked == []
+        # the spy does see dist12's core search
+        assert solve(graph_instance("dist12", 4, complete_edges(4)), DIST12).status == "unsat"
+        assert searched == [(-2, -1, 0)]
+
+    def test_no_median_templates_are_decided_over_their_cores(self, monkeypatch):
+        # dist12 graphs with n = 4..14, judged by 3-colourability (by the
+        # window oracle too while that is quick), and random templates
+        # without a median.  Each instance is connected, so one search at
+        # most decides it; over a core R every value lies in R, and on the
+        # smaller graphs the witness is the least in R^n under the search
+        # order, variables in canonical order and values ascending
+        searched = []
+        real = brute.brute_solve
+
+        def spy(sub, t, cap, matrix=None, core=None):
+            searched.append(core)
+            return real(sub, t, cap, matrix, core)
+
+        monkeypatch.setattr(brute, "brute_solve", spy)
+        rng = random.Random(19)
+        routes = Counter()
+        for i in range(300):
+            if i % 5:
+                n = rng.randint(4, 14)
+                edges = spanning_tree_edges(n, rng) + [
+                    tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(n // 2, 2 * n))
+                ]
+                inst, t = graph_instance("dist12", n, edges), DIST12
+                expected = oracle_three_colourable(n, edges)
+                if n <= 7:
+                    assert oracle_decides(inst, t) == expected
+            else:
+                t = random_any_template(rng, f"a{i}")
+                while solver._median_modulus(t) is not None:
+                    t = random_any_template(rng, f"a{i}")
+                n = rng.randint(2, 6)
+                inst = random_connected_instance(t, n, rng, extra=rng.randint(0, 3))
+                expected = oracle_decides(inst, t)
+            searched.clear()
+            verdict = solve(inst, t)
+            assert verdict.status == ("sat" if expected else "unsat")
+            core = searched[0] if searched else None
+            routes[t is DIST12, core is not None, verdict.status] += 1
+            assert verdict.stats.core_searches == (core is not None)
+            if verdict.status != "sat":
+                continue
+            assert verify_assignment(inst, t, verdict.witness) == (True, None)
+            if core is None:
+                continue
+            assert verdict.witness[0] == 0 and set(verdict.witness) <= set(core)
+            if t is DIST12 and n <= 8:
+                order = bfs_order(inst)
+                for values in itertools.product(core, repeat=n - 1):
+                    least = dict(zip(order, (0, *values)))
+                    if all(abs(least[a] - least[b]) in (1, 2) for a, b in edges):
+                        break
+                assert verdict.witness == tuple(least[v] for v in range(n))
+        # every dist12 graph goes to the core, with both verdicts; the random
+        # templates take both routes
+        assert routes[True, False, "sat"] == routes[True, False, "unsat"] == 0
+        assert min(routes[True, True, "sat"], routes[True, True, "unsat"]) >= 50, routes
+        assert routes[False, True, "sat"] + routes[False, True, "unsat"] >= 3, routes
+        assert min(routes[False, False, "sat"], routes[False, False, "unsat"]) >= 10, routes
+
+    def test_a_fourteen_vertex_dist12_graph_is_estimated_at_two_to_the_thirteen(self):
+        rng = random.Random(14)
+        edges = spanning_tree_edges(14, rng) + [tuple(rng.sample(range(14), 2)) for _ in range(16)]
+        inst = graph_instance("dist12", 14, edges)
+        ((_, sub),) = split_components(inst)
+        with pytest.raises(CapExceededError, match=f"estimate {2**13} exceeds the cap"):
+            brute_solve(sub, DIST12, 2**13 - 1, core=(-2, -1, 0))
+        assert search_space_estimate(inst, DIST12) == 5**13  # the window's
+        verdict = solve(inst, DIST12, node_cap=2**13)
+        assert verdict.stats.core_searches == 1
+        assert verdict.status == ("sat" if oracle_three_colourable(14, edges) else "unsat")
+        # with one node less the core search is refused, and solve propagates
+        assert solve(inst, DIST12, node_cap=2**13 - 1).stats.core_searches == 0
 
 
 FAR = Template("far", (binary_relation("far", (0, 50)),))
@@ -1213,9 +1343,12 @@ class TestDecisionContract:
     def test_auto_agrees_with_the_search_called_directly(self, seed):
         # auto's fallback searches the propagated cells of a stuck component,
         # the direct call the constraints' projections: one verdict, one
-        # least witness.  Dense graphs in any numbering over dist12 or over
+        # least witness.  A component that auto searches over a finite core
+        # R instead gets the least witness in R^n: the same verdict, every
+        # value in R.  Dense graphs in any numbering over dist12 or over
         # a distance template that may lack one offset, so is not always
-        # closed under negation; or templates with no closure guarantee
+        # closed under negation; or templates with no closure guarantee.
+        # Every instance is connected, so it is one component rooted at 0
         rng = random.Random(seed)
         kind = rng.randrange(3)
         if kind < 2:
@@ -1234,4 +1367,10 @@ class TestDecisionContract:
         witness = brute_solve(inst, t)
         verdict = solve(inst, t, mode="auto", debug=True)
         assert verdict.status == ("unsat" if witness is None else "sat")
-        assert verdict.witness == witness
+        if not verdict.stats.core_searches:
+            assert verdict.witness == witness
+        elif witness is not None:
+            prep = preprocess(inst, t)
+            core = solver._finite_core(component_template(prep.instance, prep.template))
+            assert verdict.witness[0] == 0 and set(verdict.witness) <= set(core)
+            assert verify_assignment(inst, t, verdict.witness) == (True, None)
