@@ -11,11 +11,11 @@ lower variables, ANDed as plain-int bitmasks; a binary constraint on two
 distinct variables is its own pair set and needs no per-candidate check.
 
 Called directly, as the oracle, it shares only the component numbering with
-the solver.  `solve` hands it one numbered component instead: with the
-propagation fixpoint of a stuck component, whose finite cells replace the
-projections, or with a finite core, whose search reads the relations' cached
-`project_constraint` sets.  Every way, it skips mirrored subtrees of
-components closed under negation.
+the solver.  `solve` calls it the same way on a component whose extraction
+got stuck, and hands it one numbered component with a finite core to search
+over.  Every way, its pair links are the constraints' projections, packed
+once per relation and call, and it skips mirrored subtrees of components
+closed under negation.
 
 The core option narrows the window to a finite set R with max R = 0: the
 range of a drift-0 endomorphism e of the template, shifted down by its
@@ -33,14 +33,7 @@ from itertools import combinations
 
 from .analysis import max_distance_or_zero
 from .errors import CapExceededError, InputError
-from .model import (
-    DEFAULT_NODE_CAP,
-    Instance,
-    Template,
-    project_constraint,
-    projected_offsets,
-    tuple_in_relation,
-)
+from .model import DEFAULT_NODE_CAP, Instance, Template, projected_offsets, tuple_in_relation
 from .solver import split_components
 
 
@@ -114,63 +107,58 @@ def _core_estimate(links: list[list[tuple[int, int, int]]], core: tuple[int, ...
     return estimate
 
 
-def _projection_links(sub: Instance, t: Template) -> list[list[tuple[int, int, int]]]:
+def _projection_links(
+    sub: Instance, t: Template, span: int | None = None
+) -> list[list[tuple[int, int, int]]]:
     """Per variable j, (i, lo, mask) for each lower i paired with it by the
-    projections: bit k set when value[j] - value[i] = lo + k is allowed."""
-    pair_sets: dict[tuple[int, int], frozenset[int]] = {}
+    projections: bit k set when value[j] - value[i] = lo + k is allowed.
+
+    Each relation's coordinate pairs are packed once per call, forward and
+    reversed, keeping only the offsets in [-span, span] when span is given;
+    the masks of a pair that several constraints cover are intersected."""
+    plans: dict[str, list[tuple[int, int, tuple[int, int], tuple[int, int]]]] = {}
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
     for c in sub.constraints:
-        rel = t.relation(c.relation)
-        if not rel.has_tuples:
-            continue
-        for pi, pj in combinations(range(len(c.args)), 2):
-            a, b = c.args[pi], c.args[pj]
+        if c.relation not in plans:
+            rel = t.relation(c.relation)
+            coords = combinations(range(1, rel.arity + 1), 2) if rel.has_tuples else ()
+            plans[c.relation] = [
+                (i - 1, j - 1, _pack(rel, i, j, span), _pack(rel, j, i, span)) for i, j in coords
+            ]
+        for i, j, forward, reverse in plans[c.relation]:
+            a, b = c.args[i], c.args[j]
             if a == b:
                 continue
-            if a < b:
-                allowed = projected_offsets(rel, pi + 1, pj + 1)
-            else:
-                a, b, allowed = b, a, projected_offsets(rel, pj + 1, pi + 1)
-            pair_sets[a, b] = pair_sets.get((a, b), allowed) & allowed
+            if a > b:
+                a, b, forward = b, a, reverse
+            old = pairs.get((a, b))
+            if old is not None:  # AND the masks, counted from the larger lo
+                lo = max(old[0], forward[0])
+                forward = lo, (old[1] >> (lo - old[0])) & (forward[1] >> (lo - forward[0]))
+            pairs[a, b] = forward
     links: list[list[tuple[int, int, int]]] = [[] for _ in range(sub.num_vars)]
-    for (i, j), offs in pair_sets.items():
-        lo = min(offs, default=0)
-        packed = bytearray((max(offs, default=lo) - lo) // 8 + 1)
-        for s in offs:
-            packed[(s - lo) // 8] |= 1 << (s - lo) % 8
-        links[j].append((i, lo, int.from_bytes(packed, "little")))
+    for (i, j), (lo, mask) in pairs.items():
+        links[j].append((i, lo, mask))
     return links
 
 
-def _links(sub: Instance, t: Template, matrix, core) -> list[list[tuple[int, int, int]]]:
-    """Per variable j, (i, lo, mask) for each finite pair set to a lower i:
-    the cells of matrix when there is one, else for a core search the cached
-    `project_constraint` sets, intersected per pair, else the projections."""
-    if matrix is not None:
-        cells = matrix.cells
-    elif core is None:
-        return _projection_links(sub, t)
-    else:
-        cells = {}
-        for c in sub.constraints:
-            rel = t.relation(c.relation)
-            if rel.has_tuples:
-                for (i, a), (j, b) in combinations(enumerate(c.args, 1), 2):
-                    if a > b:
-                        i, a, j, b = j, b, i, a
-                    cell = project_constraint(rel, i, j)
-                    cells[a, b] = cells[a, b] & cell if (a, b) in cells else cell
-    links: list[list[tuple[int, int, int]]] = [[] for _ in range(sub.num_vars)]
-    for (i, j), cell in cells.items():
-        if i < j and cell.mask is not None:
-            links[j].append((i, cell.lo, cell.mask))
-    return links
+def _pack(rel, i: int, j: int, span: int | None) -> tuple[int, int]:
+    """(lo, mask) of the projection of rel onto coordinates (i, j), with
+    only its offsets in [-span, span] when span is given."""
+    offs = projected_offsets(rel, i, j)
+    if span is not None:
+        offs = [s for s in offs if -span <= s <= span]
+    lo = min(offs, default=0)
+    packed = bytearray((max(offs, default=lo) - lo) // 8 + 1)
+    for s in offs:
+        packed[(s - lo) // 8] |= 1 << (s - lo) % 8
+    return lo, int.from_bytes(packed, "little")
 
 
 def brute_solve(
     inst: Instance,
     t: Template,
     node_cap: int = DEFAULT_NODE_CAP,
-    matrix=None,
     core: tuple[int, ...] | None = None,
 ) -> tuple[int, ...] | None:
     """Depth-first search for the least witness under the search order, or None.
@@ -182,16 +170,13 @@ def brute_solve(
     they are implied constraints, so pruning never loses a witness.  Raises
     CapExceededError instead of starting a search estimated over node_cap.
 
-    matrix is a `solver.PairMatrix` of inst, a component that `solve` has
-    preprocessed and numbered: inst is not validated or split again, and
-    the finite cells to lower variables, implied too, replace the
-    projections, but not in the window's estimate.
-
-    core, the ascending values of a finite core R of t with max R = 0 (see
-    the module docstring), replaces the window for such a component, which
-    is not validated or split either: every domain is ANDed with R, the
-    witness is the least one in R^n, and the estimate is `_core_estimate`'s,
-    from the pair sets the search reads.
+    core, the strictly ascending values of a finite core R of t with
+    max R = 0 (see the module docstring), replaces the window for inst, one
+    component that `solve` has preprocessed and numbered, which is not
+    validated or split again: every domain is ANDed with R, the witness is
+    the least one in R^n, and the estimate is `_core_estimate`'s, from the
+    projections the search reads.  Only offsets between two values of R,
+    in [min R, -min R], are packed.
 
     When every relation a component names is closed under negation, a step
     whose lower variables are all 0 tries only values <= 0, as negation maps
@@ -199,17 +184,17 @@ def brute_solve(
     Over R that bound excludes nothing, as it must unless -R = R: every
     value of R is <= 0.
     """
-    if core is not None:
-        if core[-1] != 0:
-            raise InputError(f"a core must have maximum 0, got {core}")
-        core_bits = sum(1 << (v - core[0]) for v in core)
-    if matrix is None and core is None:
+    if core is None:
         inst.validate_against(t)
         for c in inst.constraints:
             if t.relation(c.relation).is_empty:
                 return None
         components = split_components(inst)
     else:
+        ascending = all(type(v) is int for v in core) and all(a < b for a, b in zip(core, core[1:]))
+        if not (core and ascending and core[-1] == 0):
+            raise InputError(f"a core must be strictly ascending integers up to 0, got {core}")
+        core_bits = sum(1 << (v - core[0]) for v in core)
         components = [(list(range(inst.num_vars)), inst)]
     biggest = max_distance_or_zero(t)
     plans = []
@@ -217,7 +202,7 @@ def brute_solve(
         estimate, due, mirror = _plan(sub, t, biggest)
         links = None
         if core is not None:  # counted from the pair sets that the search reads
-            links = _links(sub, t, matrix, core)
+            links = _projection_links(sub, t, -core[0])
             estimate = _core_estimate(links, core, core_bits)
         plans.append((comp, sub, estimate, due, mirror, links))
     estimate = sum(plan[2] for plan in plans)
@@ -229,8 +214,8 @@ def brute_solve(
     for comp, sub, _, due, mirror, links in plans:
         half = (len(comp) - 1) * biggest
         # links[j] holds (i, lo, mask) for each finite pair set to a lower i
-        if links is None:
-            links = _links(sub, t, matrix, core)
+        if links is None:  # built only once the window's estimate has passed
+            links = _projection_links(sub, t)
         # the window or the core, with bit 0 at value lowest, starts every domain
         lowest, every = (-half, -1) if core is None else (core[0], core_bits)
         local = [0] * len(comp)

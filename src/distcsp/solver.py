@@ -682,8 +682,8 @@ def solve(
     witness in R^n under the search order, root at 0.  Every other
     component, and one whose core search is estimated over the cap, runs
     consistency, and a component whose extraction got stuck is then
-    searched alone over the window, from its propagated cells, when it fits
-    under the search cap.  Sat verdicts always carry a witness that
+    searched alone over the window, as `brute` mode searches it, when it
+    fits under the search cap.  Sat verdicts always carry a witness that
     has been re-verified; unsat verdicts from propagation are sound
     unconditionally.  Propagation is undecided, not failed, for a component
     whose pair set would span more than `model.MAX_SPAN` integers.  The
@@ -705,7 +705,7 @@ def solve(
     pending = []  # undecided components, with their own relations and the reason
     stuck = "witness extraction failed; no modular median verified for the template"
     for variables, sub, adjacency in components:
-        reason = matrix = None  # brute mode searches every component
+        reason = None  # brute mode searches every component
         own = component_template(sub, prep.template) if mode == "auto" else None
         # the sweep decides a one-step component, and consistency one whose
         # relations have a modular median; the rest may have a finite core
@@ -715,7 +715,7 @@ def solve(
                 try:
                     witness = brute.brute_solve(sub, own, cap, core=core)
                 except CapExceededError:
-                    pass  # the window search may still fit, from the fixpoint
+                    pass  # the window search may still fit
                 else:
                     stats.core_searches += 1
                     if witness is None:
@@ -730,7 +730,7 @@ def solve(
                 else:
                     propagate(matrix, trace=trace, debug=debug)
             except CapExceededError as e:
-                reason, matrix = f"propagation refused: {e}", None
+                reason = f"propagation refused: {e}"
             else:
                 stats.absorb(matrix.stats)
                 if matrix.empty_pair is not None:
@@ -753,17 +753,17 @@ def solve(
             raise InternalInvariantError(
                 "extraction failed although its relations are closed under a modular median"
             )
-        pending.append((variables, sub, own, reason, matrix))
+        pending.append((variables, sub, own, reason))
 
     # the window search goes last, so that no component found unsat by
     # propagation waits behind it
     reasons = []
-    for variables, sub, own, reason, matrix in pending:
+    for variables, sub, own, reason in pending:
         if mode == "consistency":
             reasons.append(reason)
             continue
         try:
-            witness = brute.brute_solve(sub, own, cap, matrix)
+            witness = brute.brute_solve(sub, own, cap)
         except CapExceededError as e:
             reasons.append(f"{reason}; {e}" if reason else str(e))
             continue

@@ -124,6 +124,15 @@ class TestBruteSolve:
         with pytest.raises(CapExceededError, match="cap"):
             brute_solve(inst, DIST12, node_cap=3)
 
+    def test_a_core_must_ascend_strictly_to_zero(self):
+        edge = graph_instance("dist12", 2, [(0, 1)])
+        assert brute_solve(edge, DIST12, core=(-2, -1, 0)) == (0, -2)
+        # a repeated value once packed the wrong mask and found (0, -1); a
+        # descending one raised ValueError from a negative shift
+        for core in ((-2, -2, 0), (-1, -3, 0), (-2, -1), (), (-1.0, 0)):
+            with pytest.raises(InputError, match="strictly ascending"):
+                brute_solve(edge, DIST12, core=core)
+
     def test_default_cap_is_generous(self):
         inst = graph_instance("dist12", 10, petersen_edges())
         assert search_space_estimate(inst, DIST12) < DEFAULT_NODE_CAP
@@ -265,7 +274,8 @@ class TestMirror:
 class TestOracleIndependence:
     def test_shares_only_the_component_split_with_the_solver(self):
         # the oracle must not lean on the solver's propagation or its
-        # offset-set kernel, whose span cap it does not share
+        # offset-set kernel, whose span cap it does not share, nor on the
+        # kernel's cached projections
         tree = ast.parse(Path(brute.__file__).read_text())
         from_solver = [
             alias.name
@@ -281,4 +291,4 @@ class TestOracleIndependence:
                 getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
             )
         }
-        assert "OffsetSet" not in used
+        assert "OffsetSet" not in used and "project_constraint" not in used

@@ -1065,31 +1065,34 @@ class TestSolve:
 
 
 class TestFallback:
-    def test_a_stuck_component_hands_over_its_fixpoint(self, monkeypatch):
+    def test_a_stuck_component_is_searched_as_brute_mode_searches_it(self, monkeypatch):
         handed = []
         real = brute.brute_solve
 
-        def spy(sub, t, cap, matrix=None, core=None):
-            handed.append(matrix and cell_sets(matrix))
-            return real(sub, t, cap, matrix, core)
+        def spy(sub, t, cap, core=None):
+            handed.append((sub, t, cap, core))
+            return real(sub, t, cap, core)
 
         monkeypatch.setattr(brute, "brute_solve", spy)
         verdict = solve(STUCK23, DIST23, debug=True)
         assert verdict.status == "sat" and verdict.witness == brute_solve(STUCK23, DIST23)
-        assert handed == [cell_sets(propagate(initialize_pairs(STUCK23, DIST23)))]
-        # brute mode, and a component whose propagation was refused, hand none
+        assert handed == [(STUCK23, DIST23, brute.DEFAULT_NODE_CAP, None)]
+        # brute mode, and a component whose propagation was refused, make the same call
         handed.clear()
         assert solve(STUCK23, DIST23, mode="brute").witness == verdict.witness
         gap = Template("gap", (binary_relation("g", (0, 2_000_000)),))
-        assert solve(graph_instance("g", 2, [(0, 1)]), gap).witness == (0, 0)
-        assert handed == [None, None]
+        edge = graph_instance("g", 2, [(0, 1)])
+        assert solve(edge, gap).witness == (0, 0)
+        cap = brute.DEFAULT_NODE_CAP
+        assert handed == [(STUCK23, DIST23, cap, None), (edge, gap, cap, None)]
 
-    def test_the_fixpoint_is_searched_without_a_second_split(self, monkeypatch):
+    def test_core_searches_are_neither_validated_nor_split(self, monkeypatch):
         validated, split = [], []
         monkeypatch.setattr(Instance, "validate_against", lambda inst, t: validated.append(inst))
         monkeypatch.setattr(brute, "split_components", lambda inst: split.append(inst))
-        assert solve(graph_instance("dist12", 4, complete_edges(4)), DIST12).status == "unsat"
-        assert solve(FAN, DIST12).status == "sat"
+        k4 = graph_instance("dist12", 4, complete_edges(4))
+        assert solve(k4, DIST12).stats.core_searches == 1
+        assert solve(FAN, DIST12).stats.core_searches == 1
         assert validated == [] and split == []
 
     def test_the_estimate_ignores_fill_edges(self, monkeypatch):
@@ -1102,12 +1105,13 @@ class TestFallback:
         matrix = propagate(initialize_pairs(inst, t))
         assert matrix.cells[(0, 8)].offsets == (-6, -5, -4, -1, 0, 1, 4, 5, 6)
         assert search_space_estimate(inst, t) == 7**8 * 55
+        # a refused window search builds no pair links
+        linked = []
+        real = brute._projection_links
+        monkeypatch.setattr(brute, "_projection_links", lambda *a: linked.append(a) or real(*a))
         verdict = solve(inst, t, node_cap=7**9)
         assert verdict.reason.endswith(f"search space estimate {7**8 * 55} exceeds the cap {7**9}")
-        # a refused component reads no cell: a stand-in without cells will do
-        real = brute.brute_solve
-        monkeypatch.setattr(brute, "brute_solve", lambda sub, t, cap, m: real(sub, t, cap, object()))
-        assert solve(inst, t, node_cap=7**9).reason == verdict.reason
+        assert linked == []
         monkeypatch.undo()
         witness = brute_solve(inst, t, 7**8 * 55)
         assert witness[:8] == brute_solve(STUCK23, DIST23)
@@ -1130,9 +1134,9 @@ class TestFiniteCore:
         searched, looked = [], []
         real, real_core = brute.brute_solve, solver._finite_core
 
-        def spy(sub, t, cap, matrix=None, core=None):
+        def spy(sub, t, cap, core=None):
             searched.append(core)
-            return real(sub, t, cap, matrix, core)
+            return real(sub, t, cap, core)
 
         monkeypatch.setattr(brute, "brute_solve", spy)
         monkeypatch.setattr(solver, "_finite_core", lambda t: looked.append(t) or real_core(t))
@@ -1160,9 +1164,9 @@ class TestFiniteCore:
         searched = []
         real = brute.brute_solve
 
-        def spy(sub, t, cap, matrix=None, core=None):
+        def spy(sub, t, cap, core=None):
             searched.append(core)
-            return real(sub, t, cap, matrix, core)
+            return real(sub, t, cap, core)
 
         monkeypatch.setattr(brute, "brute_solve", spy)
         rng = random.Random(19)
@@ -1240,6 +1244,12 @@ class TestSpanCap:
         assert time.perf_counter() - start < 1.0
         assert verdict.status == "unknown"
         assert "propagation refused" in verdict.reason and "cap" in verdict.reason
+
+    def test_a_core_search_packs_only_offsets_within_the_core(self):
+        # offsets of +-10^9 lie outside [min R, -min R] and are never packed
+        start = time.perf_counter()
+        assert brute_solve(WIDE_PATH, WIDE, core=(-1, 0)) is None
+        assert time.perf_counter() - start < 1.0
 
     def test_auto_falls_back_to_exhaustive_past_the_span(self):
         # the exhaustive search keeps plain sets and decides it
