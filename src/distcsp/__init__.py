@@ -6,109 +6,77 @@ eventually periodic endomorphisms, and decides instances either by pairwise
 distance propagation or by exhaustive search over a sound window.
 """
 
-from .analysis import (
-    AnalysisReport,
-    analyze_template,
-    gaifman_distances,
-    graph_distance,
-    is_connected,
-    realizing_path_length,
-    stretch_constant,
-)
-from .brute import brute_solve, search_space_estimate, verify_assignment
-from .endomorphism import (
-    EndoClassification,
-    PeriodicMapSpec,
-    classify_endomorphism,
-    compose_maps,
-    format_map_spec,
-    is_endomorphism,
-    parse_map_spec,
-    reduce_template,
-    search_periodic_endomorphism,
-    stable_numbers,
-)
-from .errors import (
-    CapExceededError,
-    DisconnectedTemplateError,
-    InputError,
-    InternalInvariantError,
-)
-from .formats import (
-    ParseError,
-    parse_assignment,
-    parse_instance,
-    parse_template,
-    to_json,
-)
-from .model import (
-    EMPTY,
-    FULL,
-    Constraint,
-    Instance,
-    OffsetSet,
-    RelationDef,
-    Template,
-    project_constraint,
-    tuple_in_relation,
-)
-from .polymorphism import (
-    PreservationResult,
-    check_two_decomposable,
-    find_modular_median,
-    modular_median,
-    preserves_relation,
-    random_preservation_trials,
-)
-from .solver import Verdict, solve
+from importlib import import_module
+
+# The module that defines each public name.  A name is imported from it on
+# first access (PEP 562), so that importing the package, or one module of it
+# such as the CLI, loads nothing else.
+_EXPORTS = {
+    "analysis": (
+        "AnalysisReport",
+        "analyze_template",
+        "gaifman_distances",
+        "graph_distance",
+        "is_connected",
+        "realizing_path_length",
+        "stretch_constant",
+    ),
+    "brute": ("brute_solve", "search_space_estimate", "verify_assignment"),
+    "endomorphism": (
+        "EndoClassification",
+        "PeriodicMapSpec",
+        "classify_endomorphism",
+        "compose_maps",
+        "format_map_spec",
+        "is_endomorphism",
+        "parse_map_spec",
+        "reduce_template",
+        "search_periodic_endomorphism",
+        "stable_numbers",
+    ),
+    "errors": (
+        "CapExceededError",
+        "DisconnectedTemplateError",
+        "InputError",
+        "InternalInvariantError",
+    ),
+    "formats": ("ParseError", "parse_assignment", "parse_instance", "parse_template", "to_json"),
+    "model": (
+        "EMPTY",
+        "FULL",
+        "Constraint",
+        "Instance",
+        "OffsetSet",
+        "RelationDef",
+        "Template",
+        "project_constraint",
+        "tuple_in_relation",
+    ),
+    "polymorphism": (
+        "PreservationResult",
+        "check_two_decomposable",
+        "find_modular_median",
+        "modular_median",
+        "preserves_relation",
+        "random_preservation_trials",
+    ),
+    "solver": ("Verdict", "solve"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "CapExceededError",
-    "Constraint",
-    "DisconnectedTemplateError",
-    "EMPTY",
-    "EndoClassification",
-    "FULL",
-    "InputError",
-    "Instance",
-    "InternalInvariantError",
-    "OffsetSet",
-    "ParseError",
-    "PeriodicMapSpec",
-    "PreservationResult",
-    "RelationDef",
-    "Template",
-    "Verdict",
-    "analyze_template",
-    "brute_solve",
-    "check_two_decomposable",
-    "classify_endomorphism",
-    "compose_maps",
-    "find_modular_median",
-    "format_map_spec",
-    "gaifman_distances",
-    "graph_distance",
-    "is_connected",
-    "is_endomorphism",
-    "modular_median",
-    "parse_assignment",
-    "parse_instance",
-    "parse_map_spec",
-    "parse_template",
-    "preserves_relation",
-    "project_constraint",
-    "random_preservation_trials",
-    "realizing_path_length",
-    "reduce_template",
-    "search_periodic_endomorphism",
-    "search_space_estimate",
-    "solve",
-    "stable_numbers",
-    "stretch_constant",
-    "to_json",
-    "tuple_in_relation",
-    "verify_assignment",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 
-from . import analysis, endomorphism, formats, polymorphism, solver
+# a subcommand imports the other modules it runs when it runs, so that a
+# process compiles and loads only what its subcommand needs
+from . import formats
 from .errors import (
     CapExceededError,
     DisconnectedTemplateError,
     InputError,
     InternalInvariantError,
 )
-from .model import Instance, Template
+from .model import MODES, Instance, Template
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -59,6 +60,8 @@ def _load_instance(path: str, template: Template) -> Instance:
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis
+
     t = _load_template(args.template)
     report = analysis.analyze_template(t)
     _emit(
@@ -76,6 +79,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import solver
+
     t = _load_template(args.template)
     inst = _load_instance(args.instance, t)
     trace = (lambda line: sys.stderr.write(line + "\n")) if args.trace else None
@@ -86,17 +91,17 @@ def _cmd_solve(args) -> int:
     if verdict.reason is not None:
         report["reason"] = verdict.reason
     if args.stats and verdict.stats is not None:
-        report["stats"] = asdict(verdict.stats)
+        report["stats"] = verdict.stats.as_dict()
     _emit(report)
     return _VERDICT_EXITS[verdict.status]
 
 
 def _cmd_verify(args) -> int:
+    from .brute import verify_assignment
+
     t = _load_template(args.template)
     inst = _load_instance(args.instance, t)
     values = formats.parse_assignment(_read(args.assignment))
-    from .brute import verify_assignment
-
     ok, failing = verify_assignment(inst, t, values)
     if ok:
         _emit({"verdict": "sat", "witness": list(values)})
@@ -106,6 +111,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_poly(args) -> int:
+    from . import polymorphism
+
     t = _load_template(args.template)
     if args.trials < 0:
         raise InputError(f"--trials must be non-negative, got {args.trials}")
@@ -133,6 +140,8 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_endo_check(args) -> int:
+    from . import analysis, endomorphism
+
     t = _load_template(args.template)
     spec = endomorphism.parse_map_spec(_read(args.spec).strip())
     check = endomorphism.is_endomorphism(spec, t)
@@ -164,6 +173,8 @@ def _cmd_endo_check(args) -> int:
 
 
 def _cmd_endo_search(args) -> int:
+    from . import endomorphism
+
     t = _load_template(args.template)
     drift_filter = None if args.drift is None else (int(args.drift),)
     spec = endomorphism.search_periodic_endomorphism(
@@ -180,6 +191,8 @@ def _cmd_endo_search(args) -> int:
 
 
 def _cmd_endo_reduce(args) -> int:
+    from . import endomorphism
+
     t = _load_template(args.template)
     reduced = endomorphism.reduce_template(t, args.q)
     doc = formats.template_to_dict(reduced)
@@ -205,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("solve", help="decide an instance")
     p.add_argument("template")
     p.add_argument("instance")
-    p.add_argument("--mode", choices=solver.MODES, default="auto")
+    p.add_argument("--mode", choices=MODES, default="auto")
     p.add_argument("--trace", action="store_true", help="log pair replacements to stderr")
     p.add_argument("--stats", action="store_true", help="include solver counters in the report")
     p.set_defaults(run=_cmd_solve)

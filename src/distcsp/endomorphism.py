@@ -22,38 +22,49 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from typing import Iterable
 
 from .analysis import is_connected, max_distance_or_zero
 from .errors import CapExceededError, InputError, InternalInvariantError
-from .model import EMPTY, MAX_SPAN, RelationDef, Template, tuple_in_relation
+from .model import (
+    EMPTY,
+    MAX_SPAN,
+    FrozenRecord,
+    RelationDef,
+    Template,
+    _set,
+    tuple_in_relation,
+)
 
 FINITE_RANGE = "finite_range"
 PERIODIC = "periodic"
 
 
-@dataclass(frozen=True)
-class PeriodicMapSpec:
+class PeriodicMapSpec(FrozenRecord):
     """Finite description of one eventually periodic map."""
 
+    _fields = ("period", "base_values", "drift")
     period: int
     base_values: tuple[int, ...]
     drift: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.period, int) or isinstance(self.period, bool) or self.period < 1:
-            raise InputError(f"period must be a positive integer, got {self.period!r}")
-        values = tuple(self.base_values)
+    def __init__(self, period: int, base_values: Iterable[int], drift: int) -> None:
+        if not isinstance(period, int) or isinstance(period, bool) or period < 1:
+            raise InputError(f"period must be a positive integer, got {period!r}")
+        values = tuple(base_values)
         for v in values:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InputError(f"base value {v!r} is not an integer")
-        if len(values) != self.period:
-            raise InputError(
-                f"expected {self.period} base values, got {len(values)}"
-            )
-        object.__setattr__(self, "base_values", values)
-        if self.drift not in (1, -1, 0):
-            raise InputError(f"drift must be +1, -1 or 0, got {self.drift!r}")
+        if len(values) != period:
+            raise InputError(f"expected {period} base values, got {len(values)}")
+        if drift not in (1, -1, 0):
+            raise InputError(f"drift must be +1, -1 or 0, got {drift!r}")
+        _set(self, "period", period)
+        _set(self, "base_values", values)
+        _set(self, "drift", drift)
+
+    def __hash__(self) -> int:
+        return hash((self.period, self.base_values, self.drift))
 
     def __call__(self, x: int) -> int:
         return self.base_values[x % self.period] + self.drift * self.period * (x // self.period)
@@ -85,14 +96,29 @@ def parse_map_spec(text: str) -> PeriodicMapSpec:
     return PeriodicMapSpec(period, values, drift)
 
 
-@dataclass(frozen=True)
-class EndoCheck:
+class EndoCheck(FrozenRecord):
     """Verdict of an endomorphism check, with a replayable counterexample."""
 
+    _fields = ("ok", "relation", "source", "image")
     ok: bool
-    relation: str | None = None
-    source: tuple[int, ...] | None = None
-    image: tuple[int, ...] | None = None
+    relation: str | None
+    source: tuple[int, ...] | None
+    image: tuple[int, ...] | None
+
+    def __init__(
+        self,
+        ok: bool,
+        relation: str | None = None,
+        source: tuple[int, ...] | None = None,
+        image: tuple[int, ...] | None = None,
+    ) -> None:
+        _set(self, "ok", ok)
+        _set(self, "relation", relation)
+        _set(self, "source", source)
+        _set(self, "image", image)
+
+    def __hash__(self) -> int:
+        return hash((self.ok, self.relation, self.source, self.image))
 
 
 def is_endomorphism(spec: PeriodicMapSpec, t: Template) -> EndoCheck:
@@ -130,15 +156,40 @@ def stable_numbers(spec: PeriodicMapSpec, upto: int) -> tuple[int, ...]:
     return tuple(q for q in range(1, upto + 1) if _stable_step(spec, q) is not None)
 
 
-@dataclass(frozen=True)
-class EndoClassification:
+class EndoClassification(FrozenRecord):
     """Kind and stability data of a verified endomorphism."""
 
+    _fields = ("kind", "direction", "minimal_stable", "stable_numbers_upto", "checked_upto")
     kind: str
     direction: int | None
     minimal_stable: int | None
     stable_numbers_upto: tuple[int, ...]
     checked_upto: int
+
+    def __init__(
+        self,
+        kind: str,
+        direction: int | None,
+        minimal_stable: int | None,
+        stable_numbers_upto: tuple[int, ...],
+        checked_upto: int,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "direction", direction)
+        _set(self, "minimal_stable", minimal_stable)
+        _set(self, "stable_numbers_upto", stable_numbers_upto)
+        _set(self, "checked_upto", checked_upto)
+
+    def __hash__(self) -> int:
+        return hash(
+            (
+                self.kind,
+                self.direction,
+                self.minimal_stable,
+                self.stable_numbers_upto,
+                self.checked_upto,
+            )
+        )
 
 
 def classify_endomorphism(spec: PeriodicMapSpec, t: Template) -> EndoClassification:

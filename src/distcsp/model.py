@@ -19,8 +19,8 @@ at most ``MAX_SPAN`` consecutive integers; past that, building it raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, TypeVar
 
 from .errors import CapExceededError, InputError
@@ -36,6 +36,10 @@ MAX_SPAN = 1 << 20
 # Most cells, nodes or candidates any exhaustive search may visit; a search
 # estimated above it raises CapExceededError before it starts.
 DEFAULT_NODE_CAP = 100_000_000
+
+# The ways `solver.solve` decides an instance; the CLI offers them without
+# importing the solver.
+MODES = ("auto", "consistency", "brute")
 
 
 def _check_int(value: object, what: str) -> int:
@@ -221,9 +225,53 @@ def _make(lo: int, mask: int) -> OffsetSet:
 _EMPTY = OffsetSet(())
 _FULL = OffsetSet(None)
 
+# sets a field of a frozen record, from its __init__ or `_trusted`
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class RelationDef:
+
+class Record:
+    """A record of the fields that ``_fields`` names, in order.
+
+    Two records are equal when they are of one class and their fields are
+    equal; the repr is ``Name(field=value, ...)``.  A plain record is
+    mutable and unhashable.  Each subclass writes its own ``__init__``,
+    which validates its arguments.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def as_dict(self) -> dict:
+        """The fields by name, in order."""
+        return dict(zip(self._fields, self._values(self)))
+
+
+class FrozenRecord(Record):
+    """A `Record` whose fields are set once, by ``__init__`` through `_set`:
+    assigning or deleting an attribute raises AttributeError.  Each subclass
+    hashes the tuple of its fields in its own ``__hash__``, which costs less
+    than reading them through ``_values``."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RelationDef(FrozenRecord):
     """A named k-ary relation given by offset tuples or a FULL/EMPTY marker.
 
     Offset tuples have k-1 components and are relative to the first
@@ -233,39 +281,41 @@ class RelationDef:
     marker.
     """
 
+    _fields = ("name", "arity", "body")
     name: str
     arity: int
     body: str | tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
+    def __init__(self, name: str, arity: int, body: str | Iterable[Iterable[int]]) -> None:
+        if not isinstance(name, str) or not name:
             raise InputError("relation name must be a non-empty string")
-        _check_int(self.arity, "arity")
-        if self.arity < 1:
-            raise InputError(f"relation {self.name}: arity must be >= 1")
-        if isinstance(self.body, str):
-            if self.body not in (FULL, EMPTY):
-                raise InputError(
-                    f"relation {self.name}: body marker must be '{FULL}' or '{EMPTY}'"
-                )
-            return
-        tuples = set()
-        for v in self.body:
-            v = tuple(_check_int(c, f"relation {self.name}: offset") for c in v)
-            if len(v) != self.arity - 1:
-                raise InputError(
-                    f"relation {self.name}: offset tuple {v} must have "
-                    f"{self.arity - 1} components"
-                )
-            tuples.add(v)
-        if not tuples:
-            object.__setattr__(self, "body", EMPTY)
-        elif self.arity == 1:
-            raise InputError(
-                f"relation {self.name}: arity-1 bodies must be '{FULL}' or '{EMPTY}'"
-            )
+        _check_int(arity, "arity")
+        if arity < 1:
+            raise InputError(f"relation {name}: arity must be >= 1")
+        if isinstance(body, str):
+            if body not in (FULL, EMPTY):
+                raise InputError(f"relation {name}: body marker must be '{FULL}' or '{EMPTY}'")
         else:
-            object.__setattr__(self, "body", tuple(sorted(tuples)))
+            tuples = set()
+            for v in body:
+                v = tuple(_check_int(c, f"relation {name}: offset") for c in v)
+                if len(v) != arity - 1:
+                    raise InputError(
+                        f"relation {name}: offset tuple {v} must have {arity - 1} components"
+                    )
+                tuples.add(v)
+            if not tuples:
+                body = EMPTY
+            elif arity == 1:
+                raise InputError(f"relation {name}: arity-1 bodies must be '{FULL}' or '{EMPTY}'")
+            else:
+                body = tuple(sorted(tuples))
+        _set(self, "name", name)
+        _set(self, "arity", arity)
+        _set(self, "body", body)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.arity, self.body))
 
     @property
     def is_full(self) -> bool:
@@ -362,20 +412,25 @@ def tuple_in_relation(rel: RelationDef, values: tuple[int, ...]) -> bool:
     return tuple(c - base for c in values[1:]) in rel._tuple_set
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(FrozenRecord):
     """A named, finite collection of relations sharing one integer domain."""
 
+    _fields = ("name", "relations")
     name: str
     relations: tuple[RelationDef, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
+    def __init__(self, name: str, relations: Iterable[RelationDef]) -> None:
+        if not isinstance(name, str) or not name:
             raise InputError("template name must be a non-empty string")
-        object.__setattr__(self, "relations", tuple(self.relations))
-        names = [r.name for r in self.relations]
+        relations = tuple(relations)
+        names = [r.name for r in relations]
         if len(names) != len(set(names)):
-            raise InputError(f"template {self.name}: duplicate relation names")
+            raise InputError(f"template {name}: duplicate relation names")
+        _set(self, "name", name)
+        _set(self, "relations", relations)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.relations))
 
     @cached_property
     def _by_name(self) -> dict[str, RelationDef]:
@@ -388,54 +443,62 @@ class Template:
             raise InputError(f"template {self.name} has no relation named {name!r}") from None
 
 
-_Record = TypeVar("_Record")
+_R = TypeVar("_R", bound=FrozenRecord)
 
 
-def _trusted(cls: type[_Record], **fields: object) -> _Record:
-    """A frozen dataclass built from fields that come from an already
-    validated instance, without the checks of its ``__post_init__``."""
+def _trusted(cls: type[_R], **fields: object) -> _R:
+    """A frozen record built from fields that come from an already
+    validated instance, without the checks of its ``__init__``."""
     record = object.__new__(cls)
     for name, value in fields.items():
-        object.__setattr__(record, name, value)
+        _set(record, name, value)
     return record
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(FrozenRecord):
     """One atomic constraint: a relation name applied to variable indices."""
 
+    _fields = ("relation", "args")
     relation: str
     args: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.relation, str) or not self.relation:
+    def __init__(self, relation: str, args: Iterable[int]) -> None:
+        if not isinstance(relation, str) or not relation:
             raise InputError("constraint relation name must be a non-empty string")
-        object.__setattr__(
-            self, "args", tuple(_check_int(a, "constraint argument") for a in self.args)
-        )
-        if not self.args:
+        args = tuple(_check_int(a, "constraint argument") for a in args)
+        if not args:
             raise InputError("constraint needs at least one argument")
+        _set(self, "relation", relation)
+        _set(self, "args", args)
+
+    def __hash__(self) -> int:
+        return hash((self.relation, self.args))
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(FrozenRecord):
     """A conjunction of constraints over variables 0 .. num_vars - 1."""
 
+    _fields = ("num_vars", "constraints")
     num_vars: int
     constraints: tuple[Constraint, ...]
 
-    def __post_init__(self) -> None:
-        _check_int(self.num_vars, "num_vars")
-        if self.num_vars < 1:
+    def __init__(self, num_vars: int, constraints: Iterable[Constraint]) -> None:
+        _check_int(num_vars, "num_vars")
+        if num_vars < 1:
             raise InputError("an instance needs at least one variable")
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        for c in self.constraints:
+        constraints = tuple(constraints)
+        for c in constraints:
             for a in c.args:
-                if not 0 <= a < self.num_vars:
+                if not 0 <= a < num_vars:
                     raise InputError(
                         f"constraint {c.relation}{c.args} uses variable {a}, "
-                        f"but only {self.num_vars} variables are declared"
+                        f"but only {num_vars} variables are declared"
                     )
+        _set(self, "num_vars", num_vars)
+        _set(self, "constraints", constraints)
+
+    def __hash__(self) -> int:
+        return hash((self.num_vars, self.constraints))
 
     def validate_against(self, template: Template) -> None:
         """Check that every constraint names a template relation of matching arity."""

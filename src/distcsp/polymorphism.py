@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .analysis import max_distance_or_zero
 from .errors import CapExceededError, InputError
 from .model import (
     DEFAULT_NODE_CAP,
     MAX_SPAN,
+    FrozenRecord,
     RelationDef,
     Template,
+    _set,
     projected_offsets,
     tuple_in_relation,
 )
@@ -51,14 +52,29 @@ def modular_median(d: int, x: int, y: int, z: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class PreservationResult:
+class PreservationResult(FrozenRecord):
     """Outcome of a closure check; witnesses are concrete integer tuples."""
 
+    _fields = ("preserved", "witness", "image", "trivial")
     preserved: bool
-    witness: tuple[IntTuple, IntTuple, IntTuple] | None = None
-    image: IntTuple | None = None
-    trivial: bool = False
+    witness: tuple[IntTuple, IntTuple, IntTuple] | None
+    image: IntTuple | None
+    trivial: bool
+
+    def __init__(
+        self,
+        preserved: bool,
+        witness: tuple[IntTuple, IntTuple, IntTuple] | None = None,
+        image: IntTuple | None = None,
+        trivial: bool = False,
+    ) -> None:
+        _set(self, "preserved", preserved)
+        _set(self, "witness", witness)
+        _set(self, "image", image)
+        _set(self, "trivial", trivial)
+
+    def __hash__(self) -> int:
+        return hash((self.preserved, self.witness, self.image, self.trivial))
 
 
 def preservation_window(d: int, rel: RelationDef) -> int:

@@ -27,20 +27,22 @@ extraction leaves its component undecided; `solve` may search it exhaustively.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
-from .analysis import max_distance_or_zero
-from .endomorphism import search_periodic_endomorphism
 from .errors import CapExceededError, InputError, InternalInvariantError
 from .model import (
+    DEFAULT_NODE_CAP,
+    MODES,
     Constraint,
+    FrozenRecord,
     Instance,
     OffsetSet,
+    Record,
     RelationDef,
     Template,
+    _set,
     _trusted,
     project_constraint,
     projected_offsets,
@@ -49,21 +51,28 @@ from .model import (
 
 TraceFn = Callable[[str], None]
 
-MODES = ("auto", "consistency", "brute")
 
-
-@dataclass
-class SolveStats:
+class SolveStats(Record):
     """Counters from one solve; sweeps counts the changed pairs the
     propagation worklist popped, none on a component the `sweep` or a core
     search decided, and core_searches the components decided over a finite
     core (see `solve`)."""
 
-    proper_replacements: int = 0
-    sweeps: int = 0
-    full_to_finite: int = 0
-    components: int = 0
-    core_searches: int = 0
+    _fields = ("proper_replacements", "sweeps", "full_to_finite", "components", "core_searches")
+
+    def __init__(
+        self,
+        proper_replacements: int = 0,
+        sweeps: int = 0,
+        full_to_finite: int = 0,
+        components: int = 0,
+        core_searches: int = 0,
+    ) -> None:
+        self.proper_replacements = proper_replacements
+        self.sweeps = sweeps
+        self.full_to_finite = full_to_finite
+        self.components = components
+        self.core_searches = core_searches
 
     def absorb(self, other: "SolveStats") -> None:
         self.proper_replacements += other.proper_replacements
@@ -71,14 +80,29 @@ class SolveStats:
         self.full_to_finite += other.full_to_finite
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(FrozenRecord):
     """Outcome of a solve: sat with verified witness, unsat, or unknown."""
 
+    _fields = ("status", "witness", "reason", "stats")
     status: str
-    witness: tuple[int, ...] | None = None
-    reason: str | None = None
-    stats: SolveStats | None = None
+    witness: tuple[int, ...] | None
+    reason: str | None
+    stats: SolveStats | None
+
+    def __init__(
+        self,
+        status: str,
+        witness: tuple[int, ...] | None = None,
+        reason: str | None = None,
+        stats: SolveStats | None = None,
+    ) -> None:
+        _set(self, "status", status)
+        _set(self, "witness", witness)
+        _set(self, "reason", reason)
+        _set(self, "stats", stats)
+
+    def __hash__(self) -> int:
+        return hash((self.status, self.witness, self.reason, self.stats))
 
     @classmethod
     def sat(cls, witness: tuple[int, ...], stats: SolveStats | None = None) -> "Verdict":
@@ -93,15 +117,23 @@ class Verdict:
         return cls("unknown", reason=reason, stats=stats)
 
 
-@dataclass(frozen=True)
-class Preprocessed:
+class Preprocessed(FrozenRecord):
     """Instance with repeated-variable constraints rewritten, plus the template
     extended with the rewritten relations; unsat marks a constraint that
     emptied out."""
 
+    _fields = ("instance", "template", "unsat")
     instance: Instance
     template: Template
     unsat: bool
+
+    def __init__(self, instance: Instance, template: Template, unsat: bool) -> None:
+        _set(self, "instance", instance)
+        _set(self, "template", template)
+        _set(self, "unsat", unsat)
+
+    def __hash__(self) -> int:
+        return hash((self.instance, self.template, self.unsat))
 
 
 def preprocess(inst: Instance, t: Template) -> Preprocessed:
@@ -649,6 +681,9 @@ def _finite_core(t: Template) -> tuple[int, ...] | None:
     finds dist12's core at p = 3 and bounds the search on templates that
     have none.  Searched once per value, as `_median_modulus` is.
     """
+    from .analysis import max_distance_or_zero
+    from .endomorphism import search_periodic_endomorphism
+
     biggest = max_distance_or_zero(t)
     period = spent = 0
     while period < 3 * biggest and spent + (4 * biggest + 1) ** (period + 1) <= CORE_CANDIDATES:
@@ -690,8 +725,6 @@ def solve(
     instance is unsat when some component is; otherwise unknown, with the
     reason of the first component left undecided, when some component is.
     """
-    from . import brute
-
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     stats = SolveStats()
@@ -700,7 +733,7 @@ def solve(
         return Verdict.unsat(stats)
     components = _split_with_graphs(prep.instance, graphs=mode != "brute")
     stats.components = len(components)
-    cap = brute.DEFAULT_NODE_CAP if node_cap is None else node_cap
+    cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
     settled = []
     pending = []  # undecided components, with their own relations and the reason
     stuck = "witness extraction failed; no modular median verified for the template"
@@ -712,6 +745,8 @@ def solve(
         if own is not None and not is_one_step(own.relations) and _median_modulus(own) is None:
             core = _finite_core(own)
             if core is not None:
+                from . import brute
+
                 try:
                     witness = brute.brute_solve(sub, own, cap, core=core)
                 except CapExceededError:
@@ -762,6 +797,8 @@ def solve(
         if mode == "consistency":
             reasons.append(reason)
             continue
+        from . import brute
+
         try:
             witness = brute.brute_solve(sub, own, cap)
         except CapExceededError as e:

@@ -432,12 +432,14 @@ class TestDeterminism:
         assert first == second
 
     def test_module_entry_point(self, files):
+        # -W error: runpy warns when importing the package has already
+        # imported distcsp.cli, which the package's lazy exports must not do
         proc = subprocess.run(
-            [sys.executable, "-m", "distcsp.cli", "analyze", files["t13.json"]],
+            [sys.executable, "-W", "error", "-m", "distcsp.cli", "analyze", files["t13.json"]],
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["analysis"]["max_distance"] == 3
 
 
