@@ -13,9 +13,11 @@ distinct variables is its own pair set and needs no per-candidate check.
 Called directly, as the oracle, it shares only the component numbering with
 the solver.  `solve` calls it the same way on a component whose extraction
 got stuck, and hands it one numbered component with a finite core to search
-over.  Every way, its pair links are the constraints' projections, packed
-once per relation and call, and it skips mirrored subtrees of components
-closed under negation.
+over.  Every way, its pair links are the constraints' projections, built in
+one pass with the constraints due at each variable.  The window search
+packs each relation once per call and skips mirrored subtrees of
+components closed under negation; a core search reads them, and the branch
+counts of its estimate, from a table kept per (template, core) value.
 
 The core option narrows the window to a finite set R with max R = 0: the
 range of a drift-0 endomorphism e of the template, shifted down by its
@@ -29,6 +31,7 @@ its core {-2, -1, 0}, against 2D + 1 = 5 in the window.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .analysis import max_distance_or_zero
@@ -66,13 +69,10 @@ def search_space_estimate(inst: Instance, t: Template) -> int:
     return sum(_plan(sub, t, biggest)[0] for _, sub in split_components(inst))
 
 
-def _plan(sub: Instance, t: Template, biggest: int):
-    """A component's search space estimate, the constraints due at each
-    variable and whether every relation it names is closed under negation."""
+def _plan(sub: Instance, t: Template, biggest: int) -> tuple[int, bool]:
+    """A component's search space estimate over the window and whether every
+    relation it names is closed under negation."""
     linked: set[int] = set()  # paired with a lower variable: 2D + 1 values
-    # check each constraint once, at the assignment of its highest variable,
-    # unless it is FULL or a binary one that its own pair set enforces
-    due: list[list] = [[] for _ in range(sub.num_vars)]
     mirror = True
     for c in sub.constraints:
         rel = t.relation(c.relation)
@@ -80,54 +80,67 @@ def _plan(sub: Instance, t: Template, biggest: int):
         if rel.has_tuples:
             low = min(c.args)
             linked.update(a for a in c.args if a != low)
-            if rel.arity > 2 or c.args[0] == c.args[1]:
-                due[max(c.args)].append((rel, c.args))
     window = 2 * (sub.num_vars - 1) * biggest + 1
-    estimate = (2 * biggest + 1) ** len(linked) * window ** (sub.num_vars - 1 - len(linked))
-    return estimate, due, mirror
+    return (2 * biggest + 1) ** len(linked) * window ** (sub.num_vars - 1 - len(linked)), mirror
 
 
-def _core_estimate(links: list[list[tuple[int, int, int]]], core: tuple[int, ...], bits: int):
+@lru_cache(maxsize=64)
+def _core_table(t: Template, core: tuple[int, ...]) -> tuple[dict, dict]:
+    """The relation plans of `_projection_links` over R = core and the
+    branch counts of `_core_estimate`, filled as needed, per value."""
+    return {}, {}
+
+
+def _core_estimate(links: list[list], core: tuple[int, ...], bits: int, branches: dict) -> int:
     """A component's search space estimate over R = core, whose members are
     the set bits of bits counted from min R: past the root, each variable
     branches over the fewest values of R that one of its pair sets S to a
     lower variable leaves for any value x of that variable, max over x in R
-    of |R & (x + S)|, or over all of R when it has none."""
-    low = core[0]
-    branches: dict[tuple[int, int], int] = {}  # per distinct pair set
-    for lo, mask in {(lo, mask) for pairs in links for _, lo, mask in pairs}:
-        # bit k of the shifted mask stands for x + lo + k, counted from low
-        shifts = [x + lo - low for x in core]
-        branches[lo, mask] = max(
-            ((mask << k if k >= 0 else mask >> -k) & bits).bit_count() for k in shifts
-        )
+    of |R & (x + S)| (kept in branches), or over all of R when it has none."""
     estimate = 1
     for pairs in links[1:]:
-        estimate *= min((branches[lo, mask] for _, lo, mask in pairs), default=len(core))
+        fewest = len(core)
+        for _, lo, mask in pairs:
+            count = branches.get((lo, mask))
+            if count is None:  # bit k of the shifted mask stands for x + lo + k
+                count = branches[lo, mask] = max(
+                    ((mask << k if k >= 0 else mask >> -k) & bits).bit_count()
+                    for k in (x + lo - core[0] for x in core)
+                )
+            fewest = min(fewest, count)
+        estimate *= fewest
     return estimate
 
 
-def _projection_links(
-    sub: Instance, t: Template, span: int | None = None
-) -> list[list[tuple[int, int, int]]]:
-    """Per variable j, (i, lo, mask) for each lower i paired with it by the
-    projections: bit k set when value[j] - value[i] = lo + k is allowed.
-
-    Each relation's coordinate pairs are packed once per call, forward and
-    reversed, keeping only the offsets in [-span, span] when span is given;
-    the masks of a pair that several constraints cover are intersected."""
-    plans: dict[str, list[tuple[int, int, tuple[int, int], tuple[int, int]]]] = {}
+def _projection_links(sub: Instance, t: Template, plans: dict, span: int | None = None):
+    """In one pass over the constraints: per variable j, (i, lo, mask) for
+    each lower i paired with it by the projections, bit k set when
+    value[j] - value[i] = lo + k is allowed (the masks of a pair that several
+    constraints cover intersected), and the constraints due at j, their
+    highest variable, which have offset tuples that their pair sets do not
+    enforce: arity 3 and up, or a variable twice.  None when one is EMPTY;
+    InputError when one has the wrong arity.  plans holds, per relation name
+    met, the relation, whether it is due and its coordinate pairs, packed
+    forward and reversed, with only the offsets in [-span, span] if given."""
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    due: list[list] = [[] for _ in range(sub.num_vars)]
     for c in sub.constraints:
-        if c.relation not in plans:
+        plan = plans.get(c.relation)
+        if plan is None:
             rel = t.relation(c.relation)
             coords = combinations(range(1, rel.arity + 1), 2) if rel.has_tuples else ()
-            plans[c.relation] = [
+            packed = None if rel.is_empty else [
                 (i - 1, j - 1, _pack(rel, i, j, span), _pack(rel, j, i, span)) for i, j in coords
             ]
-        for i, j, forward, reverse in plans[c.relation]:
+            plan = plans[c.relation] = rel, rel.arity > 2 and rel.has_tuples, packed
+        rel, check, packed = plan
+        if packed is None or len(c.args) != rel.arity:
+            sub.validate_against(t)  # raises on a wrong arity
+            return None  # as the window search answers an EMPTY constraint
+        for i, j, forward, reverse in packed:
             a, b = c.args[i], c.args[j]
             if a == b:
+                check = True
                 continue
             if a > b:
                 a, b, forward = b, a, reverse
@@ -136,10 +149,12 @@ def _projection_links(
                 lo = max(old[0], forward[0])
                 forward = lo, (old[1] >> (lo - old[0])) & (forward[1] >> (lo - forward[0]))
             pairs[a, b] = forward
+        if check:
+            due[max(c.args)].append((rel, c.args))
     links: list[list[tuple[int, int, int]]] = [[] for _ in range(sub.num_vars)]
     for (i, j), (lo, mask) in pairs.items():
         links[j].append((i, lo, mask))
-    return links
+    return links, due
 
 
 def _pack(rel, i: int, j: int, span: int | None) -> tuple[int, int]:
@@ -173,49 +188,52 @@ def brute_solve(
     core, the strictly ascending values of a finite core R of t with
     max R = 0 (see the module docstring), replaces the window for inst, one
     component that `solve` has preprocessed and numbered, which is not
-    validated or split again: every domain is ANDed with R, the witness is
-    the least one in R^n, and the estimate is `_core_estimate`'s, from the
-    projections the search reads.  Only offsets between two values of R,
-    in [min R, -min R], are packed.
+    validated or split again, only checked in the pass that builds its
+    links: an EMPTY constraint gives None and a wrong arity InputError.
+    Every domain is ANDed with R, the witness is the least one in R^n, and
+    the estimate is `_core_estimate`'s, from the projections the search
+    reads.  Only offsets between two values of R, in [min R, -min R], are
+    packed, once per (template, core) value (`_core_table`).
 
     When every relation a component names is closed under negation, a step
-    whose lower variables are all 0 tries only values <= 0, as negation maps
-    solutions to solutions in the symmetric window: the least is not positive.
-    Over R that bound excludes nothing, as it must unless -R = R: every
-    value of R is <= 0.
+    of the window search whose lower variables are all 0 tries only values
+    <= 0, as negation maps solutions to solutions in the symmetric window:
+    the least is not positive.  Over R that bound would exclude nothing, as
+    it must unless -R = R: every value of R is <= 0.
     """
     if core is None:
         inst.validate_against(t)
         for c in inst.constraints:
             if t.relation(c.relation).is_empty:
                 return None
-        components = split_components(inst)
+        biggest = max_distance_or_zero(t)
+        packed: dict = {}
+        plans = [
+            (comp, sub, *_plan(sub, t, biggest), (len(comp) - 1) * biggest, None)
+            for comp, sub in split_components(inst)
+        ]
     else:
         ascending = all(type(v) is int for v in core) and all(a < b for a, b in zip(core, core[1:]))
         if not (core and ascending and core[-1] == 0):
             raise InputError(f"a core must be strictly ascending integers up to 0, got {core}")
         core_bits = sum(1 << (v - core[0]) for v in core)
-        components = [(list(range(inst.num_vars)), inst)]
-    biggest = max_distance_or_zero(t)
-    plans = []
-    for comp, sub in components:
-        estimate, due, mirror = _plan(sub, t, biggest)
-        links = None
-        if core is not None:  # counted from the pair sets that the search reads
-            links = _projection_links(sub, t, -core[0])
-            estimate = _core_estimate(links, core, core_bits)
-        plans.append((comp, sub, estimate, due, mirror, links))
+        packed, branches = _core_table(t, core)
+        built = _projection_links(inst, t, packed, -core[0])
+        if built is None:
+            return None
+        estimate = _core_estimate(built[0], core, core_bits, branches)
+        # no mirror rule, and no window: every value of R is <= 0
+        plans = [(range(inst.num_vars), inst, estimate, False, 0, built)]
     estimate = sum(plan[2] for plan in plans)
     if estimate > node_cap:
         raise CapExceededError(
             f"search space estimate {estimate} exceeds the cap {node_cap}"
         )
     values = [0] * inst.num_vars
-    for comp, sub, _, due, mirror, links in plans:
-        half = (len(comp) - 1) * biggest
-        # links[j] holds (i, lo, mask) for each finite pair set to a lower i
-        if links is None:  # built only once the window's estimate has passed
-            links = _projection_links(sub, t)
+    for comp, sub, _, mirror, half, built in plans:
+        # links[j] holds (i, lo, mask) for each finite pair set to a lower i,
+        # built for the window only once its estimate has passed
+        links, due = built or _projection_links(sub, t, packed)
         # the window or the core, with bit 0 at value lowest, starts every domain
         lowest, every = (-half, -1) if core is None else (core[0], core_bits)
         local = [0] * len(comp)

@@ -27,7 +27,7 @@ extraction leaves its component undecided; `solve` may search it exhaustively.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -242,13 +242,12 @@ def split_components(inst: Instance) -> list[tuple[list[int], Instance]]:
     distributed in one pass.  A connected instance already in canonical
     order, such as a component split off before, comes back as it is.
     """
-    return [(variables, sub) for variables, sub, _ in _split_with_graphs(inst, False)]
+    return _split(inst)[0]
 
 
-def _split_with_graphs(inst: Instance, graphs: bool) -> list[tuple[list[int], Instance, list]]:
-    """`split_components`, each component with its co-occurrence graph in its
-    own numbering, translated from the one graph of inst when graphs is set
-    (a component that needs no renumbering keeps that graph anyway)."""
+def _split(inst: Instance) -> tuple[list[tuple[list[int], Instance]], list[set[int]], list | None]:
+    """`split_components`, with the co-occurrence graph of inst and the index
+    of each variable in its component, None when inst comes back as it is."""
     size = inst.num_vars
     adjacency = co_occurrence_adjacency(inst)
     index = [0] * size
@@ -258,19 +257,24 @@ def _split_with_graphs(inst: Instance, graphs: bool) -> list[tuple[list[int], In
         if owner[start] is None:
             variables = list(bfs_depths(adjacency, start))
             if len(variables) == size and variables == list(range(size)):
-                return [(variables, inst, adjacency)]
+                return [(variables, inst)], adjacency, None
             constraints: list[Constraint] = []
             for i, v in enumerate(variables):
                 index[v], owner[v] = i, constraints
-            graph = [{index[w] for w in adjacency[v]} for v in variables] if graphs else None
-            components.append((variables, constraints, graph))
+            components.append((variables, constraints))
     for c in inst.constraints:
         args = tuple(map(index.__getitem__, c.args))
         owner[c.args[0]].append(_trusted(Constraint, relation=c.relation, args=args))
     return [
-        (variables, _trusted(Instance, num_vars=len(variables), constraints=tuple(cs)), graph)
-        for variables, cs, graph in components
-    ]
+        (variables, _trusted(Instance, num_vars=len(variables), constraints=tuple(cs)))
+        for variables, cs in components
+    ], adjacency, index
+
+
+def _component_graph(adjacency: list[set[int]], index: list | None, variables: list[int]):
+    """A component's co-occurrence graph in its own numbering: the graph of
+    the instance that `_split` split, translated unless index is None."""
+    return adjacency if index is None else [{index[w] for w in adjacency[v]} for v in variables]
 
 
 def chordal_completion(adjacency: list[set[int]]) -> list[set[int]]:
@@ -339,7 +343,7 @@ def initialize_pairs(
     reverse projections it caches, are looked up once per call; the mirror
     cell P(l,k) takes the reverse one, so nothing is negated.  The
     co-occurrence graph adjacency is completed in place, or built when not
-    given.  `one_step` is `is_one_step` of the relations named.
+    given.  `one_step` is the `Route.one_step` of its `component_template`.
     """
     size = inst.num_vars
     cells: dict[tuple[int, int], OffsetSet] = {}
@@ -372,21 +376,8 @@ def initialize_pairs(
     adjacency = adjacency or co_occurrence_adjacency(inst)
     matrix = PairMatrix(size, variable_ids or list(range(size)), adjacency, cells)
     matrix.empty_pair = empty_pair
-    matrix.one_step = is_one_step(map(t.relation, plans))
+    matrix.one_step = route(component_template(inst, t)).one_step
     return matrix
-
-
-def is_one_step(relations) -> bool:
-    """Whether every relation with offset tuples is binary with offsets in an
-    arithmetic progression of one common step (a single offset fits any
-    step; FULL relations are ignored): then `sweep` decides."""
-    steps = set()
-    for rel in relations:
-        if rel.has_tuples:
-            offsets = sorted(projected_offsets(rel, 1, 2)) if rel.arity == 2 else ()
-            gaps = {b - a for a, b in zip(offsets, offsets[1:])}
-            steps.add(None if rel.arity > 2 or len(gaps) > 1 else max(gaps, default=0))
-    return None not in steps and len(steps - {0}) < 2
 
 
 def _check_bounds(matrix: PairMatrix, bounded: set[tuple[int, int]], widest: int) -> None:
@@ -653,49 +644,69 @@ def component_template(inst: Instance, t: Template) -> Template:
     return Template(t.name, tuple(r for r in t.relations if r.name in used))
 
 
-@lru_cache(maxsize=64)
-def _median_modulus(t: Template) -> int | None:
-    """`find_modular_median` of t, searched once per value: every stuck
-    extraction re-proves that no median exists.  A closure check refused by
-    its size cap verifies no median, so it counts as None."""
-    from .polymorphism import find_modular_median
-
-    try:
-        return find_modular_median(t)
-    except CapExceededError:
-        return None
-
-
-# Most candidate maps `_finite_core` tries: (4D + 1)^p for each period p
+# Most candidate maps `Route.core` tries: (4D + 1)^p for each period p
 CORE_CANDIDATES = 10_000
 
 
-@lru_cache(maxsize=64)
-def _finite_core(t: Template) -> tuple[int, ...] | None:
-    """The range R of a drift-0 endomorphism of t, shifted so that max R = 0,
-    ascending; None when none is found.
+class Route:
+    """The facts about a `component_template` t that route its component in
+    `solve`, each computed when first read; `route` keeps one per value."""
 
-    It is the first map of `search_periodic_endomorphism` with values in
-    [-2D, 2D] and periods p <= 3D, taken while the candidates of every
-    period so far, (4D + 1)^p each, stay within `CORE_CANDIDATES`: that
-    finds dist12's core at p = 3 and bounds the search on templates that
-    have none.  Searched once per value, as `_median_modulus` is.
-    """
-    from .analysis import max_distance_or_zero
-    from .endomorphism import search_periodic_endomorphism
+    def __init__(self, t: Template) -> None:
+        self.template = t
 
-    biggest = max_distance_or_zero(t)
-    period = spent = 0
-    while period < 3 * biggest and spent + (4 * biggest + 1) ** (period + 1) <= CORE_CANDIDATES:
-        period += 1
-        spent += (4 * biggest + 1) ** period
-    if not period:
-        return None
-    spec = search_periodic_endomorphism(t, period, 2 * biggest, drift_filter=(0,))
-    if spec is None:
-        return None
-    top = max(spec.base_values)
-    return tuple(sorted({v - top for v in spec.base_values}))
+    @cached_property
+    def one_step(self) -> bool:
+        """Whether every relation with offset tuples is binary with offsets
+        in an arithmetic progression of one common step (a single offset
+        fits any step; FULL relations are ignored): then `sweep` decides."""
+        steps = set()
+        for rel in self.template.relations:
+            if rel.has_tuples:
+                offsets = sorted(projected_offsets(rel, 1, 2)) if rel.arity == 2 else ()
+                gaps = {b - a for a, b in zip(offsets, offsets[1:])}
+                steps.add(None if rel.arity > 2 or len(gaps) > 1 else max(gaps, default=0))
+        return None not in steps and len(steps - {0}) < 2
+
+    @cached_property
+    def modulus(self) -> int | None:
+        """`find_modular_median` of t: every stuck extraction re-proves that
+        no median exists.  A closure check refused by its size cap verifies
+        no median, so it counts as None."""
+        from .polymorphism import find_modular_median
+
+        try:
+            return find_modular_median(self.template)
+        except CapExceededError:
+            return None
+
+    @cached_property
+    def core(self) -> tuple[int, ...] | None:
+        """The range R of a drift-0 endomorphism of t, shifted so that
+        max R = 0, ascending; None when none is found.
+
+        It is the first map of `search_periodic_endomorphism` with values in
+        [-2D, 2D] and periods p <= 3D, taken while the candidates of every
+        period so far, (4D + 1)^p each, stay within `CORE_CANDIDATES`: that
+        finds dist12's core at p = 3 and bounds the search on templates that
+        have none."""
+        from .analysis import max_distance_or_zero
+        from .endomorphism import search_periodic_endomorphism
+
+        t = self.template
+        biggest = max_distance_or_zero(t)
+        period = spent = 0
+        while period < 3 * biggest and spent + (4 * biggest + 1) ** (period + 1) <= CORE_CANDIDATES:
+            period += 1
+            spent += (4 * biggest + 1) ** period
+        spec = period and search_periodic_endomorphism(t, period, 2 * biggest, drift_filter=(0,))
+        if not spec:
+            return None
+        top = max(spec.base_values)
+        return tuple(sorted({v - top for v in spec.base_values}))
+
+
+route = lru_cache(maxsize=64)(Route)  # one `Route` per component template value
 
 
 def solve(
@@ -710,8 +721,8 @@ def solve(
 
     Modes: "consistency" runs propagation plus greedy extraction and may
     answer unknown; "brute" searches every component exhaustively; "auto"
-    first sends each component whose `component_template` is not one-step,
-    has no modular median and has a finite core R (`_finite_core`) to one
+    first sends each component whose `component_template` is, by its
+    `route`, not one-step, with no modular median and a finite core R, to one
     exhaustive search over R^n, instead of propagating it.  That search is
     complete (see `brute`): it gives unsat as a proof and otherwise the least
     witness in R^n under the search order, root at 0.  Every other
@@ -731,35 +742,35 @@ def solve(
     prep = preprocess(inst, t)
     if prep.unsat:
         return Verdict.unsat(stats)
-    components = _split_with_graphs(prep.instance, graphs=mode != "brute")
+    components, adjacency, index = _split(prep.instance)
     stats.components = len(components)
     cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
     settled = []
     pending = []  # undecided components, with their own relations and the reason
     stuck = "witness extraction failed; no modular median verified for the template"
-    for variables, sub, adjacency in components:
+    for variables, sub in components:
         reason = None  # brute mode searches every component
         own = component_template(sub, prep.template) if mode == "auto" else None
         # the sweep decides a one-step component, and consistency one whose
         # relations have a modular median; the rest may have a finite core
-        if own is not None and not is_one_step(own.relations) and _median_modulus(own) is None:
-            core = _finite_core(own)
-            if core is not None:
-                from . import brute
+        facts = own and route(own)
+        if facts and not facts.one_step and facts.modulus is None and facts.core is not None:
+            from . import brute
 
-                try:
-                    witness = brute.brute_solve(sub, own, cap, core=core)
-                except CapExceededError:
-                    pass  # the window search may still fit
-                else:
-                    stats.core_searches += 1
-                    if witness is None:
-                        return Verdict.unsat(stats)
-                    settled.append((variables, witness))
-                    continue
+            try:
+                witness = brute.brute_solve(sub, own, cap, core=facts.core)
+            except CapExceededError:
+                pass  # the window search may still fit
+            else:
+                stats.core_searches += 1
+                if witness is None:
+                    return Verdict.unsat(stats)
+                settled.append((variables, witness))
+                continue
         if mode != "brute":
             try:
-                matrix = initialize_pairs(sub, prep.template, variables, adjacency)
+                graph = _component_graph(adjacency, index, variables)  # propagated only
+                matrix = initialize_pairs(sub, prep.template, variables, graph)
                 if matrix.one_step:
                     sweep(matrix, trace=trace)
                 else:
@@ -784,7 +795,7 @@ def solve(
                 reason = stuck
         if own is None:
             own = component_template(sub, prep.template)
-        if reason == stuck and _median_modulus(own):
+        if reason == stuck and route(own).modulus:
             raise InternalInvariantError(
                 "extraction failed although its relations are closed under a modular median"
             )

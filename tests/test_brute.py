@@ -133,6 +133,20 @@ class TestBruteSolve:
             with pytest.raises(InputError, match="strictly ascending"):
                 brute_solve(edge, DIST12, core=core)
 
+    def test_a_core_search_checks_its_constraints_as_the_window_search_does(self):
+        t = Template("t", (binary_relation("r", symmetric(1)), RelationDef("e", 2, "empty")))
+        # an EMPTY constraint once left the false witness (0, -1) over the core
+        both = Instance(2, (Constraint("r", (0, 1)), Constraint("e", (0, 1))))
+        assert brute_solve(both, t) is brute_solve(both, t, core=(-1, 0)) is None
+        # a wrong arity once gave (0, -1, -1) or an IndexError over the core;
+        # it raises after an EMPTY constraint too
+        for args in ((0, 1, 2), (0,)):
+            for first in ((), (Constraint("e", (0, 1)),)):
+                bad = Instance(3, (*first, Constraint("r", args)))
+                for core in (None, (-1, 0)):
+                    with pytest.raises(InputError, match="relation has arity 2, got"):
+                        brute_solve(bad, t, core=core)
+
     def test_default_cap_is_generous(self):
         inst = graph_instance("dist12", 10, petersen_edges())
         assert search_space_estimate(inst, DIST12) < DEFAULT_NODE_CAP

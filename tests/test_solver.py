@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from distcsp import brute, model, polymorphism, solver
+from distcsp import analysis, brute, model, polymorphism, solver
 from distcsp.brute import brute_solve, search_space_estimate, verify_assignment
 from distcsp.errors import CapExceededError, InputError, InternalInvariantError
 from distcsp.model import Constraint, Instance, OffsetSet, RelationDef, Template
@@ -308,25 +308,30 @@ class TestComponents:
 
 
     def test_only_the_propagation_path_translates_graphs(self, monkeypatch):
-        # two components, both renumbered
+        # two components, both renumbered, translated from the one graph
         inst = graph_instance("r", 6, [(5, 3), (3, 1), (4, 2), (2, 0)])
-        split = solver._split_with_graphs(inst, graphs=False)
-        assert [graph for *_, graph in split] == [None, None]
-        for _, sub, graph in solver._split_with_graphs(inst, graphs=True):
-            assert graph == co_occurrence_adjacency(sub)
-        asked = []
-        real = solver._split_with_graphs
-        def spy(inst, graphs):
-            asked.append(graphs)
-            return real(inst, graphs)
-
-        monkeypatch.setattr(solver, "_split_with_graphs", spy)
+        split, adjacency, index = solver._split(inst)
+        assert split == split_components(inst) and adjacency == co_occurrence_adjacency(inst)
+        for variables, sub in split:
+            assert solver._component_graph(adjacency, index, variables) == (
+                co_occurrence_adjacency(sub)
+            )
+        # an instance that comes back as it is keeps its graph
+        path = graph_instance("r", 3, [(0, 1), (1, 2)])
+        split, adjacency, index = solver._split(path)
+        assert split == [([0, 1, 2], path)] and split[0][1] is path and index is None
+        assert solver._component_graph(adjacency, index, [0, 1, 2]) is adjacency
+        translated = []
+        real = solver._component_graph
+        monkeypatch.setattr(
+            solver, "_component_graph", lambda *a: translated.append(a[2]) or real(*a)
+        )
         t = Template("r", (binary_relation("r", (1,)),))
         for mode in MODES:
-            asked.clear()
+            translated.clear()
             assert solve(inst, t, mode=mode).witness == (0, 0, -1, -1, -2, -2)
-            # brute mode, and `split_components` inside the search, ask for none
-            assert asked[0] == (mode != "brute") and not any(asked[1:])
+            # brute mode propagates nothing, so it translates nothing
+            assert translated == ([] if mode == "brute" else [[0, 2, 4], [1, 3, 5]])
 
 
 class TestInitializePairs:
@@ -735,16 +740,23 @@ class TestSweep:
             return real(sub, t, variables, adjacency)
 
         monkeypatch.setattr(solver, "initialize_pairs", spy)
-        # two components, both renumbered, one swept and one propagated
+        # two components, both renumbered, one swept and one propagated; in
+        # auto mode the dist12 one is searched over its core instead, and
+        # gets no graph
         inst, t = disjoint_union(
             (graph_instance("dist13", 6, cycle_edges(6)), DIST13),
             (graph_instance("dist12", 5, cycle_edges(5)), DIST12),
         )
-        verdict = solve(inst, t, mode="consistency")
-        assert verdict.status == "sat" and verdict.stats.sweeps > 0
-        assert len(handed) == 2
-        for sub, graph in handed:
-            assert graph == co_occurrence_adjacency(sub)
+        for mode, propagated in (("consistency", 2), ("auto", 1)):
+            handed.clear()
+            verdict = solve(inst, t, mode=mode)
+            # the worklist pops only the dist12 cycle's pairs
+            assert verdict.status == "sat" and (verdict.stats.sweeps > 0) == (propagated == 2)
+            assert verdict.stats.core_searches == 2 - propagated
+            assert len(handed) == propagated
+            for sub, graph in handed:
+                assert graph == co_occurrence_adjacency(sub)
+        assert [sub.constraints[0].relation for sub, _ in handed] == ["dist13"]
         adjacency = co_occurrence_adjacency(inst)
         assert chordal_completion(adjacency) is adjacency
 
@@ -1120,33 +1132,36 @@ class TestFallback:
 
 class TestFiniteCore:
     def test_dist12_has_a_core_and_4_9_none_within_the_budget(self):
-        assert solver._finite_core(DIST12) == (-2, -1, 0)
+        assert solver.route(DIST12).core == (-2, -1, 0)
         # periods 1 and 2 fit the budget at D = 9: 37 + 37^2 candidates
         t = Template("d49", (binary_relation("d49", symmetric(4, 9)),))
         start = time.perf_counter()
-        assert solver._finite_core.__wrapped__(t) is None
+        assert solver.Route(t).core is None
         assert time.perf_counter() - start < 1.0
 
     def test_median_templates_never_reach_the_core_search(self, monkeypatch):
         # dist13 has a core, {-1, 0}, and the ternary boxes make some random
         # median templates not one-step: consistency decides them all
-        assert solver._finite_core(DIST13) == (-1, 0)
+        assert solver.route(DIST13).core == (-1, 0)
         searched, looked = [], []
-        real, real_core = brute.brute_solve, solver._finite_core
+        real, real_core = brute.brute_solve, solver.Route.core.func
 
         def spy(sub, t, cap, core=None):
             searched.append(core)
             return real(sub, t, cap, core)
 
         monkeypatch.setattr(brute, "brute_solve", spy)
-        monkeypatch.setattr(solver, "_finite_core", lambda t: looked.append(t) or real_core(t))
+        # a property over the cached one sees every read of a route's core
+        monkeypatch.setattr(
+            solver.Route, "core", property(lambda r: looked.append(r.template) or real_core(r))
+        )
         rng = random.Random(5)
         cases = [(graph_instance("dist13", 6, cycle_edges(6)), DIST13)]
         while len(cases) < 40:
             t = random_median_template(rng, f"m{len(cases)}")
-            if solver._median_modulus(t) is not None:
+            if solver.route(t).modulus is not None:
                 cases.append((random_connected_instance(t, rng.randint(2, 7), rng), t))
-        assert sum(not solver.is_one_step(t.relations) for _, t in cases) >= 10
+        assert sum(not solver.route(t).one_step for _, t in cases) >= 10
         for inst, t in cases:
             assert solve(inst, t).status in ("sat", "unsat")
         assert searched == [] and looked == []
@@ -1183,7 +1198,7 @@ class TestFiniteCore:
                     assert oracle_decides(inst, t) == expected
             else:
                 t = random_any_template(rng, f"a{i}")
-                while solver._median_modulus(t) is not None:
+                while solver.route(t).modulus is not None:
                     t = random_any_template(rng, f"a{i}")
                 n = rng.randint(2, 6)
                 inst = random_connected_instance(t, n, rng, extra=rng.randint(0, 3))
@@ -1227,6 +1242,96 @@ class TestFiniteCore:
         assert verdict.status == ("sat" if oracle_three_colourable(14, edges) else "unsat")
         # with one node less the core search is refused, and solve propagates
         assert solve(inst, DIST12, node_cap=2**13 - 1).stats.core_searches == 0
+
+
+class TestRoute:
+    @staticmethod
+    def dist12(*extra):
+        """{+-1, +-2} and the extra offsets, built afresh on every call."""
+        return Template("dist12", (binary_relation("dist12", symmetric(1, 2) + extra),))
+
+    def graphs(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randint(4, 9)
+            edges = spanning_tree_edges(n, rng) + [tuple(rng.sample(range(n), 2)) for _ in range(n)]
+            yield graph_instance("dist12", n, edges)
+
+    def test_equal_templates_share_one_route_and_one_core_table(self):
+        first, second = self.dist12(), self.dist12()
+        assert first is not second and first == second
+        assert solver.route(first) is solver.route(second)
+        core = solver.route(first).core
+        assert core == (-2, -1, 0)
+        assert brute._core_table(first, core) is brute._core_table(second, core)
+        # each solve of a fresh copy reads the cached route and core table
+        solve(FAN, self.dist12())
+        routes, tables = solver.route.cache_info(), brute._core_table.cache_info()
+        for inst in self.graphs():
+            assert solve(inst, self.dist12()).stats.core_searches == 1
+        assert solver.route.cache_info().hits >= routes.hits + 40
+        assert brute._core_table.cache_info().hits >= tables.hits + 40
+        assert solver.route.cache_info().currsize == routes.currsize
+        assert brute._core_table.cache_info().currsize == tables.currsize
+
+    def test_one_different_offset_gets_its_own_route_and_table(self):
+        # the same names, and offset 4 besides: no median, the same core,
+        # and a relation of its own in its table
+        plain, wider = self.dist12(), self.dist12(4)
+        assert solver.route(wider) is not solver.route(plain)
+        core = solver.route(wider).core
+        assert core == solver.route(plain).core == (-2, -1, 0) and solver.route(wider).modulus is None
+        tables = brute._core_table(plain, core), brute._core_table(wider, core)
+        assert tables[0] is not tables[1]
+        solve(FAN, plain)
+        solve(FAN, wider)
+        assert [table[0]["dist12"][0] for table in tables] == [
+            plain.relation("dist12"), wider.relation("dist12")
+        ]
+
+    def test_answers_match_those_from_a_cleared_cache(self):
+        cases = [(inst, t) for inst in self.graphs() for t in (self.dist12(), self.dist12(4))]
+        cases += [(STUCK23, DIST23), (graph_instance("dist13", 6, cycle_edges(6)), DIST13)]
+        warm = [solve(inst, t, debug=True) for inst, t in cases]
+        cold = []
+        for inst, t in cases:
+            solver.route.cache_clear()
+            brute._core_table.cache_clear()
+            cold.append(solve(inst, t, debug=True))
+        assert warm == cold
+        assert {v.status for v in warm} == {"sat", "unsat"}
+
+    def test_a_core_search_reads_only_what_it_needs(self, monkeypatch):
+        # a dist12 component searched over its core and a dist13 one swept,
+        # both renumbered; the routes are known before the spies go in
+        inst, t = disjoint_union(
+            (graph_instance("dist12", 5, cycle_edges(5)), DIST12),
+            (graph_instance("dist13", 6, cycle_edges(6)), DIST13),
+        )
+        expected = solve(inst, t)
+        assert expected.stats.core_searches == 1
+        calls = Counter()
+        for module, name in (
+            (brute, "max_distance_or_zero"),
+            (analysis, "max_distance_or_zero"),
+            (analysis, "gaifman_distances"),
+            (brute, "_plan"),
+            (solver, "_component_graph"),
+            (solver, "initialize_pairs"),
+        ):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name: (
+                calls.update([name]) or real(*a)
+            ))
+        assert solve(inst, t) == expected
+        # the swept component alone gets its graph, translated
+        assert calls == Counter(_component_graph=1, initialize_pairs=1)
+        # the first solve over DIST12 itself finds its route, once
+        pentagon = graph_instance("dist12", 5, cycle_edges(5))
+        solve(pentagon, DIST12)
+        calls.clear()
+        assert solve(pentagon, DIST12).stats.core_searches == 1
+        assert calls == Counter()
 
 
 FAR = Template("far", (binary_relation("far", (0, 50)),))
@@ -1381,6 +1486,6 @@ class TestDecisionContract:
             assert verdict.witness == witness
         elif witness is not None:
             prep = preprocess(inst, t)
-            core = solver._finite_core(component_template(prep.instance, prep.template))
+            core = solver.route(component_template(prep.instance, prep.template)).core
             assert verdict.witness[0] == 0 and set(verdict.witness) <= set(core)
             assert verify_assignment(inst, t, verdict.witness) == (True, None)
