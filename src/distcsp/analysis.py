@@ -15,32 +15,17 @@ import math
 from collections import deque
 
 from .errors import CapExceededError, DisconnectedTemplateError, InputError
-from .model import MAX_SPAN, FrozenRecord, Template, _set
+from .model import MAX_SPAN, FrozenRecord, Template
 
 
 class AnalysisReport(FrozenRecord):
     """Summary of the distance structure of one template."""
 
-    _fields = ("distances", "max_distance", "connected", "path_lengths", "stretch_bound")
     distances: tuple[int, ...]
     max_distance: int
     connected: bool
     path_lengths: dict[int, int]
     stretch_bound: int | None
-
-    def __init__(
-        self,
-        distances: tuple[int, ...],
-        max_distance: int,
-        connected: bool,
-        path_lengths: dict[int, int],
-        stretch_bound: int | None,
-    ) -> None:
-        _set(self, "distances", distances)
-        _set(self, "max_distance", max_distance)
-        _set(self, "connected", connected)
-        _set(self, "path_lengths", path_lengths)
-        _set(self, "stretch_bound", stretch_bound)
 
     __hash__ = None  # unhashable: path_lengths is a dict
 

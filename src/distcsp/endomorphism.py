@@ -43,7 +43,6 @@ PERIODIC = "periodic"
 class PeriodicMapSpec(FrozenRecord):
     """Finite description of one eventually periodic map."""
 
-    _fields = ("period", "base_values", "drift")
     period: int
     base_values: tuple[int, ...]
     drift: int
@@ -62,9 +61,6 @@ class PeriodicMapSpec(FrozenRecord):
         _set(self, "period", period)
         _set(self, "base_values", values)
         _set(self, "drift", drift)
-
-    def __hash__(self) -> int:
-        return hash((self.period, self.base_values, self.drift))
 
     def __call__(self, x: int) -> int:
         return self.base_values[x % self.period] + self.drift * self.period * (x // self.period)
@@ -99,26 +95,10 @@ def parse_map_spec(text: str) -> PeriodicMapSpec:
 class EndoCheck(FrozenRecord):
     """Verdict of an endomorphism check, with a replayable counterexample."""
 
-    _fields = ("ok", "relation", "source", "image")
     ok: bool
-    relation: str | None
-    source: tuple[int, ...] | None
-    image: tuple[int, ...] | None
-
-    def __init__(
-        self,
-        ok: bool,
-        relation: str | None = None,
-        source: tuple[int, ...] | None = None,
-        image: tuple[int, ...] | None = None,
-    ) -> None:
-        _set(self, "ok", ok)
-        _set(self, "relation", relation)
-        _set(self, "source", source)
-        _set(self, "image", image)
-
-    def __hash__(self) -> int:
-        return hash((self.ok, self.relation, self.source, self.image))
+    relation: str | None = None
+    source: tuple[int, ...] | None = None
+    image: tuple[int, ...] | None = None
 
 
 def is_endomorphism(spec: PeriodicMapSpec, t: Template) -> EndoCheck:
@@ -159,37 +139,11 @@ def stable_numbers(spec: PeriodicMapSpec, upto: int) -> tuple[int, ...]:
 class EndoClassification(FrozenRecord):
     """Kind and stability data of a verified endomorphism."""
 
-    _fields = ("kind", "direction", "minimal_stable", "stable_numbers_upto", "checked_upto")
     kind: str
     direction: int | None
     minimal_stable: int | None
     stable_numbers_upto: tuple[int, ...]
     checked_upto: int
-
-    def __init__(
-        self,
-        kind: str,
-        direction: int | None,
-        minimal_stable: int | None,
-        stable_numbers_upto: tuple[int, ...],
-        checked_upto: int,
-    ) -> None:
-        _set(self, "kind", kind)
-        _set(self, "direction", direction)
-        _set(self, "minimal_stable", minimal_stable)
-        _set(self, "stable_numbers_upto", stable_numbers_upto)
-        _set(self, "checked_upto", checked_upto)
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.kind,
-                self.direction,
-                self.minimal_stable,
-                self.stable_numbers_upto,
-                self.checked_upto,
-            )
-        )
 
 
 def classify_endomorphism(spec: PeriodicMapSpec, t: Template) -> EndoClassification:

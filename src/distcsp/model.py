@@ -20,7 +20,6 @@ at most ``MAX_SPAN`` consecutive integers; past that, building it raises
 from __future__ import annotations
 
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, TypeVar
 
 from .errors import CapExceededError, InputError
@@ -230,39 +229,68 @@ _set = object.__setattr__
 
 
 class Record:
-    """A record of the fields that ``_fields`` names, in order.
+    """A record of the fields its class annotates, in order (``_fields``).
 
-    Two records are equal when they are of one class and their fields are
-    equal; the repr is ``Name(field=value, ...)``.  A plain record is
-    mutable and unhashable.  Each subclass writes its own ``__init__``,
-    which validates its arguments.
+    A subclass declares each field once, as an annotation, with its default,
+    if any, as the class attribute of that name.  When the class is made,
+    the methods that name every field are compiled from source, as
+    `dataclasses` builds them, so that they run as fast as written-out ones:
+    ``_values``, the tuple of the fields, and, unless the class writes its
+    own, an ``__init__`` that takes them by position or keyword and sets
+    them in order.  Two records are equal when they are of one class and
+    their fields are equal; the repr is ``Name(field=value, ...)``.  A
+    plain record is mutable and unhashable.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        if cls._fields:
-            cls._values = attrgetter(*cls._fields)
+        names = tuple(cls.__annotations__)
+        if not names:
+            return
+        cls._fields = names
+        fields = "".join(f"self.{n}, " for n in names)
+        _compile(cls, "_values", f"(self):\n    return ({fields})")
+        frozen = issubclass(cls, FrozenRecord)
+        if "__init__" not in cls.__dict__:
+            defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+            params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
+            assign = "\n    _set(self, {0!r}, {0})" if frozen else "\n    self.{0} = {0}"
+            body = "".join(assign.format(n) for n in names)
+            _compile(cls, "__init__", f"(self, {params}):{body}", _defaults=defaults)
+        if frozen and "__hash__" not in cls.__dict__:
+            _compile(cls, "__hash__", f"(self):\n    return hash(({fields}))")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
+            return self._values() == other._values()
         return NotImplemented
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({shown})"
 
     def as_dict(self) -> dict:
         """The fields by name, in order."""
-        return dict(zip(self._fields, self._values(self)))
+        return dict(zip(self._fields, self._values()))
+
+
+def _compile(cls: type, name: str, source: str, **names: object) -> None:
+    """Make ``def name`` + source, which may read `_set` and names, a method
+    of cls, named ``Class.name`` in the errors it raises."""
+    namespace = {"_set": _set, **names}
+    exec(f"def {name}{source}", namespace)
+    method = namespace[name]
+    method.__qualname__ = f"{cls.__qualname__}.{name}"
+    setattr(cls, name, method)
 
 
 class FrozenRecord(Record):
     """A `Record` whose fields are set once, by ``__init__`` through `_set`:
-    assigning or deleting an attribute raises AttributeError.  Each subclass
-    hashes the tuple of its fields in its own ``__hash__``, which costs less
-    than reading them through ``_values``."""
+    assigning or deleting an attribute raises AttributeError.  Unless the
+    class sets its own ``__hash__`` (None makes it unhashable), it gets one
+    of the tuple of its fields, compiled with the other methods, which
+    costs less than a call of ``_values``."""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -281,7 +309,6 @@ class RelationDef(FrozenRecord):
     marker.
     """
 
-    _fields = ("name", "arity", "body")
     name: str
     arity: int
     body: str | tuple[tuple[int, ...], ...]
@@ -313,9 +340,6 @@ class RelationDef(FrozenRecord):
         _set(self, "name", name)
         _set(self, "arity", arity)
         _set(self, "body", body)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.arity, self.body))
 
     @property
     def is_full(self) -> bool:
@@ -415,7 +439,6 @@ def tuple_in_relation(rel: RelationDef, values: tuple[int, ...]) -> bool:
 class Template(FrozenRecord):
     """A named, finite collection of relations sharing one integer domain."""
 
-    _fields = ("name", "relations")
     name: str
     relations: tuple[RelationDef, ...]
 
@@ -428,9 +451,6 @@ class Template(FrozenRecord):
             raise InputError(f"template {name}: duplicate relation names")
         _set(self, "name", name)
         _set(self, "relations", relations)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.relations))
 
     @cached_property
     def _by_name(self) -> dict[str, RelationDef]:
@@ -458,7 +478,6 @@ def _trusted(cls: type[_R], **fields: object) -> _R:
 class Constraint(FrozenRecord):
     """One atomic constraint: a relation name applied to variable indices."""
 
-    _fields = ("relation", "args")
     relation: str
     args: tuple[int, ...]
 
@@ -471,14 +490,10 @@ class Constraint(FrozenRecord):
         _set(self, "relation", relation)
         _set(self, "args", args)
 
-    def __hash__(self) -> int:
-        return hash((self.relation, self.args))
-
 
 class Instance(FrozenRecord):
     """A conjunction of constraints over variables 0 .. num_vars - 1."""
 
-    _fields = ("num_vars", "constraints")
     num_vars: int
     constraints: tuple[Constraint, ...]
 
@@ -496,9 +511,6 @@ class Instance(FrozenRecord):
                     )
         _set(self, "num_vars", num_vars)
         _set(self, "constraints", constraints)
-
-    def __hash__(self) -> int:
-        return hash((self.num_vars, self.constraints))
 
     def validate_against(self, template: Template) -> None:
         """Check that every constraint names a template relation of matching arity."""

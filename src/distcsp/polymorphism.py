@@ -23,7 +23,6 @@ from .model import (
     FrozenRecord,
     RelationDef,
     Template,
-    _set,
     projected_offsets,
     tuple_in_relation,
 )
@@ -55,26 +54,10 @@ def modular_median(d: int, x: int, y: int, z: int) -> int:
 class PreservationResult(FrozenRecord):
     """Outcome of a closure check; witnesses are concrete integer tuples."""
 
-    _fields = ("preserved", "witness", "image", "trivial")
     preserved: bool
-    witness: tuple[IntTuple, IntTuple, IntTuple] | None
-    image: IntTuple | None
-    trivial: bool
-
-    def __init__(
-        self,
-        preserved: bool,
-        witness: tuple[IntTuple, IntTuple, IntTuple] | None = None,
-        image: IntTuple | None = None,
-        trivial: bool = False,
-    ) -> None:
-        _set(self, "preserved", preserved)
-        _set(self, "witness", witness)
-        _set(self, "image", image)
-        _set(self, "trivial", trivial)
-
-    def __hash__(self) -> int:
-        return hash((self.preserved, self.witness, self.image, self.trivial))
+    witness: tuple[IntTuple, IntTuple, IntTuple] | None = None
+    image: IntTuple | None = None
+    trivial: bool = False
 
 
 def preservation_window(d: int, rel: RelationDef) -> int:

@@ -42,7 +42,6 @@ from .model import (
     Record,
     RelationDef,
     Template,
-    _set,
     _trusted,
     project_constraint,
     projected_offsets,
@@ -58,21 +57,11 @@ class SolveStats(Record):
     search decided, and core_searches the components decided over a finite
     core (see `solve`)."""
 
-    _fields = ("proper_replacements", "sweeps", "full_to_finite", "components", "core_searches")
-
-    def __init__(
-        self,
-        proper_replacements: int = 0,
-        sweeps: int = 0,
-        full_to_finite: int = 0,
-        components: int = 0,
-        core_searches: int = 0,
-    ) -> None:
-        self.proper_replacements = proper_replacements
-        self.sweeps = sweeps
-        self.full_to_finite = full_to_finite
-        self.components = components
-        self.core_searches = core_searches
+    proper_replacements: int = 0
+    sweeps: int = 0
+    full_to_finite: int = 0
+    components: int = 0
+    core_searches: int = 0
 
     def absorb(self, other: "SolveStats") -> None:
         self.proper_replacements += other.proper_replacements
@@ -83,26 +72,10 @@ class SolveStats(Record):
 class Verdict(FrozenRecord):
     """Outcome of a solve: sat with verified witness, unsat, or unknown."""
 
-    _fields = ("status", "witness", "reason", "stats")
     status: str
-    witness: tuple[int, ...] | None
-    reason: str | None
-    stats: SolveStats | None
-
-    def __init__(
-        self,
-        status: str,
-        witness: tuple[int, ...] | None = None,
-        reason: str | None = None,
-        stats: SolveStats | None = None,
-    ) -> None:
-        _set(self, "status", status)
-        _set(self, "witness", witness)
-        _set(self, "reason", reason)
-        _set(self, "stats", stats)
-
-    def __hash__(self) -> int:
-        return hash((self.status, self.witness, self.reason, self.stats))
+    witness: tuple[int, ...] | None = None
+    reason: str | None = None
+    stats: SolveStats | None = None
 
     @classmethod
     def sat(cls, witness: tuple[int, ...], stats: SolveStats | None = None) -> "Verdict":
@@ -122,18 +95,9 @@ class Preprocessed(FrozenRecord):
     extended with the rewritten relations; unsat marks a constraint that
     emptied out."""
 
-    _fields = ("instance", "template", "unsat")
     instance: Instance
     template: Template
     unsat: bool
-
-    def __init__(self, instance: Instance, template: Template, unsat: bool) -> None:
-        _set(self, "instance", instance)
-        _set(self, "template", template)
-        _set(self, "unsat", unsat)
-
-    def __hash__(self) -> int:
-        return hash((self.instance, self.template, self.unsat))
 
 
 def preprocess(inst: Instance, t: Template) -> Preprocessed:
@@ -307,8 +271,7 @@ class PairMatrix:
     bound, and FULL on every other completion edge; `get` answers FULL for
     any other pair, which neither a constraint nor a triangle of the
     completion ever bounds.  Every update writes both orientations, keeping
-    the mirror invariant S(P(l,k)) = -S(P(k,l)).  See `initialize_pairs`
-    for `one_step`."""
+    the mirror invariant S(P(l,k)) = -S(P(k,l))."""
 
     def __init__(
         self,
@@ -325,7 +288,6 @@ class PairMatrix:
         }
         self.stats = SolveStats()
         self.empty_pair: tuple[int, int] | None = None
-        self.one_step = False
 
     def get(self, k: int, l: int) -> OffsetSet:
         return self.cells.get((k, l), _FULL)
@@ -343,7 +305,7 @@ def initialize_pairs(
     reverse projections it caches, are looked up once per call; the mirror
     cell P(l,k) takes the reverse one, so nothing is negated.  The
     co-occurrence graph adjacency is completed in place, or built when not
-    given.  `one_step` is the `Route.one_step` of its `component_template`.
+    given.
     """
     size = inst.num_vars
     cells: dict[tuple[int, int], OffsetSet] = {}
@@ -376,7 +338,6 @@ def initialize_pairs(
     adjacency = adjacency or co_occurrence_adjacency(inst)
     matrix = PairMatrix(size, variable_ids or list(range(size)), adjacency, cells)
     matrix.empty_pair = empty_pair
-    matrix.one_step = route(component_template(inst, t)).one_step
     return matrix
 
 
@@ -561,7 +522,7 @@ def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = Fa
 
 
 def sweep(matrix: PairMatrix, trace: TraceFn | None = None) -> PairMatrix:
-    """Directional path consistency, in place, for a `one_step` component.
+    """Directional path consistency, in place, for a `Route.one_step` component.
 
     Each vertex v, from the highest index down, revises every pair a < b of
     its lower completion neighbours once, P(a,b) <- P(a,b) & (P(a,v) +
@@ -719,17 +680,18 @@ def solve(
 ) -> Verdict:
     """Decide an instance against a template, one connected component at a time.
 
-    Modes: "consistency" runs propagation plus greedy extraction and may
-    answer unknown; "brute" searches every component exhaustively; "auto"
-    first sends each component whose `component_template` is, by its
-    `route`, not one-step, with no modular median and a finite core R, to one
-    exhaustive search over R^n, instead of propagating it.  That search is
-    complete (see `brute`): it gives unsat as a proof and otherwise the least
-    witness in R^n under the search order, root at 0.  Every other
-    component, and one whose core search is estimated over the cap, runs
-    consistency, and a component whose extraction got stuck is then
-    searched alone over the window, as `brute` mode searches it, when it
-    fits under the search cap.  Sat verdicts always carry a witness that
+    Each component's `route` is read once.  Modes: "consistency" runs
+    propagation, the `sweep` for a one-step component and the worklist for any
+    other, plus greedy extraction, and may answer unknown; "brute" searches
+    every component exhaustively; "auto" first sends each component whose
+    `component_template` is, by its `route`, not one-step, with no modular
+    median and a finite core R, to one exhaustive search over R^n, instead of
+    propagating it.  That search is complete (see `brute`): it gives unsat as
+    a proof and otherwise the least witness in R^n under the search order,
+    root at 0.  Every other component, and one whose core search is estimated
+    over the cap, runs consistency, and a component whose extraction got stuck
+    is then searched alone over the window, as `brute` mode searches it, when
+    it fits under the search cap.  Sat verdicts always carry a witness that
     has been re-verified; unsat verdicts from propagation are sound
     unconditionally.  Propagation is undecided, not failed, for a component
     whose pair set would span more than `model.MAX_SPAN` integers.  The
@@ -750,11 +712,11 @@ def solve(
     stuck = "witness extraction failed; no modular median verified for the template"
     for variables, sub in components:
         reason = None  # brute mode searches every component
-        own = component_template(sub, prep.template) if mode == "auto" else None
+        own = component_template(sub, prep.template)
+        facts = route(own)
         # the sweep decides a one-step component, and consistency one whose
         # relations have a modular median; the rest may have a finite core
-        facts = own and route(own)
-        if facts and not facts.one_step and facts.modulus is None and facts.core is not None:
+        if mode == "auto" and not facts.one_step and facts.modulus is None and facts.core:
             from . import brute
 
             try:
@@ -771,7 +733,7 @@ def solve(
             try:
                 graph = _component_graph(adjacency, index, variables)  # propagated only
                 matrix = initialize_pairs(sub, prep.template, variables, graph)
-                if matrix.one_step:
+                if facts.one_step:
                     sweep(matrix, trace=trace)
                 else:
                     propagate(matrix, trace=trace, debug=debug)
@@ -782,7 +744,7 @@ def solve(
                 if matrix.empty_pair is not None:
                     return Verdict.unsat(stats)
                 witness = extract_solution(matrix, sub, prep.template)
-                if matrix.one_step and (witness is None or debug):
+                if facts.one_step and (witness is None or debug):
                     # the worklist, checked and counted apart, must agree
                     matrix.stats = SolveStats()
                     if witness is None or extract_solution(
@@ -793,9 +755,7 @@ def solve(
                     settled.append((variables, witness))
                     continue
                 reason = stuck
-        if own is None:
-            own = component_template(sub, prep.template)
-        if reason == stuck and route(own).modulus:
+        if reason == stuck and facts.modulus:
             raise InternalInvariantError(
                 "extraction failed although its relations are closed under a modular median"
             )

@@ -9,7 +9,16 @@ import pytest
 
 from distcsp.analysis import AnalysisReport
 from distcsp.endomorphism import EndoCheck, EndoClassification, PeriodicMapSpec
-from distcsp.model import Constraint, Instance, RelationDef, Template, _trusted
+from distcsp.errors import InputError
+from distcsp.model import (
+    Constraint,
+    FrozenRecord,
+    Instance,
+    Record,
+    RelationDef,
+    Template,
+    _trusted,
+)
 from distcsp.polymorphism import PreservationResult
 from distcsp.solver import Preprocessed, SolveStats, Verdict
 
@@ -128,3 +137,66 @@ def test_trusted_equals_validated():
     assert repr(trusted) == "Constraint(relation='d', args=(0, 1))"
     instance = _trusted(Instance, num_vars=2, constraints=(trusted,))
     assert instance == _instance()
+
+
+def test_fields_follow_annotation_order():
+    for make, _, _ in CASES.values():
+        cls = type(make())
+        assert cls._fields == tuple(cls.__annotations__)
+    assert Verdict._fields == ("status", "witness", "reason", "stats")
+
+
+def test_position_keyword_and_default_construction_agree():
+    assert Verdict("sat") == Verdict("sat", None, None, None) == Verdict(status="sat", reason=None)
+    assert Verdict("sat").as_dict() == dict(status="sat", witness=None, reason=None, stats=None)
+    assert SolveStats().as_dict() == dict.fromkeys(SolveStats._fields, 0)
+    assert SolveStats(1, 2, 3, 4, 5) == SolveStats(
+        core_searches=5, components=4, full_to_finite=3, sweeps=2, proper_replacements=1
+    )
+    assert EndoCheck(True) == EndoCheck(ok=True, relation=None, source=None, image=None)
+    assert PreservationResult(False, image=(0,)).trivial is False
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Verdict(), r"Verdict\.__init__\(\) missing 1 required positional argument"),
+        (lambda: EndoCheck(True, colour=1), r"EndoCheck\.__init__\(\) got an unexpected keyword"),
+        (lambda: SolveStats(1, 2, 3, 4, 5, 6), r"SolveStats\.__init__\(\) takes from 1 to 6"),
+        (lambda: Preprocessed(_instance(), _template()), r"Preprocessed\.__init__\(\) missing"),
+    ],
+)
+def test_wrong_arguments_name_the_class(make, message):
+    with pytest.raises(TypeError, match=message):
+        make()
+
+
+def test_a_class_keeps_its_own_methods():
+    # RelationDef and PeriodicMapSpec validate in their own __init__;
+    # AnalysisReport sets __hash__ = None
+    assert RelationDef("d", 2, [(3,), (1,), (3,)]).body == ((1,), (3,))
+    with pytest.raises(InputError):
+        PeriodicMapSpec(0, (), 0)
+    with pytest.raises(TypeError):
+        hash(CASES["AnalysisReport"][0]())
+
+
+def test_a_record_class_needs_only_its_annotations():
+    class Point(FrozenRecord):
+        x: int
+        y: int = 0
+
+    class Tally(Record):
+        hits: int = 0
+
+    p = Point(1)
+    assert p == Point(1, 0) == Point(y=0, x=1) and p != Point(1, 1)
+    assert hash(p) == hash(Point(x=1)) == hash((1, 0))
+    assert repr(p).endswith(".<locals>.Point(x=1, y=0)") and p.as_dict() == {"x": 1, "y": 0}
+    with pytest.raises(AttributeError):
+        p.x = 2
+    tally = Tally()
+    tally.hits += 1
+    assert tally == Tally(1) and repr(tally).endswith(".<locals>.Tally(hits=1)")
+    with pytest.raises(TypeError):
+        hash(tally)

@@ -652,9 +652,7 @@ class TestSweep:
             (mixed, False), (full, True), (TWODEC_TRUE, False),
         ]  # fmt: skip
         for t, accepted in cases:
-            named = tuple(Constraint(r.name, tuple(range(r.arity))) for r in t.relations)
-            matrix = initialize_pairs(Instance(max(r.arity for r in t.relations), named), t)
-            assert matrix.one_step is accepted, t.name
+            assert solver.route(t).one_step is accepted, t.name
 
     def test_accepted_templates_have_the_common_step_as_a_median(self):
         # every template the rule accepts is closed under m_g for its
@@ -667,11 +665,10 @@ class TestSweep:
                 d = rng.choice((1, 2, 3, 4)) if idx == 0 or rng.random() < 0.3 else relations[0][1]
                 relations.append((binary_relation(f"r{idx}", random_offset_run(rng, d)), d))
             t = Template(f"t{i}", tuple(rel for rel, _ in relations))
-            constraints = tuple(Constraint(rel.name, (0, 1)) for rel in t.relations)
-            matrix = initialize_pairs(Instance(2, constraints), t)
+            one_step = solver.route(t).one_step
             steps = progression_steps(t)
-            assert matrix.one_step == (steps is not None and len(steps) <= 1), t
-            if not matrix.one_step:
+            assert one_step == (steps is not None and len(steps) <= 1), t
+            if not one_step:
                 rejected += 1
                 continue
             accepted += 1
@@ -699,10 +696,30 @@ class TestSweep:
                 continue
             swept = sweep(initialize_pairs(prep.instance, prep.template))
             fixed = propagate(initialize_pairs(prep.instance, prep.template))
-            assert swept.one_step and (swept.empty_pair is None) == (fixed.empty_pair is None)
+            assert solver.route(component_template(prep.instance, prep.template)).one_step
+            assert (swept.empty_pair is None) == (fixed.empty_pair is None)
             if swept.empty_pair is None:
                 for pair, cell in swept.cells.items():
                     assert cell.is_full or set(fixed.cells[pair].offsets) <= set(cell.offsets)
+
+    def test_a_rule_that_sweeps_mixed_steps_gets_stuck(self, monkeypatch):
+        # steps 1 and 3, so the worklist runs: it decides this instance, but
+        # a sweep, whose proof needs one common step, leaves extraction stuck
+        t = Template("mixed", (binary_relation("r", (-3, -2, 1, 2, 3)),))
+        edges = [(1, 0), (2, 1), (3, 0), (3, 1), (3, 2), (0, 2), (1, 2)]
+        inst = graph_instance("r", 4, edges)
+        verdict = solve(inst, t, mode="consistency")
+        assert verdict.status == "sat" and verdict.witness == (0, -1, 1, -2)
+        assert verify_assignment(inst, t, verdict.witness) == (True, None)
+
+        class AcceptsMixedSteps(solver.Route):
+            @property
+            def one_step(self):
+                return all(rel.arity == 2 for rel in self.template.relations if rel.has_tuples)
+
+        monkeypatch.setattr(solver, "route", AcceptsMixedSteps)
+        with pytest.raises(InternalInvariantError, match="extraction after a sweep gave None"):
+            solve(inst, t, mode="consistency")
 
     def test_an_empty_cell_stops_the_sweep(self):
         matrix = sweep(initialize_pairs(graph_instance("dist13", 5, cycle_edges(5)), DIST13))
