@@ -11,13 +11,14 @@ lower variables, ANDed as plain-int bitmasks; a binary constraint on two
 distinct variables is its own pair set and needs no per-candidate check.
 
 Called directly, as the oracle, it shares only the component numbering with
-the solver.  `solve` calls it the same way on a component whose extraction
-got stuck, and hands it one numbered component with a finite core to search
-over.  Every way, its pair links are the constraints' projections, built in
-one pass with the constraints due at each variable.  The window search
-packs each relation once per call and skips mirrored subtrees of
-components closed under negation; a core search reads them, and the branch
-counts of its estimate, from a table kept per (template, core) value.
+the solver.  `solve` hands it one component of its own split with the index
+map that numbers it, to search over the window when its extraction got
+stuck or over a finite core.  Every way, its pair links are the
+constraints' projections, built in one pass with the constraints due at
+each variable.  The window search packs each relation once per call and
+skips mirrored subtrees of components closed under negation; a core search
+reads them, and the branch counts of its estimate, from a table kept per
+(template, core) value.
 
 The core option narrows the window to a finite set R with max R = 0: the
 range of a drift-0 endomorphism e of the template, shifted down by its
@@ -69,17 +70,18 @@ def search_space_estimate(inst: Instance, t: Template) -> int:
     return sum(_plan(sub, t, biggest)[0] for _, sub in split_components(inst))
 
 
-def _plan(sub: Instance, t: Template, biggest: int) -> tuple[int, bool]:
-    """A component's search space estimate over the window and whether every
-    relation it names is closed under negation."""
+def _plan(sub: Instance, t: Template, biggest: int, index=None) -> tuple[int, bool]:
+    """Window search space estimate of a component read through index, and
+    whether every relation it names is closed under negation."""
     linked: set[int] = set()  # paired with a lower variable: 2D + 1 values
     mirror = True
     for c in sub.constraints:
         rel = t.relation(c.relation)
         mirror = mirror and rel.negation_closed
         if rel.has_tuples:
-            low = min(c.args)
-            linked.update(a for a in c.args if a != low)
+            args = c.args if index is None else [index[a] for a in c.args]
+            low = min(args)
+            linked.update(a for a in args if a != low)
     window = 2 * (sub.num_vars - 1) * biggest + 1
     return (2 * biggest + 1) ** len(linked) * window ** (sub.num_vars - 1 - len(linked)), mirror
 
@@ -112,7 +114,7 @@ def _core_estimate(links: list[list], core: tuple[int, ...], bits: int, branches
     return estimate
 
 
-def _projection_links(sub: Instance, t: Template, plans: dict, span: int | None = None):
+def _projection_links(sub: Instance, t: Template, plans: dict, span: int | None = None, index=None):
     """In one pass over the constraints: per variable j, (i, lo, mask) for
     each lower i paired with it by the projections, bit k set when
     value[j] - value[i] = lo + k is allowed (the masks of a pair that several
@@ -121,7 +123,9 @@ def _projection_links(sub: Instance, t: Template, plans: dict, span: int | None 
     enforce: arity 3 and up, or a variable twice.  None when one is EMPTY;
     InputError when one has the wrong arity.  plans holds, per relation name
     met, the relation, whether it is due and its coordinate pairs, packed
-    forward and reversed, with only the offsets in [-span, span] if given."""
+    forward and reversed, with only the offsets in [-span, span] if given;
+    argument a of a constraint is variable index[a] (a when index is None)."""
+    index = range(sub.num_vars) if index is None else index
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
     due: list[list] = [[] for _ in range(sub.num_vars)]
     for c in sub.constraints:
@@ -138,7 +142,7 @@ def _projection_links(sub: Instance, t: Template, plans: dict, span: int | None 
             sub.validate_against(t)  # raises on a wrong arity
             return None  # as the window search answers an EMPTY constraint
         for i, j, forward, reverse in packed:
-            a, b = c.args[i], c.args[j]
+            a, b = index[c.args[i]], index[c.args[j]]
             if a == b:
                 check = True
                 continue
@@ -150,7 +154,8 @@ def _projection_links(sub: Instance, t: Template, plans: dict, span: int | None 
                 forward = lo, (old[1] >> (lo - old[0])) & (forward[1] >> (lo - forward[0]))
             pairs[a, b] = forward
         if check:
-            due[max(c.args)].append((rel, c.args))
+            args = tuple(map(index.__getitem__, c.args))
+            due[max(args)].append((rel, args))
     links: list[list[tuple[int, int, int]]] = [[] for _ in range(sub.num_vars)]
     for (i, j), (lo, mask) in pairs.items():
         links[j].append((i, lo, mask))
@@ -175,6 +180,7 @@ def brute_solve(
     t: Template,
     node_cap: int = DEFAULT_NODE_CAP,
     core: tuple[int, ...] | None = None,
+    index=None,
 ) -> tuple[int, ...] | None:
     """Depth-first search for the least witness under the search order, or None.
 
@@ -185,11 +191,11 @@ def brute_solve(
     they are implied constraints, so pruning never loses a witness.  Raises
     CapExceededError instead of starting a search estimated over node_cap.
 
+    With index or core, inst is one component of `solve`'s split, argument
+    a read as variable index[a], neither validated nor split again: an EMPTY
+    constraint gives None, and a wrong arity InputError where links are built.
     core, the strictly ascending values of a finite core R of t with
-    max R = 0 (see the module docstring), replaces the window for inst, one
-    component that `solve` has preprocessed and numbered, which is not
-    validated or split again, only checked in the pass that builds its
-    links: an EMPTY constraint gives None and a wrong arity InputError.
+    max R = 0 (see the module docstring), replaces the window for inst.
     Every domain is ANDed with R, the witness is the least one in R^n, and
     the estimate is `_core_estimate`'s, from the projections the search
     reads.  Only offsets between two values of R, in [min R, -min R], are
@@ -202,15 +208,18 @@ def brute_solve(
     it must unless -R = R: every value of R is <= 0.
     """
     if core is None:
-        inst.validate_against(t)
+        components = [(range(inst.num_vars), inst)]
+        if index is None:
+            inst.validate_against(t)
+            components = split_components(inst)
         for c in inst.constraints:
             if t.relation(c.relation).is_empty:
                 return None
         biggest = max_distance_or_zero(t)
         packed: dict = {}
         plans = [
-            (comp, sub, *_plan(sub, t, biggest), (len(comp) - 1) * biggest, None)
-            for comp, sub in split_components(inst)
+            (comp, sub, *_plan(sub, t, biggest, index), (len(comp) - 1) * biggest, None)
+            for comp, sub in components
         ]
     else:
         ascending = all(type(v) is int for v in core) and all(a < b for a, b in zip(core, core[1:]))
@@ -218,7 +227,7 @@ def brute_solve(
             raise InputError(f"a core must be strictly ascending integers up to 0, got {core}")
         core_bits = sum(1 << (v - core[0]) for v in core)
         packed, branches = _core_table(t, core)
-        built = _projection_links(inst, t, packed, -core[0])
+        built = _projection_links(inst, t, packed, -core[0], index)
         if built is None:
             return None
         estimate = _core_estimate(built[0], core, core_bits, branches)
@@ -233,7 +242,7 @@ def brute_solve(
     for comp, sub, _, mirror, half, built in plans:
         # links[j] holds (i, lo, mask) for each finite pair set to a lower i,
         # built for the window only once its estimate has passed
-        links, due = built or _projection_links(sub, t, packed)
+        links, due = built or _projection_links(sub, t, packed, None, index)
         # the window or the core, with bit 0 at value lowest, starts every domain
         lowest, every = (-half, -1) if core is None else (core[0], core_bits)
         local = [0] * len(comp)

@@ -2,6 +2,8 @@
 
 `split_components` numbers the variables of each connected component in
 its canonical breadth-first order, so that order is simply index order.
+`solve` reads each component in place instead, through one index map from
+each variable to its place in its component (`_split`).
 The solver keeps offset sets for the pairs of variables that are joined in
 a chordal completion of the component's co-occurrence graph: the graph
 filled in by eliminating the variables highest index first, so that every
@@ -29,6 +31,7 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property, lru_cache
 from itertools import combinations
+from types import SimpleNamespace
 from typing import Callable
 
 from .errors import CapExceededError, InputError, InternalInvariantError
@@ -206,12 +209,19 @@ def split_components(inst: Instance) -> list[tuple[list[int], Instance]]:
     distributed in one pass.  A connected instance already in canonical
     order, such as a component split off before, comes back as it is.
     """
-    return _split(inst)[0]
+    components, _, index = _split(inst)
+    return components if isinstance(index, range) else [
+        (variables, _trusted(Instance, num_vars=part.num_vars, constraints=tuple(
+            _trusted(Constraint, relation=c.relation, args=tuple(map(index.__getitem__, c.args)))
+            for c in part.constraints))) for variables, part in components
+    ]
 
 
-def _split(inst: Instance) -> tuple[list[tuple[list[int], Instance]], list[set[int]], list | None]:
-    """`split_components`, with the co-occurrence graph of inst and the index
-    of each variable in its component, None when inst comes back as it is."""
+def _split(inst: Instance) -> tuple[list[tuple[list[int], Instance]], list[set[int]], list | range]:
+    """`split_components` without copies: per component, its variables and
+    a part with num_vars and inst's own constraints on it (inst itself, and
+    index a range, when inst comes back as it is), argument a being variable
+    index[a] of its component; and the co-occurrence graph of inst."""
     size = inst.num_vars
     adjacency = co_occurrence_adjacency(inst)
     index = [0] * size
@@ -221,24 +231,22 @@ def _split(inst: Instance) -> tuple[list[tuple[list[int], Instance]], list[set[i
         if owner[start] is None:
             variables = list(bfs_depths(adjacency, start))
             if len(variables) == size and variables == list(range(size)):
-                return [(variables, inst)], adjacency, None
-            constraints: list[Constraint] = []
+                return [(variables, inst)], adjacency, range(size)
+            part = SimpleNamespace(num_vars=len(variables), constraints=[])
             for i, v in enumerate(variables):
-                index[v], owner[v] = i, constraints
-            components.append((variables, constraints))
+                index[v], owner[v] = i, part.constraints
+            components.append((variables, part))
     for c in inst.constraints:
-        args = tuple(map(index.__getitem__, c.args))
-        owner[c.args[0]].append(_trusted(Constraint, relation=c.relation, args=args))
-    return [
-        (variables, _trusted(Instance, num_vars=len(variables), constraints=tuple(cs)))
-        for variables, cs in components
-    ], adjacency, index
+        owner[c.args[0]].append(c)
+    return components, adjacency, index
 
 
-def _component_graph(adjacency: list[set[int]], index: list | None, variables: list[int]):
+def _component_graph(adjacency: list[set[int]], index: list | range, variables: list[int]):
     """A component's co-occurrence graph in its own numbering: the graph of
-    the instance that `_split` split, translated unless index is None."""
-    return adjacency if index is None else [{index[w] for w in adjacency[v]} for v in variables]
+    the instance that `_split` split, translated unless index is a range."""
+    if isinstance(index, range):
+        return adjacency
+    return [{index[w] for w in adjacency[v]} for v in variables]
 
 
 def chordal_completion(adjacency: list[set[int]]) -> list[set[int]]:
@@ -294,7 +302,7 @@ class PairMatrix:
 
 
 def initialize_pairs(
-    inst: Instance, t: Template, variable_ids: list[int] | None = None, adjacency=None
+    inst: Instance, t: Template, variable_ids: list[int] | None = None, adjacency=None, index=None
 ) -> PairMatrix:
     """Pair matrix for one preprocessed component, in one pass over its constraints.
 
@@ -305,9 +313,11 @@ def initialize_pairs(
     reverse projections it caches, are looked up once per call; the mirror
     cell P(l,k) takes the reverse one, so nothing is negated.  The
     co-occurrence graph adjacency is completed in place, or built when not
-    given.
+    given.  Argument a of a constraint is variable index[a] (a when index
+    is None), as `solve` reads the parts of `_split`.
     """
     size = inst.num_vars
+    index = range(size) if index is None else index
     cells: dict[tuple[int, int], OffsetSet] = {}
     plans: dict[str, list[tuple[int, int, OffsetSet, OffsetSet]] | None] = {}
     empty_pair = None
@@ -326,7 +336,7 @@ def initialize_pairs(
                 f"constraint {c.relation}{c.args} repeats a variable or is EMPTY; preprocess first"
             )
         for i, j, forward, reverse in plan:
-            k, l = args[i], args[j]
+            k, l = index[args[i]], index[args[j]]
             old = cells.get((k, l))
             if old is None:
                 cells[(k, l)], cells[(l, k)] = forward, reverse
@@ -557,7 +567,7 @@ def sweep(matrix: PairMatrix, trace: TraceFn | None = None) -> PairMatrix:
     return matrix
 
 
-def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[int, ...] | None:
+def extract_solution(matrix: PairMatrix, inst, t: Template, index=None) -> tuple[int, ...] | None:
     """Greedy witness in index order.
 
     Each next variable takes the least value compatible with the pair sets
@@ -567,15 +577,18 @@ def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[i
     and FULL ones always hold.  Returns None when some step has no
     candidate, which cannot happen after `sweep`, nor for templates closed
     under a modular median (see `propagate`).  Any numbering works: a
-    variable with no lower completion neighbour takes 0.
+    variable with no lower completion neighbour takes 0.  Arguments are
+    read through index, as in `initialize_pairs`.
     """
     if matrix.empty_pair is not None:
         raise InternalInvariantError("extraction attempted on an empty pair matrix")
+    index = range(inst.num_vars) if index is None else index
     due: list[list[tuple[RelationDef, tuple[int, ...]]]] = [[] for _ in range(inst.num_vars)]
     for c in inst.constraints:
         rel = t.relation(c.relation)
         if rel.has_tuples and rel.arity > 2:
-            due[max(c.args)].append((rel, c.args))
+            args = tuple(map(index.__getitem__, c.args))
+            due[max(args)].append((rel, args))
     values = [0] * inst.num_vars
     for j in range(inst.num_vars):
         candidates = _FULL
@@ -600,8 +613,11 @@ def extract_solution(matrix: PairMatrix, inst: Instance, t: Template) -> tuple[i
 def component_template(inst: Instance, t: Template) -> Template:
     """The relations of t that the constraints of inst name, in t's order:
     all that deciding one component depends on.  A relation it does not use
-    could only widen the exhaustive search or the median closure check."""
+    could only widen the exhaustive search or the median closure check;
+    t itself when they name all of t's relations."""
     used = {c.relation for c in inst.constraints}
+    if len(used) == len(t.relations):
+        return t
     return Template(t.name, tuple(r for r in t.relations if r.name in used))
 
 
@@ -720,7 +736,7 @@ def solve(
             from . import brute
 
             try:
-                witness = brute.brute_solve(sub, own, cap, core=facts.core)
+                witness = brute.brute_solve(sub, own, cap, core=facts.core, index=index)
             except CapExceededError:
                 pass  # the window search may still fit
             else:
@@ -732,7 +748,7 @@ def solve(
         if mode != "brute":
             try:
                 graph = _component_graph(adjacency, index, variables)  # propagated only
-                matrix = initialize_pairs(sub, prep.template, variables, graph)
+                matrix = initialize_pairs(sub, prep.template, variables, graph, index)
                 if facts.one_step:
                     sweep(matrix, trace=trace)
                 else:
@@ -743,12 +759,12 @@ def solve(
                 stats.absorb(matrix.stats)
                 if matrix.empty_pair is not None:
                     return Verdict.unsat(stats)
-                witness = extract_solution(matrix, sub, prep.template)
+                witness = extract_solution(matrix, sub, prep.template, index)
                 if facts.one_step and (witness is None or debug):
                     # the worklist, checked and counted apart, must agree
                     matrix.stats = SolveStats()
                     if witness is None or extract_solution(
-                        propagate(matrix, debug=True), sub, prep.template
+                        propagate(matrix, debug=True), sub, prep.template, index
                     ) != witness:
                         raise InternalInvariantError(f"extraction after a sweep gave {witness}")
                 if witness is not None:
@@ -771,7 +787,7 @@ def solve(
         from . import brute
 
         try:
-            witness = brute.brute_solve(sub, own, cap)
+            witness = brute.brute_solve(sub, own, cap, index=index)
         except CapExceededError as e:
             reasons.append(f"{reason}; {e}" if reason else str(e))
             continue
@@ -784,8 +800,13 @@ def solve(
     for variables, witness in settled:
         for local, g in enumerate(variables):
             values[g] = witness[local]
-    # preprocess has validated inst against t: only the witness is checked
+    # preprocess has validated inst: only the witness is checked, by lookups
     for idx, c in enumerate(inst.constraints):
-        if not tuple_in_relation(t.relation(c.relation), tuple(values[a] for a in c.args)):
+        rel, args = t.relation(c.relation), c.args
+        if len(args) == 2 and rel.has_tuples:
+            held = (values[args[1]] - values[args[0]],) in rel._tuple_set
+        else:
+            held = tuple_in_relation(rel, tuple(values[a] for a in args))
+        if not held:
             raise InternalInvariantError(f"witness fails constraint {idx}")
     return Verdict.sat(tuple(values), stats)

@@ -308,18 +308,23 @@ class TestComponents:
 
 
     def test_only_the_propagation_path_translates_graphs(self, monkeypatch):
-        # two components, both renumbered, translated from the one graph
+        # two components, both renumbered, translated from the one graph;
+        # each keeps inst's own constraints, read through the index
         inst = graph_instance("r", 6, [(5, 3), (3, 1), (4, 2), (2, 0)])
         split, adjacency, index = solver._split(inst)
-        assert split == split_components(inst) and adjacency == co_occurrence_adjacency(inst)
-        for variables, sub in split:
+        assert adjacency == co_occurrence_adjacency(inst)
+        assert [variables for variables, _ in split] == [[0, 2, 4], [1, 3, 5]]
+        for (variables, part), (_, sub) in zip(split, split_components(inst)):
+            assert all(any(c is d for d in inst.constraints) for c in part.constraints)
+            read = tuple(Constraint(c.relation, tuple(index[a] for a in c.args)) for c in part.constraints)
+            assert part.num_vars == len(variables) and Instance(part.num_vars, read) == sub
             assert solver._component_graph(adjacency, index, variables) == (
                 co_occurrence_adjacency(sub)
             )
         # an instance that comes back as it is keeps its graph
         path = graph_instance("r", 3, [(0, 1), (1, 2)])
         split, adjacency, index = solver._split(path)
-        assert split == [([0, 1, 2], path)] and split[0][1] is path and index is None
+        assert split == [([0, 1, 2], path)] and split[0][1] is path and index == range(3)
         assert solver._component_graph(adjacency, index, [0, 1, 2]) is adjacency
         translated = []
         real = solver._component_graph
@@ -726,7 +731,7 @@ class TestSweep:
         assert matrix.empty_pair is not None and matrix.cells[matrix.empty_pair].is_empty
 
     def test_stuck_extraction_after_the_sweep_is_an_invariant_error(self, monkeypatch):
-        monkeypatch.setattr(solver, "extract_solution", lambda matrix, inst, t: None)
+        monkeypatch.setattr(solver, "extract_solution", lambda matrix, inst, t, index=None: None)
         with pytest.raises(InternalInvariantError):
             solve(graph_instance("dist13", 4, cycle_edges(4)), DIST13, mode="auto")
 
@@ -735,8 +740,8 @@ class TestSweep:
         real = solver.extract_solution
         calls = []
 
-        def first_translated(matrix, inst, t):
-            witness = real(matrix, inst, t)
+        def first_translated(matrix, inst, t, index=None):
+            witness = real(matrix, inst, t, index)
             calls.append(witness)
             return witness if len(calls) > 1 else tuple(v + 1 for v in witness)
 
@@ -749,12 +754,15 @@ class TestSweep:
         assert len(calls) == 2
 
     def test_the_split_hands_each_component_its_graph(self, monkeypatch):
+        # the graph of each component in its own numbering, that of the
+        # copy `split_components` makes
         handed = []
         real = solver.initialize_pairs
 
-        def spy(sub, t, variables, adjacency=None):
-            handed.append((sub, adjacency and [set(neighbours) for neighbours in adjacency]))
-            return real(sub, t, variables, adjacency)
+        def spy(sub, t, variables, adjacency=None, index=None):
+            graph = adjacency and [set(neighbours) for neighbours in adjacency]
+            handed.append((sub, variables, graph))
+            return real(sub, t, variables, adjacency, index)
 
         monkeypatch.setattr(solver, "initialize_pairs", spy)
         # two components, both renumbered, one swept and one propagated; in
@@ -764,6 +772,7 @@ class TestSweep:
             (graph_instance("dist13", 6, cycle_edges(6)), DIST13),
             (graph_instance("dist12", 5, cycle_edges(5)), DIST12),
         )
+        copies = {tuple(variables): sub for variables, sub in split_components(inst)}
         for mode, propagated in (("consistency", 2), ("auto", 1)):
             handed.clear()
             verdict = solve(inst, t, mode=mode)
@@ -771,9 +780,9 @@ class TestSweep:
             assert verdict.status == "sat" and (verdict.stats.sweeps > 0) == (propagated == 2)
             assert verdict.stats.core_searches == 2 - propagated
             assert len(handed) == propagated
-            for sub, graph in handed:
-                assert graph == co_occurrence_adjacency(sub)
-        assert [sub.constraints[0].relation for sub, _ in handed] == ["dist13"]
+            for _, variables, graph in handed:
+                assert graph == co_occurrence_adjacency(copies[tuple(variables)])
+        assert [sub.constraints[0].relation for sub, _, _ in handed] == ["dist13"]
         adjacency = co_occurrence_adjacency(inst)
         assert chordal_completion(adjacency) is adjacency
 
@@ -1098,14 +1107,15 @@ class TestFallback:
         handed = []
         real = brute.brute_solve
 
-        def spy(sub, t, cap, core=None):
-            handed.append((sub, t, cap, core))
-            return real(sub, t, cap, core)
+        def spy(sub, t, cap, core=None, index=None):
+            handed.append((sub, t, cap, core, index))
+            return real(sub, t, cap, core, index)
 
         monkeypatch.setattr(brute, "brute_solve", spy)
         verdict = solve(STUCK23, DIST23, debug=True)
         assert verdict.status == "sat" and verdict.witness == brute_solve(STUCK23, DIST23)
-        assert handed == [(STUCK23, DIST23, brute.DEFAULT_NODE_CAP, None)]
+        # STUCK23 is numbered in canonical order, so it is its own component
+        assert handed == [(STUCK23, DIST23, brute.DEFAULT_NODE_CAP, None, range(8))]
         # brute mode, and a component whose propagation was refused, make the same call
         handed.clear()
         assert solve(STUCK23, DIST23, mode="brute").witness == verdict.witness
@@ -1113,7 +1123,24 @@ class TestFallback:
         edge = graph_instance("g", 2, [(0, 1)])
         assert solve(edge, gap).witness == (0, 0)
         cap = brute.DEFAULT_NODE_CAP
-        assert handed == [(STUCK23, DIST23, cap, None), (edge, gap, cap, None)]
+        assert handed == [(STUCK23, DIST23, cap, None, range(8)), (edge, gap, cap, None, range(2))]
+        # a renumbered component is handed over as the split left it, with
+        # its index, and is neither validated nor split again: with 6 and 7
+        # swapped, the split numbers STUCK23 back, and the search reads it so
+        swap = [0, 1, 2, 3, 4, 5, 7, 6]
+        swapped = Instance(8, tuple(
+            Constraint("d23", (swap[a], swap[b])) for a, b in (c.args for c in STUCK23.constraints)
+        ))
+        assert split_components(swapped) == [(swap, STUCK23)]
+        validated, split = [], []
+        monkeypatch.setattr(Instance, "validate_against", lambda inst, t: validated.append(inst))
+        monkeypatch.setattr(brute, "split_components", lambda inst: split.append(inst))
+        handed.clear()
+        witness = solve(swapped, DIST23).witness
+        assert validated == split == [] and len(handed) == 1
+        (sub, _, _, core, index), = handed
+        assert core is None and sub.constraints == list(swapped.constraints) and index == swap
+        assert witness == tuple(verdict.witness[v] for v in swap)
 
     def test_core_searches_are_neither_validated_nor_split(self, monkeypatch):
         validated, split = [], []
@@ -1163,9 +1190,9 @@ class TestFiniteCore:
         searched, looked = [], []
         real, real_core = brute.brute_solve, solver.Route.core.func
 
-        def spy(sub, t, cap, core=None):
+        def spy(sub, t, cap, core=None, index=None):
             searched.append(core)
-            return real(sub, t, cap, core)
+            return real(sub, t, cap, core, index)
 
         monkeypatch.setattr(brute, "brute_solve", spy)
         # a property over the cached one sees every read of a route's core
@@ -1196,9 +1223,9 @@ class TestFiniteCore:
         searched = []
         real = brute.brute_solve
 
-        def spy(sub, t, cap, core=None):
+        def spy(sub, t, cap, core=None, index=None):
             searched.append(core)
-            return real(sub, t, cap, core)
+            return real(sub, t, cap, core, index)
 
         monkeypatch.setattr(brute, "brute_solve", spy)
         rng = random.Random(19)
@@ -1506,3 +1533,99 @@ class TestDecisionContract:
             core = solver.route(component_template(prep.instance, prep.template)).core
             assert verdict.witness[0] == 0 and set(verdict.witness) <= set(core)
             assert verify_assignment(inst, t, verdict.witness) == (True, None)
+
+
+def solve_on_copies(inst, t, mode):
+    """`solve`'s status and witness in auto or consistency mode, worked out
+    on the copies that `split_components` makes: each renumbered component
+    takes its route, as a direct call on its own `Instance`, and its
+    witness is lifted back through its variables."""
+    prep = preprocess(inst, t)
+    if prep.unsat:
+        return "unsat", None
+    values, status = [0] * inst.num_vars, "sat"
+    for variables, sub in split_components(prep.instance):
+        own = component_template(sub, prep.template)
+        facts = solver.route(own)
+        if mode == "auto" and not facts.one_step and facts.modulus is None and facts.core:
+            witness = brute_solve(sub, own, core=facts.core)
+        else:
+            matrix = initialize_pairs(sub, prep.template)
+            (sweep if facts.one_step else propagate)(matrix)
+            if matrix.empty_pair is not None:
+                return "unsat", None
+            witness = extract_solution(matrix, sub, prep.template)
+            if witness is None and mode == "consistency":
+                status = "unknown"
+                continue
+            try:
+                witness = witness or brute_solve(sub, own)
+            except CapExceededError:
+                status = "unknown"
+                continue
+        if witness is None:
+            return "unsat", None
+        for g, value in zip(variables, witness):
+            values[g] = value
+    return status, tuple(values) if status == "sat" else None
+
+
+class TestIndexReads:
+    def cases(self):
+        rng = random.Random(27)
+        offsets = {k: list(itertools.product(range(-2, 3), repeat=k - 1)) for k in (2, 3)}
+        pool = [
+            Template(f"p{i}", tuple(
+                RelationDef(f"r{k}", k, rng.sample(offsets[k], k + 2)) for k in (2, 3)
+            ))
+            for i in range(6)
+        ]
+        for i in range(240):
+            if i % 3 == 0:
+                # a distance graph in any numbering, in one or two components
+                t = DIST12 if i % 2 else DIST13
+                n = rng.randint(3, 12)
+                edges = spanning_tree_edges(n, rng) + [
+                    tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(n // 2, 2 * n))
+                ]
+                label = rng.sample(range(n), n)
+                edges = [(label[a], label[b]) for a, b in edges]
+                inst = graph_instance(t.relations[0].name, n, edges)
+                if i % 4 == 0:
+                    inst, t = disjoint_union((inst, t), (inst, t))
+            else:
+                # binary and ternary constraints that hold of a planted
+                # assignment, repeated variables among their arguments, so
+                # that most instances are sat and split into components
+                t, n = rng.choice(pool), rng.randint(4, 10)
+                planted = [rng.randint(-1, 1) for _ in range(n)]
+                constraints = []
+                for _ in range(2 * n):
+                    args = tuple(rng.choices(range(n), k=rng.choice((2, 3))))
+                    rel = t.relation(f"r{len(args)}")
+                    if tuple(planted[v] - planted[args[0]] for v in args[1:]) in rel.body:
+                        constraints.append(Constraint(rel.name, args))
+                inst = Instance(n, tuple(constraints))
+            yield inst, t
+
+    def test_solve_reads_what_the_copies_read(self):
+        # the solver reads each component in place, through the split's
+        # index; the same routes on the copies give the same answers, so a
+        # swapped or unmapped argument shows
+        seen = Counter()
+        for inst, t in self.cases():
+            renumbered = any(sub is not inst for _, sub in split_components(inst))
+            ternary = any(len(c.args) == 3 for c in inst.constraints)
+            repeated = any(len(set(c.args)) < len(c.args) for c in inst.constraints)
+            for mode in ("auto", "consistency"):
+                verdict = solve(inst, t, mode=mode)
+                assert (verdict.status, verdict.witness) == solve_on_copies(inst, t, mode)
+                seen[mode, verdict.status, verdict.stats.core_searches > 0] += 1
+                if verdict.status == "sat":
+                    seen["renumbered"] += renumbered
+                    seen["ternary"] += ternary
+                    seen["repeated"] += repeated
+                    seen["components"] += verdict.stats.components > 1
+        assert min(seen[k] for k in ("renumbered", "ternary", "repeated", "components")) >= 30, seen
+        assert min(seen["auto", "sat", True], seen["auto", "unsat", True]) >= 10, seen
+        assert min(seen["consistency", status, False] for status in ("sat", "unknown")) >= 10, seen
