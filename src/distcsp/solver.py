@@ -3,14 +3,15 @@
 `split_components` numbers the variables of each connected component in
 its canonical breadth-first order, so that order is simply index order.
 `solve` reads each component in place instead, through one index map from
-each variable to its place in its component (`_split`).
-The solver keeps offset sets for the pairs of variables that are joined in
-a chordal completion of the component's co-occurrence graph: the graph
-filled in by eliminating the variables highest index first, so that every
-variable's lower neighbours form a clique.  Each set starts as the
-intersection of the projections of every constraint covering the pair
-(FULL when none does) and is then tightened through the triangles of the
-completion,
+each variable to its place in its component (`_split`).  The solver keeps
+offset sets for the pairs of variables that are joined in a chordal
+completion of the component's co-occurrence graph: the graph filled in by
+eliminating the variables highest index first, so that every variable's
+lower neighbours form a clique.  A `PairMatrix` holds them in one row per
+variable, beside its sorted lower neighbours, and fills the completion in
+one pass of the parent rule.  Each set starts as the intersection of the
+projections of every constraint covering the pair (FULL when none does)
+and is then tightened through the triangles of the completion,
 
     P(k,l)  <-  P(k,l)  intersect  (P(k,m) + P(m,l)),
 
@@ -174,8 +175,13 @@ def co_occurrence_adjacency(inst: Instance) -> list[set[int]]:
     """Neighbour sets of the graph joining variables that share a constraint."""
     adjacency: list[set[int]] = [set() for _ in range(inst.num_vars)]
     for c in inst.constraints:
-        for a in c.args:
-            adjacency[a].update(c.args)
+        if len(c.args) == 2:
+            a, b = c.args
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        else:
+            for a in c.args:
+                adjacency[a].update(c.args)
     for v, neighbours in enumerate(adjacency):
         neighbours.discard(v)
     return adjacency
@@ -255,15 +261,10 @@ def chordal_completion(adjacency: list[set[int]]) -> list[set[int]]:
     Eliminating a vertex joins its remaining (lower) neighbours into a
     clique, so in the result every vertex's lower neighbours form a clique:
     index order reversed is a perfect elimination order and the graph is
-    chordal.  The neighbour sets of adjacency are filled, not copied, and
-    adjacency itself is returned.
+    chordal.  `PairMatrix` fills it in one pass; the neighbour sets of
+    adjacency are filled, not copied, and adjacency itself is returned.
     """
-    for v in reversed(range(len(adjacency))):
-        lower = [u for u in adjacency[v] if u < v]
-        for u in lower:
-            adjacency[u].update(lower)
-            adjacency[u].discard(u)
-    return adjacency
+    return PairMatrix(len(adjacency), (), adjacency, [{} for _ in adjacency]).neighbours
 
 
 _FULL = OffsetSet.full()
@@ -274,31 +275,46 @@ class PairMatrix:
 
     `neighbours` is the `chordal_completion` of the co-occurrence graph
     `adjacency`, filled in place, whose variables `split_components`
-    numbered in canonical order.  `cells` holds one set per completion edge,
-    in both orientations: the given cells of the pairs that constraints
-    bound, and FULL on every other completion edge; `get` answers FULL for
+    numbered in canonical order, and `lower[v]` lists v's lower neighbours
+    in it, ascending.  `rows[k]` maps each completion neighbour l of k to
+    P(k,l): the given cell of a pair that constraints join (FULL when all
+    of them are FULL), and FULL on every fill edge; `get` answers FULL for
     any other pair, which neither a constraint nor a triangle of the
     completion ever bounds.  Every update writes both orientations, keeping
-    the mirror invariant S(P(l,k)) = -S(P(k,l))."""
+    the mirror invariant S(P(l,k)) = -S(P(k,l)).  `cells`, a {(k, l): cell}
+    view of the rows built on each read, is for tests and tracing.
 
-    def __init__(
-        self,
-        size: int,
-        variable_ids: list[int],
-        adjacency: list[set[int]],
-        cells: dict[tuple[int, int], OffsetSet],
-    ):
+    One pass, highest index first, fills the completion by the parent rule
+    (Rose, Tarjan & Lueker, SIAM J. Comput. 1976): eliminating v joins its
+    other lower neighbours to its highest one, p, alone, FULL on each new
+    edge.  They are lower neighbours of p, so p's elimination joins them in
+    turn: the filled graph is that of joining them all pairwise.
+    """
+
+    def __init__(self, size: int, variable_ids, adjacency: list[set[int]], rows: list[dict]):
         self.size = size
         self.variable_ids = list(variable_ids)
-        self.neighbours = chordal_completion(adjacency)
-        self.cells = {
-            (k, l): cells.get((k, l), _FULL) for k, row in enumerate(self.neighbours) for l in row
-        }
+        self.neighbours, self.rows = adjacency, rows
+        self.lower: list[list[int]] = [[] for _ in range(size)]
+        for v in reversed(range(size)):
+            below = self.lower[v] = sorted([u for u in adjacency[v] if u < v])
+            if len(below) > 1:
+                p = below[-1]
+                higher, row = adjacency[p], rows[p]
+                for u in below[:-1]:
+                    if u not in higher:
+                        higher.add(u)
+                        adjacency[u].add(p)
+                        row[u] = rows[u][p] = _FULL
         self.stats = SolveStats()
         self.empty_pair: tuple[int, int] | None = None
 
+    @property
+    def cells(self) -> dict[tuple[int, int], OffsetSet]:
+        return {(k, l): cell for k, row in enumerate(self.rows) for l, cell in row.items()}
+
     def get(self, k: int, l: int) -> OffsetSet:
-        return self.cells.get((k, l), _FULL)
+        return self.rows[k].get(l, _FULL)
 
 
 def initialize_pairs(
@@ -308,27 +324,27 @@ def initialize_pairs(
 
     Pairs sharing a constraint start at the intersection of the projections
     of all covering constraints (intersecting every conjunct instead of
-    picking one is sound and only tightens); fill edges of the completion
-    start FULL.  Each relation's coordinate pairs, with the forward and
-    reverse projections it caches, are looked up once per call; the mirror
-    cell P(l,k) takes the reverse one, so nothing is negated.  The
-    co-occurrence graph adjacency is completed in place, or built when not
-    given.  Argument a of a constraint is variable index[a] (a when index
-    is None), as `solve` reads the parts of `_split`.
+    picking one is sound and only tightens), FULL under FULL ones alone;
+    fill edges of the completion start FULL.  Each relation's coordinate
+    pairs, with the forward and reverse projections it caches, are looked
+    up once per call; the mirror cell P(l,k) takes the reverse one, so
+    nothing is negated.  The co-occurrence graph adjacency is completed in
+    place, or built when not given.  Argument a of a constraint is variable
+    index[a] (a when index is None), as `solve` reads the parts of `_split`.
     """
     size = inst.num_vars
     index = range(size) if index is None else index
-    cells: dict[tuple[int, int], OffsetSet] = {}
+    rows: list[dict[int, OffsetSet]] = [{} for _ in range(size)]
     plans: dict[str, list[tuple[int, int, OffsetSet, OffsetSet]] | None] = {}
     empty_pair = None
     for c in inst.constraints:
         args = c.args
         if c.relation not in plans:
             rel = t.relation(c.relation)
-            coords = combinations(range(1, rel.arity + 1), 2) if rel.has_tuples else ()
             plans[c.relation] = None if rel.is_empty else [
                 (i - 1, j - 1, project_constraint(rel, i, j), project_constraint(rel, j, i))
-                for i, j in coords
+                if rel.has_tuples else (i - 1, j - 1, _FULL, _FULL)
+                for i, j in combinations(range(1, rel.arity + 1), 2)
             ]
         plan = plans[c.relation]
         if plan is None or len(set(args)) != len(args):
@@ -337,21 +353,22 @@ def initialize_pairs(
             )
         for i, j, forward, reverse in plan:
             k, l = index[args[i]], index[args[j]]
-            old = cells.get((k, l))
+            row = rows[k]
+            old = row.get(l)
             if old is None:
-                cells[(k, l)], cells[(l, k)] = forward, reverse
-                continue
-            cells[(k, l)] = tightened = old & forward
-            cells[(l, k)] &= reverse
-            if tightened.is_empty:
-                empty_pair = (k, l)
+                row[l], rows[l][k] = forward, reverse
+            elif forward is not _FULL:
+                row[l] = tightened = old & forward
+                rows[l][k] &= reverse
+                if tightened.is_empty:
+                    empty_pair = (k, l)
     adjacency = adjacency or co_occurrence_adjacency(inst)
-    matrix = PairMatrix(size, variable_ids or list(range(size)), adjacency, cells)
+    matrix = PairMatrix(size, variable_ids or list(range(size)), adjacency, rows)
     matrix.empty_pair = empty_pair
     return matrix
 
 
-def _check_bounds(matrix: PairMatrix, bounded: set[tuple[int, int]], widest: int) -> None:
+def _check_bounds(matrix: PairMatrix, bounded: dict[tuple[int, int], OffsetSet], widest: int):
     # A fixpoint property.  Each pair in `bounded` (finite after
     # initialisation) lies in [-D, D], D = `widest`.  At the fixpoint every
     # triangle of the completion gives max P(a,b) <= max P(a,m) + max P(m,b)
@@ -366,26 +383,25 @@ def _check_bounds(matrix: PairMatrix, bounded: set[tuple[int, int]], widest: int
     for k, l in bounded:
         hop_graph[k].add(l)
     hops = [bfs_depths(hop_graph, start) for start in range(matrix.size)]
-    for (k, l), cell in matrix.cells.items():
-        if cell.offsets is None or not cell.offsets:
-            continue
-        steps = hops[k].get(l)
-        if steps is None:
-            continue
-        bound = steps * widest
-        if cell.offsets[0] < -bound or cell.offsets[-1] > bound:
-            raise InternalInvariantError(
-                f"pair ({k},{l}) at hop distance {steps} holds {cell} "
-                f"outside [-{bound},{bound}]"
-            )
+    for k, row in enumerate(matrix.rows):
+        for l, cell in row.items():
+            steps = hops[k].get(l)
+            if not cell.mask or steps is None:
+                continue
+            bound = steps * widest
+            if cell.offsets[0] < -bound or cell.offsets[-1] > bound:
+                raise InternalInvariantError(
+                    f"pair ({k},{l}) at hop distance {steps} holds {cell} "
+                    f"outside [-{bound},{bound}]"
+                )
 
 
 def _reviser(matrix: PairMatrix, trace: TraceFn | None, queued: set, pending: deque | None):
     """revise(x, m, via, left, right, old) of one `propagate` or `sweep` call:
     P(x,m) <- old & (left + right), from P(x,m), P(x,via) and P(via,m), with
-    mirror, stats, trace and empty mark.  With a worklist (pending) it queues
-    a cell that shrank and defers a finite cell's revision that reads a
-    queued pair.
+    mirror, stats, trace and empty mark, written to the rows.  With a
+    worklist (pending) it queues a cell that shrank and defers a finite
+    cell's revision that reads a queued pair; without one, queued is empty.
 
     Each sumset A + B is computed once per call and then read from a memo
     keyed on the (lo, mask) pairs of A and B, and each new cell is negated
@@ -394,14 +410,14 @@ def _reviser(matrix: PairMatrix, trace: TraceFn | None, queued: set, pending: de
     computation as before.  `(A + B) & X` returns X itself exactly when the
     sum covers X, so a no-op revision is told by identity.
     """
-    ids, cells, stats = matrix.variable_ids, matrix.cells, matrix.stats
+    ids, rows, stats = matrix.variable_ids, matrix.rows, matrix.stats
     sums: dict[tuple[int, int | None, int, int], OffsetSet] = {}
     negations: dict[tuple[int, int], OffsetSet] = {}
 
     def revise(x: int, m: int, via: int, left: OffsetSet, right: OffsetSet, old: OffsetSet):
         if right.mask is None:
             return old
-        if old.mask is not None and ((via, m) if via < m else (m, via)) in queued:
+        if queued and old.mask is not None and ((via, m) if via < m else (m, via)) in queued:
             return old
         key = (left.lo, left.mask, right.lo, right.mask)
         total = sums.get(key)
@@ -414,7 +430,7 @@ def _reviser(matrix: PairMatrix, trace: TraceFn | None, queued: set, pending: de
         mirror = negations.get(key)
         if mirror is None:
             mirror = negations[key] = -new
-        cells[(x, m)], cells[(m, x)] = new, mirror
+        rows[x][m], rows[m][x] = new, mirror
         stats.proper_replacements += 1
         if old.is_full:
             stats.full_to_finite += 1
@@ -499,13 +515,11 @@ def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = Fa
     """
     if matrix.empty_pair is not None:
         return matrix
-    cells = matrix.cells
-    neighbours = matrix.neighbours
-    stats = matrix.stats
-    bounded = {pair for pair, cell in cells.items() if not cell.is_full}
+    rows, neighbours, stats = matrix.rows, matrix.neighbours, matrix.stats
+    bounded = {(k, l): c for k, row in enumerate(rows) for l, c in row.items() if not c.is_full}
     if debug:
-        budget = sum(cells[pair].mask.bit_count() for pair in bounded)
-        widest = max((max(-cells[p].offsets[0], cells[p].offsets[-1]) for p in bounded), default=0)
+        budget = sum(c.mask.bit_count() for c in bounded.values())
+        widest = max((max(-c.offsets[0], c.offsets[-1]) for c in bounded.values()), default=0)
     pending = deque(sorted((k, l) for k, l in bounded if k < l))
     queued = set(pending)
     revise = _reviser(matrix, trace, queued, pending)
@@ -514,9 +528,10 @@ def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = Fa
         k, l = pair = pending.popleft()
         queued.discard(pair)
         stats.sweeps += 1
-        forward, backward = cells[pair], cells[(l, k)]
+        row_k, row_l = rows[k], rows[l]
+        forward, backward = row_k[l], row_l[k]
         for m in sorted(neighbours[k] & neighbours[l]):
-            km, lm = cells[(k, m)], cells[(l, m)]
+            km, lm = row_k[m], row_l[m]
             km = revise(k, m, l, forward, lm, km)
             if km.mask == 0 or revise(l, m, k, backward, km, lm).mask == 0:
                 break
@@ -556,13 +571,18 @@ def sweep(matrix: PairMatrix, trace: TraceFn | None = None) -> PairMatrix:
     """
     if matrix.empty_pair is not None:
         return matrix
-    cells, neighbours = matrix.cells, matrix.neighbours
+    rows = matrix.rows
     revise = _reviser(matrix, trace, set(), None)
     for v in reversed(range(matrix.size)):
-        lower = sorted(u for u in neighbours[v] if u < v)
+        lower = matrix.lower[v]
+        if len(lower) < 2:
+            continue
+        row_v = rows[v]
         for i, a in enumerate(lower):
+            row_a = rows[a]
+            left = row_a[v]  # P(a,v) is final: the revisions at v write below v
             for b in lower[i + 1 :]:
-                if revise(a, b, v, cells[(a, v)], cells[(v, b)], cells[(a, b)]).mask == 0:
+                if revise(a, b, v, left, row_v[b], row_a[b]).mask == 0:
                     return matrix
     return matrix
 
@@ -574,11 +594,12 @@ def extract_solution(matrix: PairMatrix, inst, t: Template, index=None) -> tuple
     to its lower neighbours in the completion that also satisfies every
     constraint of arity 3 or more whose highest variable it is: the pair
     sets already enforce the binary constraints of a preprocessed instance,
-    and FULL ones always hold.  Returns None when some step has no
-    candidate, which cannot happen after `sweep`, nor for templates closed
-    under a modular median (see `propagate`).  Any numbering works: a
-    variable with no lower completion neighbour takes 0.  Arguments are
-    read through index, as in `initialize_pairs`.
+    and FULL ones always hold; only a variable that such a constraint is
+    due at decodes more candidates than the lowest.  Returns None when some
+    step has no candidate, which cannot happen after `sweep`, nor for
+    templates closed under a modular median (see `propagate`).  Any
+    numbering works: a variable with no lower completion neighbour takes 0.
+    Arguments are read through index, as in `initialize_pairs`.
     """
     if matrix.empty_pair is not None:
         raise InternalInvariantError("extraction attempted on an empty pair matrix")
@@ -589,22 +610,31 @@ def extract_solution(matrix: PairMatrix, inst, t: Template, index=None) -> tuple
         if rel.has_tuples and rel.arity > 2:
             args = tuple(map(index.__getitem__, c.args))
             due[max(args)].append((rel, args))
-    values = [0] * inst.num_vars
-    for j in range(inst.num_vars):
-        candidates = _FULL
-        for i in matrix.neighbours[j]:
-            if i < j:
-                candidates &= matrix.cells[(i, j)].shifted(values[i])
-        if candidates.is_empty:
-            return None
-        if not due[j]:
-            values[j] = candidates.lo  # the least candidate; 0 when FULL
-            continue
-        # when only FULL pairs constrain j, any value works for those
-        for value in (0,) if candidates.is_full else candidates.offsets:
-            values[j] = value
-            if all(tuple_in_relation(rel, tuple(values[a] for a in args)) for rel, args in due[j]):
+    rows, values = matrix.rows, [0] * inst.num_vars
+    for j, lower in enumerate(matrix.lower):
+        # AND the masks of the sets P(i,j) + x_i, bit 0 at value base, as
+        # `brute` ANDs its domains; bits is None while only FULL ones count
+        base = bits = None
+        for i in lower:
+            cell = rows[i][j]
+            if cell.mask is not None:
+                shift = values[i] + cell.lo
+                if bits is None:
+                    base, bits = shift, cell.mask
+                elif shift > base:
+                    bits, base = bits >> (shift - base) & cell.mask, shift
+                else:
+                    bits &= cell.mask >> (base - shift)
+        # the least candidate, and the next ones only while a due constraint
+        # fails; 0 alone when only FULL pairs constrain j, any value meets those
+        while bits != 0:
+            if bits is not None:
+                values[j] = base + (bits & -bits).bit_length() - 1
+            if not due[j] or all(
+                tuple_in_relation(rel, tuple(values[a] for a in args)) for rel, args in due[j]
+            ):
                 break
+            bits = bits & (bits - 1) if bits else 0
         else:
             return None
     return tuple(values)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from distcsp.model import Constraint, Instance, RelationDef, Template
+from distcsp.model import Constraint, Instance, OffsetSet, RelationDef, Template
 
 
 def binary_relation(name: str, offsets) -> RelationDef:
@@ -441,3 +441,48 @@ def bfs_order(inst: Instance, start: int = 0) -> list[int]:
                 order.append(w)
                 queue.append(w)
     return order
+
+
+def oracle_co_occurrence(inst: Instance) -> list[set[int]]:
+    """Neighbour sets joining every two distinct variables of a constraint."""
+    adjacency: list[set[int]] = [set() for _ in range(inst.num_vars)]
+    for c in inst.constraints:
+        for a, b in itertools.permutations(set(c.args), 2):
+            adjacency[a].add(b)
+    return adjacency
+
+
+def elimination_game(adjacency: list[set[int]]) -> list[set[int]]:
+    """The filled graph of eliminating the highest vertex first, naively:
+    each eliminated vertex joins all of its remaining neighbours pairwise."""
+    filled = [set(neighbours) for neighbours in adjacency]
+    for v in reversed(range(len(filled))):
+        lower = [u for u in filled[v] if u < v]
+        for a, b in itertools.permutations(lower, 2):
+            filled[a].add(b)
+    return filled
+
+
+def offset_set_walk(matrix, inst: Instance, t: Template):
+    """Greedy extraction as plain offset-set intersections over `cells`:
+    each variable in index order takes its least candidate that satisfies
+    the constraints of arity 3 or more whose highest variable it is; 0
+    when only FULL cells bound it; None when it has no candidate."""
+    values = [0] * inst.num_vars
+    for j in range(inst.num_vars):
+        candidates = OffsetSet.full()
+        for (i, l), cell in matrix.cells.items():
+            if l == j and i < j:
+                candidates &= cell.shifted(values[i])
+        due = [
+            (t.relation(c.relation), c.args)
+            for c in inst.constraints
+            if t.relation(c.relation).has_tuples and len(c.args) > 2 and max(c.args) == j
+        ]
+        for value in (0,) if candidates.is_full else candidates.offsets:
+            values[j] = value
+            if all(oracle_in_relation(rel, [values[a] for a in args]) for rel, args in due):
+                break
+        else:
+            return None
+    return tuple(values)

@@ -39,7 +39,10 @@ from helpers import (
     components_of,
     cycle_edges,
     disjoint_union,
+    elimination_game,
     graph_instance,
+    offset_set_walk,
+    oracle_co_occurrence,
     oracle_decides,
     oracle_pair_closure,
     oracle_three_colourable,
@@ -222,6 +225,56 @@ class TestComponents:
         for edges in ([(i, i + 1) for i in range(5)], complete_edges(5)):
             inst = graph_instance("r", 6, edges)
             assert chordal_completion(co_occurrence_adjacency(inst)) == co_occurrence_adjacency(inst)
+
+    def test_co_occurrence_graph_matches_the_reference(self):
+        # binary constraints join their two ends directly; repeated
+        # variables and every other arity go through the general rule
+        rng = random.Random(41)
+        repeated = 0
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            constraints = tuple(
+                Constraint("r", tuple(rng.choices(range(n), k=rng.choice((1, 2, 2, 3, 4)))))
+                for _ in range(rng.randint(0, 8))
+            )
+            repeated += any(len(set(c.args)) < len(c.args) for c in constraints)
+            inst = Instance(n, constraints)
+            assert co_occurrence_adjacency(inst) == oracle_co_occurrence(inst)
+        assert repeated >= 50
+
+    def test_chordal_completion_is_the_elimination_game(self):
+        # the parent rule hands fill to the highest lower neighbour alone;
+        # relabelled random graphs, cycles and grids, some edges FULL
+        rng = random.Random(43)
+        t = Template("t", (binary_relation("r", (1, 3)), RelationDef("f", 2, "full")))
+        graphs = filled = 0
+        for i in range(330):
+            if i % 3 == 0:
+                n = rng.randint(2, 14)
+                pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+                edges = spanning_tree_edges(n, rng) + rng.sample(pairs, rng.randint(0, n - 1))
+            elif i % 3 == 1:
+                n = rng.randint(3, 20)
+                edges = cycle_edges(n)
+            else:
+                rows, cols = rng.randint(1, 5), rng.randint(2, 5)
+                n, edges = rows * cols, grid_edges(rows, cols)
+            label = rng.sample(range(n), n)
+            inst = Instance(n, tuple(
+                Constraint(rng.choice("rrf"), (label[a], label[b])) for a, b in edges
+            ))
+            matrix = initialize_pairs(inst, t)
+            expected = elimination_game(co_occurrence_adjacency(inst))
+            assert matrix.neighbours == expected
+            assert chordal_completion(co_occurrence_adjacency(inst)) == expected
+            for v in range(n):
+                assert matrix.lower[v] == sorted(u for u in matrix.neighbours[v] if u < v)
+            cells = matrix.cells
+            assert all((k, l) in cells and (l, k) in cells for k in range(n) for l in expected[k])
+            assert len(cells) == sum(map(len, expected))  # twice the edges
+            graphs += 1
+            filled += expected != co_occurrence_adjacency(inst)
+        assert graphs >= 300 and filled >= 150
 
     def test_split_numbers_each_component_in_canonical_order(self):
         # the hexagon's breadth-first order becomes index order; its
@@ -856,6 +909,65 @@ class TestExtractSolution:
             shuffled_order += canonical != list(range(inst.num_vars))
             filled += matrix.neighbours != co_occurrence_adjacency(prep.instance)
         assert extracted >= 60 and shuffled_order >= 30 and filled >= 25
+
+    def test_a_due_constraint_passes_over_failing_candidates(self):
+        # x0 = 0 and x1 = 0; the pairs leave {0, 1} for x2, but (0, 0, 0)
+        # is not in the ternary relation, so the walk moves on to 1
+        inst = Instance(3, (Constraint("r", (0, 1, 2)),))
+        matrix = initialize_pairs(inst, TWODEC_FALSE)
+        assert matrix.get(0, 2) & matrix.get(1, 2) == OffsetSet.of([0, 1])
+        assert extract_solution(matrix, inst, TWODEC_FALSE) == (0, 0, 1)
+
+    def test_only_full_lower_cells_take_zero(self):
+        fin, full = binary_relation("fin", (5,)), RelationDef("all", 2, "full")
+        t = Template("t", (fin, full, RelationDef("all3", 3, "full")))
+        inst = Instance(
+            4,
+            (Constraint("fin", (0, 1)), Constraint("all", (1, 2)), Constraint("all3", (0, 1, 3))),
+        )
+        matrix = initialize_pairs(inst, t)
+        assert matrix.lower[2] == [1] and matrix.lower[3] == [0, 1]
+        assert all(matrix.get(i, j).is_full for i, j in ((1, 2), (0, 3), (1, 3)))
+        assert extract_solution(matrix, inst, t) == (0, 5, 0, 0)
+
+    def test_a_stuck_walk_returns_none(self):
+        # unpropagated, the chain leaves x2 the empty {1, 3} & {2}; FAN
+        # gets stuck at the worklist's fixpoint
+        matrix = initialize_pairs(CHAIN_UNSAT, CHAIN_T)
+        assert matrix.empty_pair is None
+        assert extract_solution(matrix, CHAIN_UNSAT, CHAIN_T) is None
+        matrix = propagate(initialize_pairs(FAN, DIST12))
+        assert matrix.empty_pair is None and extract_solution(matrix, FAN, DIST12) is None
+
+    def test_masks_walk_as_offset_sets_do(self):
+        # seeded matrices, propagated or not, in shuffled numberings and
+        # with FULL relations mixed in
+        rng = random.Random(47)
+        fulls = (RelationDef("f2", 2, "full"), RelationDef("f3", 3, "full"))
+        walked = stuck = due = 0
+        for i in range(300):
+            make = random_median_template if i % 2 else random_any_template
+            t = make(rng, f"t{i}")
+            t = Template(t.name, t.relations + fulls) if i % 3 == 0 else t
+            inst = random_connected_instance(t, rng.randint(2, 7), rng, extra=rng.randint(0, 3))
+            perm = rng.sample(range(inst.num_vars), inst.num_vars)
+            inst = Instance(inst.num_vars, tuple(
+                Constraint(c.relation, tuple(perm[a] for a in c.args)) for c in inst.constraints
+            ))
+            prep = preprocess(inst, t)
+            if prep.unsat:
+                continue
+            matrix = initialize_pairs(prep.instance, prep.template)
+            if i % 4:
+                propagate(matrix)
+            if matrix.empty_pair is not None:
+                continue
+            witness = extract_solution(matrix, prep.instance, prep.template)
+            assert witness == offset_set_walk(matrix, prep.instance, prep.template)
+            walked += 1
+            stuck += witness is None
+            due += any(len(c.args) > 2 for c in prep.instance.constraints)
+        assert walked >= 150 and stuck >= 8 and due >= 40
 
     def test_empty_matrix_rejected(self):
         matrix = initialize_pairs(
