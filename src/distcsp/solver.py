@@ -11,20 +11,18 @@ lower neighbours form a clique.  A `PairMatrix` holds them in one row per
 variable, beside its sorted lower neighbours, and fills the completion in
 one pass of the parent rule.  Each set starts as the intersection of the
 projections of every constraint covering the pair (FULL when none does)
-and is then tightened through the triangles of the completion,
+and is then tightened through the triangles of the completion by one
+directional sweep, `propagate`: each variable v, highest index first,
+revises every pair a < b of its lower neighbours once,
 
-    P(k,l)  <-  P(k,l)  intersect  (P(k,m) + P(m,l)),
+    P(a,b)  <-  P(a,b)  intersect  (P(a,v) + P(v,b)).
 
-on one of two schedules, chosen by the input: one directional `sweep` for a
-one-step component (every relation with offset tuples is binary, its
-offsets a progression of one common step), and otherwise `propagate`'s
-worklist of the pairs that changed, until nothing shrinks.  Pairs outside
-the completion are read as FULL.  Every tightening is implied by the
-instance, so an empty pair set proves unsatisfiability.  A witness is then
-read off greedily in index order, a reverse perfect elimination order of
-the completion; the walk cannot get stuck after a sweep, nor after the
-worklist on a template closed under a modular median.  Otherwise a stuck
-extraction leaves its component undecided; `solve` may search it exhaustively.
+Pairs outside the completion are read as FULL.  Every tightening is
+implied by the instance, so an empty pair set proves unsatisfiability.  A
+witness is then read off greedily in index order, a reverse perfect
+elimination order of the completion; the walk cannot get stuck on a
+template closed under a modular median.  Otherwise a stuck extraction
+leaves its component undecided; `solve` may search it exhaustively.
 """
 
 from __future__ import annotations
@@ -56,10 +54,11 @@ TraceFn = Callable[[str], None]
 
 
 class SolveStats(Record):
-    """Counters from one solve; sweeps counts the changed pairs the
-    propagation worklist popped, none on a component the `sweep` or a core
-    search decided, and core_searches the components decided over a finite
-    core (see `solve`)."""
+    """Counters from one solve: the revisions of `propagate` that shrank a
+    cell, and of them those that bounded a FULL one; sweeps, the vertices
+    whose lower pairs it revised, those with at least two lower completion
+    neighbours; and core_searches, the components decided over a finite
+    core instead (see `solve`)."""
 
     proper_replacements: int = 0
     sweeps: int = 0
@@ -368,223 +367,110 @@ def initialize_pairs(
     return matrix
 
 
-def _check_bounds(matrix: PairMatrix, bounded: dict[tuple[int, int], OffsetSet], widest: int):
-    # A fixpoint property.  Each pair in `bounded` (finite after
-    # initialisation) lies in [-D, D], D = `widest`.  At the fixpoint every
-    # triangle of the completion gives max P(a,b) <= max P(a,m) + max P(m,b)
-    # (infinite for FULL), and on a chordal graph that triangle inequality
-    # extends to paths: a counterexample path from a to b with the fewest
-    # edges closes a cycle of length >= 4 with the edge (a,b), and a chord
-    # of that cycle gives a counterexample with fewer edges.  So every
-    # completion edge, fill edges included, lies within D times its hop
-    # distance over the bounded pairs.  Mid-propagation a pair first
-    # tightened through a detour may transiently hold a wider set.
-    hop_graph: list[set[int]] = [set() for _ in range(matrix.size)]
-    for k, l in bounded:
-        hop_graph[k].add(l)
-    hops = [bfs_depths(hop_graph, start) for start in range(matrix.size)]
-    for k, row in enumerate(matrix.rows):
-        for l, cell in row.items():
-            steps = hops[k].get(l)
-            if not cell.mask or steps is None:
-                continue
-            bound = steps * widest
-            if cell.offsets[0] < -bound or cell.offsets[-1] > bound:
-                raise InternalInvariantError(
-                    f"pair ({k},{l}) at hop distance {steps} holds {cell} "
-                    f"outside [-{bound},{bound}]"
-                )
-
-
-def _reviser(matrix: PairMatrix, trace: TraceFn | None, queued: set, pending: deque | None):
-    """revise(x, m, via, left, right, old) of one `propagate` or `sweep` call:
-    P(x,m) <- old & (left + right), from P(x,m), P(x,via) and P(via,m), with
-    mirror, stats, trace and empty mark, written to the rows.  With a
-    worklist (pending) it queues a cell that shrank and defers a finite
-    cell's revision that reads a queued pair; without one, queued is empty.
-
-    Each sumset A + B is computed once per call and then read from a memo
-    keyed on the (lo, mask) pairs of A and B, and each new cell is negated
-    once per value for its mirror; offset sets are values, so equal keys
-    give equal results, and a sum over the span cap raises on its first
-    computation as before.  `(A + B) & X` returns X itself exactly when the
-    sum covers X, so a no-op revision is told by identity.
-    """
-    ids, rows, stats = matrix.variable_ids, matrix.rows, matrix.stats
-    sums: dict[tuple[int, int | None, int, int], OffsetSet] = {}
-    negations: dict[tuple[int, int], OffsetSet] = {}
-
-    def revise(x: int, m: int, via: int, left: OffsetSet, right: OffsetSet, old: OffsetSet):
-        if right.mask is None:
-            return old
-        if queued and old.mask is not None and ((via, m) if via < m else (m, via)) in queued:
-            return old
-        key = (left.lo, left.mask, right.lo, right.mask)
-        total = sums.get(key)
-        if total is None:
-            total = sums[key] = left + right
-        new = total & old
-        if new is old:
-            return old
-        key = (new.lo, new.mask)
-        mirror = negations.get(key)
-        if mirror is None:
-            mirror = negations[key] = -new
-        rows[x][m], rows[m][x] = new, mirror
-        stats.proper_replacements += 1
-        if old.is_full:
-            stats.full_to_finite += 1
-        if trace is not None:
-            trace(f"pair=({ids[x]},{ids[m]}) via {ids[via]} old={old} new={new}")
-        if new.is_empty:
-            matrix.empty_pair = (x, m)
-        elif pending is not None:
-            key = (x, m) if x < m else (m, x)
-            if key not in queued:
-                queued.add(key)
-                pending.append(key)
-        return new
-
-    return revise
-
-
 def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = False) -> PairMatrix:
-    """Tighten the pair matrix to its fixpoint in place.
+    """Directional path consistency on the chordal completion, in place.
 
-    The worklist holds the completion edges {k, l}, k < l, whose cell is
-    finite and shrank since it was last popped; at the start, every finite
-    edge.  Popping {k, l} revises, for every common neighbour m of k and l
-    in the completion, P(k,m) via l and then P(l,m) via k, and queues each
-    revised cell that shrank.  The triangle's two cells are read once: the
-    second revision takes the first one's result for P(k,m), and neither
-    reads the dict again.  Each revision writes the mirror cell too, so
-    each pair is revised in one orientation.  A revision of a finite cell
-    that reads a pair still in the worklist is deferred: it is skipped,
-    since that pair's pop runs it again.
+    Each vertex v, from the highest index down, revises every pair a < b of
+    its lower completion neighbours once, P(a,b) <- P(a,b) & (P(a,v) +
+    P(v,b)) (Dechter & Pearl, AIJ 1987), writing the mirror cell too, and
+    the sweep stops at the first empty cell.  P(a,v) with a < v changes only
+    while a higher vertex is swept, so it is final when v comes up, and the
+    sweep leaves P(a,b) within P(a,v) + P(v,b) for every such v, a and b.
+    Every tightening is implied by the instance, so an empty cell proves
+    unsatisfiability on every template.
 
-    The drained queue is the fixpoint over the triangles of the completion:
-    a revision X <- X & (A + B) can shrink X only when A and B are both
-    finite.  Every finite cell is queued at the start and whenever it
-    shrinks, and popping it runs every revision that reads it (revising
-    (l, k) via m gives the negation of revising (k, l) via m), save those
-    deferred to the other operand's pop.  Take the later of the last pops
-    of A and B, say A's.  A does not change during its own pop, and B is
-    not queued when the revision comes up there, or B would be popped again
-    later; so the revision ran, undeferred, on the final values of A and B,
-    and X has only shrunk since: every revision is a no-op.  Revisions of a
-    FULL cell are never deferred.  That costs nothing in soundness, but a
-    cell made finite early starts its own propagation early: deferring them
-    too stretched the 31-vertex odd `dist13` cycle from 30 pops to 58.  The
-    greatest fixpoint is unique, so it is the same cell for cell whatever
-    the order of revisions.
-
-    Partial path consistency on the chordal completion decides median-closed
-    templates, although it closes fewer triangles than full path
-    consistency.  Take the variables in index order and a partial
-    assignment x of the lower ones that respects every completion edge
-    among them.  The next variable v's lower neighbours a_1..a_k form a
-    clique.  Let Q hold of (y_1..y_k) when some z lies in every candidate
-    set P(a_i,v) + y_i.  Q is pp-definable from the cells, and they from the
-    relations, so a modular median, a majority polymorphism, preserves Q,
-    and Q is 2-decomposable: it holds of every tuple whose binary
-    projections it holds of (Jeavons, Cohen & Cooper, AIJ 1998).  Every
-    cell is nonempty, so Q's projection on (i, j) holds exactly when the
-    two candidate sets meet, and for x they do: x_{a_j} - x_{a_i} lies in
-    P(a_i,a_j), within P(a_i,v) + P(v,a_j) at the fixpoint.  So v has a
-    candidate.  (The sets' own closure would not do: the plain median
-    preserves every set, and {1,2}, {2,3}, {1,3} meet pairwise only.)
+    That inclusion decides a template closed under a modular median.  Take
+    the variables in index order and a partial assignment x of the lower
+    ones that respects every completion edge among them.  The next variable
+    v's lower neighbours a_1..a_k form a clique.  Let Q hold of (y_1..y_k)
+    when some z lies in every candidate set P(a_i,v) + y_i.  Q is
+    pp-definable from the cells, and they from the relations, so a modular
+    median, a majority polymorphism, preserves Q, and Q is 2-decomposable:
+    it holds of every tuple whose binary projections it holds of (Jeavons,
+    Cohen & Cooper, AIJ 1998).  Every cell is nonempty, so Q's projection on
+    (i, j) holds exactly when the two candidate sets meet, and for x they
+    do: x_{a_j} - x_{a_i} lies in P(a_i,a_j), within P(a_i,v) + P(v,a_j).
+    So v has a candidate.  (The sets' own closure would not do: the plain
+    median preserves every set, and {1,2}, {2,3}, {1,3} meet pairwise only.)
     Every candidate respects every edge from v to a lower variable, and a
     constraint of higher arity, whose variables form a clique, holds as
     soon as its binary projections do (2-decomposability again).  So the
     greedy walk of `extract_solution` never gets stuck, and every candidate
-    it sees extends to a full solution.  Nothing here needs the canonical
+    it sees extends to a full solution; every value that extends is a
+    candidate too, as every cell is implied by the instance, so the least
+    candidates make the least solution.  Nothing here needs the canonical
     numbering or a connected matrix: any numbering, with its own
-    completion, works.  Every cell is implied by the instance, so every
-    value that extends is a candidate too: the candidates are exactly the
-    values that extend, under full path consistency as here, and the least
-    candidate, hence the witness, is the same.  On a complete graph the
-    completion is the graph itself and the two coincide.  Without a modular
-    median the chordal fixpoint may be weaker than full path consistency;
-    unsat answers stay sound either way.
+    completion, works.
 
-    Revisions come from `_reviser`.  Propagation stops as soon as some pair
-    empties.  When debug is set, the replacement budget is enforced and, on
-    reaching a fixpoint, every finite cell is checked against the
-    hop-distance bound of `_check_bounds`, with D the widest |offset| of the
-    cells bounded at the start.
+    Each sumset A + B is computed once per call and then read from a memo
+    keyed on the (lo, mask) pairs of A and B, and each new cell is negated
+    once per value for its mirror; offset sets are values, so equal keys
+    give equal results.  `(A + B) & X` returns X itself exactly when the sum
+    covers X, so a no-op revision is told by identity.  stats.sweeps counts
+    the vertices whose lower pairs were revised.  When debug is set, a sweep
+    that found no empty cell is checked by `_check_sweep`.
     """
     if matrix.empty_pair is not None:
         return matrix
-    rows, neighbours, stats = matrix.rows, matrix.neighbours, matrix.stats
-    bounded = {(k, l): c for k, row in enumerate(rows) for l, c in row.items() if not c.is_full}
-    if debug:
-        budget = sum(c.mask.bit_count() for c in bounded.values())
-        widest = max((max(-c.offsets[0], c.offsets[-1]) for c in bounded.values()), default=0)
-    pending = deque(sorted((k, l) for k, l in bounded if k < l))
-    queued = set(pending)
-    revise = _reviser(matrix, trace, queued, pending)
-
-    while pending and matrix.empty_pair is None:
-        k, l = pair = pending.popleft()
-        queued.discard(pair)
-        stats.sweeps += 1
-        row_k, row_l = rows[k], rows[l]
-        forward, backward = row_k[l], row_l[k]
-        for m in sorted(neighbours[k] & neighbours[l]):
-            km, lm = row_k[m], row_l[m]
-            km = revise(k, m, l, forward, lm, km)
-            if km.mask == 0 or revise(l, m, k, backward, km, lm).mask == 0:
-                break
-    if debug:
-        budget += stats.full_to_finite * (2 * matrix.size * widest + 1)
-        if stats.proper_replacements > budget:
-            raise InternalInvariantError(
-                f"{stats.proper_replacements} proper replacements exceed budget {budget}"
-            )
-        if matrix.empty_pair is None:
-            _check_bounds(matrix, bounded, widest)
-    return matrix
-
-
-def sweep(matrix: PairMatrix, trace: TraceFn | None = None) -> PairMatrix:
-    """Directional path consistency, in place, for a `Route.one_step` component.
-
-    Each vertex v, from the highest index down, revises every pair a < b of
-    its lower completion neighbours once, P(a,b) <- P(a,b) & (P(a,v) +
-    P(v,b)) (Dechter & Pearl, AIJ 1987), stopping at the first empty cell, a
-    sound unsat.  P(a,v) with a < v changes only while a higher vertex is
-    swept, so it is final when v comes up.
-
-    Extraction then cannot get stuck.  With g the common step, every finite
-    cell is a progression of step g: the projections are, and sums,
-    intersections and negations keep them so (m_g, a majority operation,
-    preserves them all).  Let the variables below v respect every
-    completion edge among them.  For lower neighbours a < b of v, x_b - x_a
-    lies in P(a,b), within P(a,v) + P(v,b), so v's candidate sets
-    P(a,v) + x_a and P(b,v) + x_b meet.  Progressions of step g that meet
-    pairwise are intervals of one residue class mod g, so they share a
-    point (the 2-Helly step).  A common value respects every edge from v
-    down, and every constraint is binary or FULL, so every candidate
-    extends to a solution, and every value that extends is a candidate, as
-    each cell is implied by the instance: the least candidates, and the
-    witness, are those of the worklist's fixpoint.
-    """
-    if matrix.empty_pair is not None:
-        return matrix
-    rows = matrix.rows
-    revise = _reviser(matrix, trace, set(), None)
+    ids, rows, stats = matrix.variable_ids, matrix.rows, matrix.stats
+    sums: dict[tuple[int, int | None, int, int], OffsetSet] = {}
+    negations: dict[tuple[int, int], OffsetSet] = {}
     for v in reversed(range(matrix.size)):
         lower = matrix.lower[v]
         if len(lower) < 2:
             continue
+        stats.sweeps += 1
         row_v = rows[v]
         for i, a in enumerate(lower):
             row_a = rows[a]
             left = row_a[v]  # P(a,v) is final: the revisions at v write below v
             for b in lower[i + 1 :]:
-                if revise(a, b, v, left, row_v[b], row_a[b]).mask == 0:
+                right = row_v[b]
+                if right.mask is None:
+                    continue
+                old = row_a[b]
+                key = (left.lo, left.mask, right.lo, right.mask)
+                total = sums.get(key)
+                if total is None:
+                    total = sums[key] = left + right
+                new = total & old
+                if new is old:
+                    continue
+                key = (new.lo, new.mask)
+                mirror = negations.get(key)
+                if mirror is None:
+                    mirror = negations[key] = -new
+                row_a[b], rows[b][a] = new, mirror
+                stats.proper_replacements += 1
+                if old.is_full:
+                    stats.full_to_finite += 1
+                if trace is not None:
+                    trace(f"pair=({ids[a]},{ids[b]}) via {ids[v]} old={old} new={new}")
+                if new.is_empty:
+                    matrix.empty_pair = (a, b)
                     return matrix
+    if debug:
+        _check_sweep(matrix)
     return matrix
+
+
+def _check_sweep(matrix: PairMatrix) -> None:
+    """Raise unless the matrix holds what `propagate`'s argument reads: the
+    mirror invariant, and P(a,b) within P(a,v) + P(v,b) for every pair
+    a < b of lower neighbours of every v, read from the completion."""
+    rows = matrix.rows
+    for k, row in enumerate(rows):
+        for l, cell in row.items():
+            mirror = rows[l].get(k)
+            if mirror != -cell:
+                raise InternalInvariantError(f"pair ({k},{l}) holds {cell}, ({l},{k}) {mirror}")
+    for v, neighbours in enumerate(matrix.neighbours):
+        below = sorted(u for u in neighbours if u < v)
+        for i, a in enumerate(below):
+            for b in below[i + 1 :]:
+                cell = rows[a][b]
+                if (rows[a][v] + rows[v][b]) & cell != cell:
+                    raise InternalInvariantError(f"pair ({a},{b}) holds {cell}, wider than via {v}")
 
 
 def extract_solution(matrix: PairMatrix, inst, t: Template, index=None) -> tuple[int, ...] | None:
@@ -596,8 +482,8 @@ def extract_solution(matrix: PairMatrix, inst, t: Template, index=None) -> tuple
     sets already enforce the binary constraints of a preprocessed instance,
     and FULL ones always hold; only a variable that such a constraint is
     due at decodes more candidates than the lowest.  Returns None when some
-    step has no candidate, which cannot happen after `sweep`, nor for
-    templates closed under a modular median (see `propagate`).  Any
+    step has no candidate, which cannot happen after `propagate` on a
+    template closed under a modular median.  Any
     numbering works: a variable with no lower completion neighbour takes 0.
     Arguments are read through index, as in `initialize_pairs`.
     """
@@ -666,7 +552,9 @@ class Route:
     def one_step(self) -> bool:
         """Whether every relation with offset tuples is binary with offsets
         in an arithmetic progression of one common step (a single offset
-        fits any step; FULL relations are ignored): then `sweep` decides."""
+        fits any step; FULL relations are ignored).  The modular median of
+        that step then preserves them all, so `solve` skips the median
+        search when it reads this first."""
         steps = set()
         for rel in self.template.relations:
             if rel.has_tuples:
@@ -727,8 +615,7 @@ def solve(
     """Decide an instance against a template, one connected component at a time.
 
     Each component's `route` is read once.  Modes: "consistency" runs
-    propagation, the `sweep` for a one-step component and the worklist for any
-    other, plus greedy extraction, and may answer unknown; "brute" searches
+    `propagate` and greedy extraction, and may answer unknown; "brute" searches
     every component exhaustively; "auto" first sends each component whose
     `component_template` is, by its `route`, not one-step, with no modular
     median and a finite core R, to one exhaustive search over R^n, instead of
@@ -737,12 +624,13 @@ def solve(
     root at 0.  Every other component, and one whose core search is estimated
     over the cap, runs consistency, and a component whose extraction got stuck
     is then searched alone over the window, as `brute` mode searches it, when
-    it fits under the search cap.  Sat verdicts always carry a witness that
-    has been re-verified; unsat verdicts from propagation are sound
-    unconditionally.  Propagation is undecided, not failed, for a component
-    whose pair set would span more than `model.MAX_SPAN` integers.  The
-    instance is unsat when some component is; otherwise unknown, with the
-    reason of the first component left undecided, when some component is.
+    it fits under the search cap.  A stuck extraction on a one-step or
+    median-closed component is an internal error.  Sat verdicts always carry
+    a witness that has been re-verified; unsat verdicts from propagation are
+    sound unconditionally.  Propagation is undecided, not failed, for a
+    component whose pair set would span more than `model.MAX_SPAN` integers.
+    The instance is unsat when some component is; otherwise unknown, with
+    the reason of the first component left undecided, when some component is.
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
@@ -760,8 +648,8 @@ def solve(
         reason = None  # brute mode searches every component
         own = component_template(sub, prep.template)
         facts = route(own)
-        # the sweep decides a one-step component, and consistency one whose
-        # relations have a modular median; the rest may have a finite core
+        # consistency decides a component whose relations have a modular
+        # median, as every one-step component's do; the rest may have a finite core
         if mode == "auto" and not facts.one_step and facts.modulus is None and facts.core:
             from . import brute
 
@@ -779,10 +667,7 @@ def solve(
             try:
                 graph = _component_graph(adjacency, index, variables)  # propagated only
                 matrix = initialize_pairs(sub, prep.template, variables, graph, index)
-                if facts.one_step:
-                    sweep(matrix, trace=trace)
-                else:
-                    propagate(matrix, trace=trace, debug=debug)
+                propagate(matrix, trace=trace, debug=debug)
             except CapExceededError as e:
                 reason = f"propagation refused: {e}"
             else:
@@ -790,18 +675,11 @@ def solve(
                 if matrix.empty_pair is not None:
                     return Verdict.unsat(stats)
                 witness = extract_solution(matrix, sub, prep.template, index)
-                if facts.one_step and (witness is None or debug):
-                    # the worklist, checked and counted apart, must agree
-                    matrix.stats = SolveStats()
-                    if witness is None or extract_solution(
-                        propagate(matrix, debug=True), sub, prep.template, index
-                    ) != witness:
-                        raise InternalInvariantError(f"extraction after a sweep gave {witness}")
                 if witness is not None:
                     settled.append((variables, witness))
                     continue
                 reason = stuck
-        if reason == stuck and facts.modulus:
+        if reason == stuck and (facts.one_step or facts.modulus):
             raise InternalInvariantError(
                 "extraction failed although its relations are closed under a modular median"
             )

@@ -3,6 +3,7 @@ import random
 import re
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,7 +26,6 @@ from distcsp.solver import (
     propagate,
     solve,
     split_components,
-    sweep,
 )
 from helpers import (
     DIST12,
@@ -96,6 +96,32 @@ def grid_edges(rows, cols):
 
 def cell_sets(matrix):
     return {pair: None if cell.is_full else set(cell.offsets) for pair, cell in matrix.cells.items()}
+
+
+def assert_within_the_reference(matrix, inst, t, edges=None):
+    """The sweep's contract against `oracle_pair_closure` over edges (all
+    ordered pairs when None): every swept cell contains the reference one,
+    so the sweep is sound and no stronger than the closure; and when t has
+    a modular median, the swept matrix is empty exactly when the reference
+    is, and the greedy walk over either gives one witness.  Returns whether
+    the reference is nonempty."""
+    reference = oracle_pair_closure(inst, t, edges)
+    median = solver.route(t).modulus is not None
+    if reference is None:
+        assert matrix.empty_pair is not None or not median
+        return False
+    assert matrix.empty_pair is None
+    swept = cell_sets(matrix)
+    for pair, cell in swept.items():
+        assert cell is None or reference[pair] is not None and reference[pair] <= cell, pair
+    if median:
+        closed = SimpleNamespace(cells={
+            pair: OffsetSet.full() if reference[pair] is None else OffsetSet.of(reference[pair])
+            for pair in swept
+        })
+        witness = offset_set_walk(matrix, inst, t)
+        assert witness is not None and witness == offset_set_walk(closed, inst, t)
+    return True
 
 
 class TestPreprocess:
@@ -519,6 +545,8 @@ class TestPropagate:
         assert any(line.startswith("pair=(0,2) via ") and "old=FULL" in line for line in lines)
 
     def test_worklist_reaches_the_reference_fixpoint(self):
+        # the sweep's contract against partial path consistency on the
+        # completion, the fixpoint of a worklist over its triangles
         for make_template in (random_any_template, random_median_template):
             rng = random.Random(3)
             for i in range(25):
@@ -530,15 +558,11 @@ class TestPropagate:
                 matrix = initialize_pairs(prep.instance, prep.template)
                 edges = completion_edges(matrix, prep.instance)
                 propagate(matrix)
-                reference = oracle_pair_closure(prep.instance, prep.template, edges)
-                if reference is None:
-                    assert matrix.empty_pair is not None
-                    continue
-                assert matrix.empty_pair is None
-                assert cell_sets(matrix) == reference
+                assert_within_the_reference(matrix, prep.instance, prep.template, edges)
 
     def test_median_templates_close_the_completion_like_full_path_consistency(self):
-        # on median-closed templates every chordal cell is already minimal
+        # on median-closed templates the sweep decides as full path
+        # consistency does, and walks to the same least witness
         rng = random.Random(5)
         compared = filled = 0
         for i in range(150):
@@ -549,49 +573,20 @@ class TestPropagate:
                 continue
             for _, sub in split_components(prep.instance):
                 matrix = propagate(initialize_pairs(sub, prep.template))
-                full = oracle_pair_closure(sub, prep.template)
-                if full is None:
-                    assert matrix.empty_pair is not None
-                    continue
-                assert matrix.empty_pair is None
-                assert cell_sets(matrix) == {pair: full[pair] for pair in matrix.cells}
-                compared += 1
+                compared += assert_within_the_reference(matrix, sub, prep.template)
                 shared = {(a, b) for c in sub.constraints for a in c.args for b in c.args if a != b}
                 filled += set(matrix.cells) != shared
         assert compared >= 30 and filled >= 5
 
-    def test_pops_only_changed_pairs(self):
-        # every pop is a pair that was finite after initialisation or one
-        # that a replacement queued
-        path = graph_instance("dist13", 20, [(i, i + 1) for i in range(19)])
-        cases = [(path, DIST13)]
-        cases += [(graph_instance("dist13", n, cycle_edges(n)), DIST13) for n in (10, 12)]
-        rng = random.Random(3)
-        for make_template in (random_any_template, random_median_template):
-            for i in range(25):
-                t = make_template(rng, f"t{i}")
-                cases.append((random_connected_instance(t, rng.randint(2, 5), rng), t))
-        for inst, t in cases:
-            prep = preprocess(inst, t)
-            if prep.unsat:
-                continue
-            matrix = initialize_pairs(prep.instance, prep.template)
-            finite = sum(
-                1 for (k, l), cell in matrix.cells.items() if k < l and not cell.is_full
-            )
-            propagate(matrix)
-            assert matrix.stats.sweeps <= finite + matrix.stats.proper_replacements
-
     def test_even_cycles_reach_the_reference_fixpoint(self):
-        # a schedule that never queues a shrunk pair again still closes the
-        # small seeded instances, but not these cycles
+        # each fill edge of a cycle is bounded once, through the vertex
+        # that filled it
         for n in (10, 12):
             inst = graph_instance("dist13", n, cycle_edges(n))
             matrix = initialize_pairs(inst, DIST13)
             edges = completion_edges(matrix, inst)
             propagate(matrix)
-            assert matrix.empty_pair is None
-            assert cell_sets(matrix) == oracle_pair_closure(inst, DIST13, edges)
+            assert assert_within_the_reference(matrix, inst, DIST13, edges)
 
     def test_memoised_sums_reach_the_reference_fixpoint(self):
         # grids repeat each sum many times within one propagation; chorded
@@ -609,12 +604,7 @@ class TestPropagate:
             matrix = initialize_pairs(inst, t)
             edges = completion_edges(matrix, inst)
             propagate(matrix)
-            reference = oracle_pair_closure(inst, t, edges)
-            if reference is None:
-                assert matrix.empty_pair is not None
-                continue
-            assert matrix.empty_pair is None
-            assert cell_sets(matrix) == reference
+            assert_within_the_reference(matrix, inst, t, edges)
 
     def test_each_distinct_sum_computed_once(self, monkeypatch):
         computed = Counter()
@@ -637,35 +627,42 @@ class TestPropagate:
         ids=["grid4x4", "grid5x5", "grid3x7", "cycle17", "cycle31"],
     )
     def test_deferred_revisions_reach_the_reference_fixpoint(self, inst):
-        # a revision deferred to the pop of the queued pair it reads still
-        # runs; the odd cycles empty and the grids close
+        # the odd cycles, with as many edges as vertices, empty; the grids
+        # are swept with the debug check and walk to the least witness
         matrix = initialize_pairs(inst, DIST13)
         edges = completion_edges(matrix, inst)
         propagate(matrix, debug=True)
         for (k, l), cell in matrix.cells.items():
             assert matrix.get(l, k) == -cell
-        reference = oracle_pair_closure(inst, DIST13, edges)
-        if reference is None:
-            assert matrix.empty_pair is not None
-        else:
-            assert matrix.empty_pair is None
-            assert cell_sets(matrix) == reference
+        decided = assert_within_the_reference(matrix, inst, DIST13, edges)
+        assert decided == (len(inst.constraints) != inst.num_vars)
 
-    def test_deferral_saves_intersections(self, monkeypatch):
-        # running every revision of every pop took 1,067 intersections here
-        calls = 0
-        intersect = OffsetSet.__and__
+    def test_debug_catches_a_sweep_that_skips_a_vertex(self):
+        # a mutant that hides one vertex's lower neighbours from the sweep
+        # skips its revisions; the debug check reads the completion itself,
+        # so it raises on every mutant that leaves some cell wider
+        inst = graph_instance("dist13", 25, grid_edges(5, 5))
+        swept = cell_sets(propagate(initialize_pairs(inst, DIST13)))
+        caught = 0
+        for v in range(inst.num_vars):
+            matrix = initialize_pairs(inst, DIST13)
+            if len(matrix.lower[v]) < 2:
+                continue
+            matrix.lower[v] = []
+            try:
+                propagate(matrix, debug=True)
+            except InternalInvariantError:
+                caught += 1
+                assert cell_sets(matrix) != swept
+            else:
+                assert cell_sets(matrix) == swept
+        assert caught >= 10
 
-        def counting_and(a, b):
-            nonlocal calls
-            calls += 1
-            return intersect(a, b)
-
-        matrix = initialize_pairs(graph_instance("dist13", 25, grid_edges(5, 5)), DIST13)
-        monkeypatch.setattr(OffsetSet, "__and__", counting_and)
-        propagate(matrix)
-        monkeypatch.undo()
-        assert 0 < calls < 1067
+    def test_debug_checks_the_mirror_invariant(self):
+        matrix = initialize_pairs(Instance(2, (Constraint("dist13", (0, 1)),)), DIST13)
+        matrix.rows[1][0] = OffsetSet.of([3])
+        with pytest.raises(InternalInvariantError, match=r"pair \(0,1\)"):
+            propagate(matrix, debug=True)
 
     def test_mirror_invariant_at_fixpoint(self):
         rng = random.Random(4)
@@ -714,7 +711,8 @@ class TestSweep:
 
     def test_accepted_templates_have_the_common_step_as_a_median(self):
         # every template the rule accepts is closed under m_g for its
-        # common step g (any g for single offsets), as the sweep's proof needs
+        # common step g (any g for single offsets), as `solve` assumes when
+        # it skips their median search
         rng = random.Random(29)
         accepted = rejected = 0
         for i in range(40):
@@ -737,10 +735,12 @@ class TestSweep:
         assert accepted >= 25 and rejected >= 3
 
     def test_sweep_pops_nothing_and_traces_every_replacement(self):
+        # an n-cycle's vertices 2..n-1 each have two lower completion
+        # neighbours, so n - 2 of them are swept
         inst = graph_instance("dist13", 8, cycle_edges(8))
         lines = []
         verdict = solve(inst, DIST13, mode="consistency", trace=lines.append)
-        assert verdict.stats.sweeps == 0 and verdict.stats.proper_replacements == len(lines) > 0
+        assert verdict.stats.sweeps == 6 and verdict.stats.proper_replacements == len(lines) > 0
         pattern = re.compile(r"^pair=\(\d+,\d+\) via \d+ old=(FULL|\{[-\d,]*\}) new=(FULL|\{[-\d,]*\})$")
         assert all(pattern.match(line) for line in lines), lines
 
@@ -752,59 +752,47 @@ class TestSweep:
             prep = preprocess(inst, t)
             if prep.unsat:
                 continue
-            swept = sweep(initialize_pairs(prep.instance, prep.template))
-            fixed = propagate(initialize_pairs(prep.instance, prep.template))
+            swept = initialize_pairs(prep.instance, prep.template)
+            edges = completion_edges(swept, prep.instance)
+            propagate(swept)
             assert solver.route(component_template(prep.instance, prep.template)).one_step
-            assert (swept.empty_pair is None) == (fixed.empty_pair is None)
-            if swept.empty_pair is None:
-                for pair, cell in swept.cells.items():
-                    assert cell.is_full or set(fixed.cells[pair].offsets) <= set(cell.offsets)
+            assert_within_the_reference(swept, prep.instance, prep.template, edges)
 
     def test_a_rule_that_sweeps_mixed_steps_gets_stuck(self, monkeypatch):
-        # steps 1 and 3, so the worklist runs: it decides this instance, but
-        # a sweep, whose proof needs one common step, leaves extraction stuck
+        # steps 1 and 3 and no modular median: the sweep leaves extraction
+        # stuck, and only the window search finds the witness
         t = Template("mixed", (binary_relation("r", (-3, -2, 1, 2, 3)),))
         edges = [(1, 0), (2, 1), (3, 0), (3, 1), (3, 2), (0, 2), (1, 2)]
         inst = graph_instance("r", 4, edges)
-        verdict = solve(inst, t, mode="consistency")
+        verdict = solve(inst, t, mode="consistency", debug=True)
+        assert verdict.status == "unknown"
+        assert verdict.reason.startswith("witness extraction failed")
+        verdict = solve(inst, t, mode="auto", debug=True)
         assert verdict.status == "sat" and verdict.witness == (0, -1, 1, -2)
+        assert verdict.stats.core_searches == 0
         assert verify_assignment(inst, t, verdict.witness) == (True, None)
 
+        # a rule that calls these steps one, with no median search to
+        # re-prove it, meets the stuck-extraction invariant
         class AcceptsMixedSteps(solver.Route):
             @property
             def one_step(self):
                 return all(rel.arity == 2 for rel in self.template.relations if rel.has_tuples)
 
+            modulus = None
+
         monkeypatch.setattr(solver, "route", AcceptsMixedSteps)
-        with pytest.raises(InternalInvariantError, match="extraction after a sweep gave None"):
+        with pytest.raises(InternalInvariantError, match="closed under a modular median"):
             solve(inst, t, mode="consistency")
 
     def test_an_empty_cell_stops_the_sweep(self):
-        matrix = sweep(initialize_pairs(graph_instance("dist13", 5, cycle_edges(5)), DIST13))
+        matrix = propagate(initialize_pairs(graph_instance("dist13", 5, cycle_edges(5)), DIST13))
         assert matrix.empty_pair is not None and matrix.cells[matrix.empty_pair].is_empty
 
     def test_stuck_extraction_after_the_sweep_is_an_invariant_error(self, monkeypatch):
         monkeypatch.setattr(solver, "extract_solution", lambda matrix, inst, t, index=None: None)
         with pytest.raises(InternalInvariantError):
             solve(graph_instance("dist13", 4, cycle_edges(4)), DIST13, mode="auto")
-
-    def test_debug_runs_the_worklist_after_the_sweep(self, monkeypatch):
-        # a translated witness is still a solution, but not the least one
-        real = solver.extract_solution
-        calls = []
-
-        def first_translated(matrix, inst, t, index=None):
-            witness = real(matrix, inst, t, index)
-            calls.append(witness)
-            return witness if len(calls) > 1 else tuple(v + 1 for v in witness)
-
-        monkeypatch.setattr(solver, "extract_solution", first_translated)
-        inst = graph_instance("dist13", 6, cycle_edges(6))
-        assert solve(inst, DIST13, mode="consistency").witness == (1, -2, -5, -8, -5, -2)
-        calls.clear()
-        with pytest.raises(InternalInvariantError):
-            solve(inst, DIST13, mode="consistency", debug=True)
-        assert len(calls) == 2
 
     def test_the_split_hands_each_component_its_graph(self, monkeypatch):
         # the graph of each component in its own numbering, that of the
@@ -826,11 +814,11 @@ class TestSweep:
             (graph_instance("dist12", 5, cycle_edges(5)), DIST12),
         )
         copies = {tuple(variables): sub for variables, sub in split_components(inst)}
-        for mode, propagated in (("consistency", 2), ("auto", 1)):
+        # 4 vertices of the 6-cycle are swept, and 3 of the 5-cycle
+        for mode, propagated, sweeps in (("consistency", 2, 4 + 3), ("auto", 1, 4)):
             handed.clear()
             verdict = solve(inst, t, mode=mode)
-            # the worklist pops only the dist12 cycle's pairs
-            assert verdict.status == "sat" and (verdict.stats.sweeps > 0) == (propagated == 2)
+            assert verdict.status == "sat" and verdict.stats.sweeps == sweeps
             assert verdict.stats.core_searches == 2 - propagated
             assert len(handed) == propagated
             for _, variables, graph in handed:
@@ -932,7 +920,7 @@ class TestExtractSolution:
 
     def test_a_stuck_walk_returns_none(self):
         # unpropagated, the chain leaves x2 the empty {1, 3} & {2}; FAN
-        # gets stuck at the worklist's fixpoint
+        # gets stuck after the sweep
         matrix = initialize_pairs(CHAIN_UNSAT, CHAIN_T)
         assert matrix.empty_pair is None
         assert extract_solution(matrix, CHAIN_UNSAT, CHAIN_T) is None
@@ -1050,18 +1038,6 @@ class TestSolve:
         verdict = solve(inst, t, mode="consistency")
         assert verdict.status == "sat" and verdict.witness == (0, 1, 0)
 
-    def test_debug_bound_counts_only_constrained_hops(self):
-        # the pair (0,2) shares only a FULL constraint; it is bounded by the
-        # two finite hops through 1, not by its own hop
-        fin, full = binary_relation("fin", (5,)), RelationDef("all", 2, "full")
-        t = Template("t", (fin, full))
-        inst = Instance(
-            3,
-            (Constraint("fin", (0, 1)), Constraint("fin", (1, 2)), Constraint("all", (0, 2))),
-        )
-        verdict = solve(inst, t, mode="consistency", debug=True)
-        assert verdict.status == "sat" and verdict.witness == (0, 5, 10)
-
     def test_median_search_runs_once_per_template(self, monkeypatch):
         calls = []
 
@@ -1079,13 +1055,13 @@ class TestSolve:
     @pytest.mark.parametrize("mode", ["auto", "consistency"])
     def test_dist13_witnesses_are_pinned(self, mode):
         # least witnesses: 3 down per hop from vertex 0 along a shortest
-        # path; the propagation counters are pinned too.  dist13 is one-step,
-        # so each is swept: no worklist pop, one replacement per revision
-        # that shrank a cell
+        # path; the propagation counters are pinned too: one replacement
+        # per revision that shrank a cell, and one sweep per vertex with two
+        # or more lower completion neighbours, none on a path
         cases = [
             (graph_instance("dist13", 24, [(i, i + 1) for i in range(23)]), lambda i: i, (0, 0, 0)),
-            (graph_instance("dist13", 24, cycle_edges(24)), lambda i: min(i, 24 - i), (21, 0, 21)),
-            (graph_instance("dist13", 25, grid_edges(5, 5)), lambda i: i // 5 + i % 5, (64, 0, 50)),
+            (graph_instance("dist13", 24, cycle_edges(24)), lambda i: min(i, 24 - i), (21, 22, 21)),
+            (graph_instance("dist13", 25, grid_edges(5, 5)), lambda i: i // 5 + i % 5, (64, 23, 50)),
         ]
         for inst, hops, (replacements, sweeps, full_to_finite) in cases:
             verdict = solve(inst, DIST13, mode=mode, debug=True)
@@ -1112,14 +1088,14 @@ class TestSolve:
         assert verdict.witness == (0, 2)
 
     def test_stats_counters_present(self):
-        # auto mode decides the triangle over dist12's core, with no pop;
-        # consistency mode propagates it
+        # auto mode decides the triangle over dist12's core, with no sweep;
+        # consistency mode sweeps its top vertex, which changes no cell
         inst = graph_instance("dist12", 3, complete_edges(3))
         stats = solve(inst, DIST12).stats
         assert stats.core_searches == 1 and stats.sweeps == 0
         assert stats.components == 1
         stats = solve(inst, DIST12, mode="consistency").stats
-        assert stats.sweeps > 0 and stats.core_searches == 0
+        assert stats.sweeps == 1 and stats.proper_replacements == 0 and stats.core_searches == 0
         assert stats.components == 1
 
     def test_debug_mode_clean_on_fixtures(self):
@@ -1663,7 +1639,7 @@ def solve_on_copies(inst, t, mode):
             witness = brute_solve(sub, own, core=facts.core)
         else:
             matrix = initialize_pairs(sub, prep.template)
-            (sweep if facts.one_step else propagate)(matrix)
+            propagate(matrix)
             if matrix.empty_pair is not None:
                 return "unsat", None
             witness = extract_solution(matrix, sub, prep.template)
