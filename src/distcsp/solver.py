@@ -3,13 +3,13 @@
 `split_components` numbers the variables of each connected component in
 its canonical breadth-first order, so that order is simply index order.
 `solve` reads each component in place instead, through one index map from
-each variable to its place in its component (`_split`).  The solver keeps
-offset sets for the pairs of variables that are joined in a chordal
-completion of the component's co-occurrence graph: the graph filled in by
-eliminating the variables highest index first, so that every variable's
-lower neighbours form a clique.  A `PairMatrix` holds them in one row per
-variable, beside its sorted lower neighbours, and fills the completion in
-one pass of the parent rule.  Each set starts as the intersection of the
+each variable to its place in its component (`_split`).  A propagated
+component is read once more, by `initialize_pairs`, into a `PairMatrix`:
+one row per variable, mapping each neighbour to the pair's offset set.
+The keys of the rows, and no other record, are a chordal completion of
+the component's co-occurrence graph: the graph filled in by eliminating
+the variables highest index first, so that every variable's lower
+neighbours form a clique.  Each set starts as the intersection of the
 projections of every constraint covering the pair (FULL when none does)
 and is then tightened through the triangles of the completion by one
 directional sweep, `propagate`: each variable v, highest index first,
@@ -19,15 +19,16 @@ revises every pair a < b of its lower neighbours once,
 
 Pairs outside the completion are read as FULL.  Every tightening is
 implied by the instance, so an empty pair set proves unsatisfiability.  A
-witness is then read off greedily in index order, a reverse perfect
-elimination order of the completion; the walk cannot get stuck on a
-template closed under a modular median.  Otherwise a stuck extraction
-leaves its component undecided; `solve` may search it exhaustively.
+witness is then read off the matrix alone, greedily in index order (a
+reverse perfect elimination order of the completion), checking the
+constraints of arity 3 or more that `initialize_pairs` recorded; the walk
+cannot get stuck on a template closed under a modular median.  Otherwise
+a stuck extraction leaves its component undecided; `solve` may search it
+exhaustively.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property, lru_cache
 from itertools import combinations
 from types import SimpleNamespace
@@ -186,22 +187,20 @@ def co_occurrence_adjacency(inst: Instance) -> list[set[int]]:
     return adjacency
 
 
-def bfs_depths(adjacency: list[set[int]], start: int) -> dict[int, int]:
-    """Hop depth of every vertex reachable from start, keyed in visit order.
+def breadth_first(adjacency: list[set[int]], start: int) -> list[int]:
+    """The vertices reachable from start, in breadth-first visit order.
 
     Neighbours are visited in ascending order, so from a component's lowest
-    vertex the key order is the canonical breadth-first order in which
-    `split_components` numbers it.
+    vertex this is the canonical order in which `split_components` numbers
+    it.
     """
-    depths = {start: 0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
+    order, seen = [start], {start}
+    for v in order:
         for w in sorted(adjacency[v]):
-            if w not in depths:
-                depths[w] = depths[v] + 1
-                queue.append(w)
-    return depths
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
 
 
 def split_components(inst: Instance) -> list[tuple[list[int], Instance]]:
@@ -210,11 +209,11 @@ def split_components(inst: Instance) -> list[tuple[list[int], Instance]]:
     Each comes as its variables in canonical breadth-first order (from the
     lowest one, neighbours in ascending order) and the instance it induces,
     with those variables renumbered 0..m-1 in that order, so the canonical
-    order of every component is index order; the constraints are
-    distributed in one pass.  A connected instance already in canonical
-    order, such as a component split off before, comes back as it is.
+    order of every component is index order.  A connected instance already
+    in canonical order, such as a component split off before, comes back as
+    it is.  `solve` reads the same split in place (`_split`).
     """
-    components, _, index = _split(inst)
+    components, index = _split(inst)
     return components if isinstance(index, range) else [
         (variables, _trusted(Instance, num_vars=part.num_vars, constraints=tuple(
             _trusted(Constraint, relation=c.relation, args=tuple(map(index.__getitem__, c.args)))
@@ -222,11 +221,11 @@ def split_components(inst: Instance) -> list[tuple[list[int], Instance]]:
     ]
 
 
-def _split(inst: Instance) -> tuple[list[tuple[list[int], Instance]], list[set[int]], list | range]:
+def _split(inst: Instance) -> tuple[list[tuple[list[int], Instance]], list | range]:
     """`split_components` without copies: per component, its variables and
-    a part with num_vars and inst's own constraints on it (inst itself, and
-    index a range, when inst comes back as it is), argument a being variable
-    index[a] of its component; and the co-occurrence graph of inst."""
+    a part with num_vars and inst's own constraints on it, distributed in
+    one pass, argument a being variable index[a] of its component; inst
+    itself, and index a range, when inst comes back as it is."""
     size = inst.num_vars
     adjacency = co_occurrence_adjacency(inst)
     index = [0] * size
@@ -234,36 +233,16 @@ def _split(inst: Instance) -> tuple[list[tuple[list[int], Instance]], list[set[i
     components = []
     for start in range(size):
         if owner[start] is None:
-            variables = list(bfs_depths(adjacency, start))
+            variables = breadth_first(adjacency, start)
             if len(variables) == size and variables == list(range(size)):
-                return [(variables, inst)], adjacency, range(size)
+                return [(variables, inst)], range(size)
             part = SimpleNamespace(num_vars=len(variables), constraints=[])
             for i, v in enumerate(variables):
                 index[v], owner[v] = i, part.constraints
             components.append((variables, part))
     for c in inst.constraints:
         owner[c.args[0]].append(c)
-    return components, adjacency, index
-
-
-def _component_graph(adjacency: list[set[int]], index: list | range, variables: list[int]):
-    """A component's co-occurrence graph in its own numbering: the graph of
-    the instance that `_split` split, translated unless index is a range."""
-    if isinstance(index, range):
-        return adjacency
-    return [{index[w] for w in adjacency[v]} for v in variables]
-
-
-def chordal_completion(adjacency: list[set[int]]) -> list[set[int]]:
-    """The graph filled in by eliminating the highest index first, in place.
-
-    Eliminating a vertex joins its remaining (lower) neighbours into a
-    clique, so in the result every vertex's lower neighbours form a clique:
-    index order reversed is a perfect elimination order and the graph is
-    chordal.  `PairMatrix` fills it in one pass; the neighbour sets of
-    adjacency are filled, not copied, and adjacency itself is returned.
-    """
-    return PairMatrix(len(adjacency), (), adjacency, [{} for _ in adjacency]).neighbours
+    return components, index
 
 
 _FULL = OffsetSet.full()
@@ -272,16 +251,18 @@ _FULL = OffsetSet.full()
 class PairMatrix:
     """Offset sets for the edges of a chordal completion of one component.
 
-    `neighbours` is the `chordal_completion` of the co-occurrence graph
-    `adjacency`, filled in place, whose variables `split_components`
-    numbered in canonical order, and `lower[v]` lists v's lower neighbours
-    in it, ascending.  `rows[k]` maps each completion neighbour l of k to
-    P(k,l): the given cell of a pair that constraints join (FULL when all
-    of them are FULL), and FULL on every fill edge; `get` answers FULL for
-    any other pair, which neither a constraint nor a triangle of the
-    completion ever bounds.  Every update writes both orientations, keeping
-    the mirror invariant S(P(l,k)) = -S(P(k,l)).  `cells`, a {(k, l): cell}
-    view of the rows built on each read, is for tests and tracing.
+    `rows[k]` maps each completion neighbour l of k to P(k,l), and the keys
+    of the rows are the only record of the completion: `initialize_pairs`
+    writes the pairs that constraints join (the given cell, FULL when all
+    of them are FULL), and the constructor adds the fill edges, FULL.
+    `get` answers FULL for any other pair, which neither a constraint nor a
+    triangle of the completion ever bounds.  `lower[v]` lists v's lower
+    completion neighbours, ascending, and `due[v]` the constraints that
+    extraction checks at v, as (relation, local arguments): those of arity
+    3 or more, with offset tuples, whose highest variable is v.  Every
+    update writes both orientations, keeping the mirror invariant
+    S(P(l,k)) = -S(P(k,l)).  `cells`, a {(k, l): cell} view of the rows
+    built on each read, is for tests and tracing.
 
     One pass, highest index first, fills the completion by the parent rule
     (Rose, Tarjan & Lueker, SIAM J. Comput. 1976): eliminating v joins its
@@ -290,20 +271,20 @@ class PairMatrix:
     turn: the filled graph is that of joining them all pairwise.
     """
 
-    def __init__(self, size: int, variable_ids, adjacency: list[set[int]], rows: list[dict]):
+    due: list[list[tuple[RelationDef, tuple[int, ...]]]]
+
+    def __init__(self, size: int, variable_ids, rows: list[dict]):
         self.size = size
         self.variable_ids = list(variable_ids)
-        self.neighbours, self.rows = adjacency, rows
+        self.rows = rows
         self.lower: list[list[int]] = [[] for _ in range(size)]
         for v in reversed(range(size)):
-            below = self.lower[v] = sorted([u for u in adjacency[v] if u < v])
+            below = self.lower[v] = sorted([u for u in rows[v] if u < v])
             if len(below) > 1:
                 p = below[-1]
-                higher, row = adjacency[p], rows[p]
+                row = rows[p]
                 for u in below[:-1]:
-                    if u not in higher:
-                        higher.add(u)
-                        adjacency[u].add(p)
+                    if u not in row:
                         row[u] = rows[u][p] = _FULL
         self.stats = SolveStats()
         self.empty_pair: tuple[int, int] | None = None
@@ -317,7 +298,7 @@ class PairMatrix:
 
 
 def initialize_pairs(
-    inst: Instance, t: Template, variable_ids: list[int] | None = None, adjacency=None, index=None
+    inst: Instance, t: Template, variable_ids: list[int] | None = None, index=None
 ) -> PairMatrix:
     """Pair matrix for one preprocessed component, in one pass over its constraints.
 
@@ -327,30 +308,36 @@ def initialize_pairs(
     fill edges of the completion start FULL.  Each relation's coordinate
     pairs, with the forward and reverse projections it caches, are looked
     up once per call; the mirror cell P(l,k) takes the reverse one, so
-    nothing is negated.  The co-occurrence graph adjacency is completed in
-    place, or built when not given.  Argument a of a constraint is variable
-    index[a] (a when index is None), as `solve` reads the parts of `_split`.
+    nothing is negated.  The same pass puts each constraint that extraction
+    checks in `due`.  Argument a of a constraint is variable index[a] (a
+    when index is None), as `solve` reads the parts of `_split`.
     """
     size = inst.num_vars
     index = range(size) if index is None else index
     rows: list[dict[int, OffsetSet]] = [{} for _ in range(size)]
-    plans: dict[str, list[tuple[int, int, OffsetSet, OffsetSet]] | None] = {}
+    due: list[list[tuple[RelationDef, tuple[int, ...]]]] = [[] for _ in range(size)]
+    # per relation: itself when it is checked at extraction, and its pairs
+    plans: dict[str, tuple[RelationDef | None, list] | None] = {}
     empty_pair = None
     for c in inst.constraints:
         args = c.args
         if c.relation not in plans:
             rel = t.relation(c.relation)
-            plans[c.relation] = None if rel.is_empty else [
-                (i - 1, j - 1, project_constraint(rel, i, j), project_constraint(rel, j, i))
-                if rel.has_tuples else (i - 1, j - 1, _FULL, _FULL)
-                for i, j in combinations(range(1, rel.arity + 1), 2)
-            ]
+            plans[c.relation] = None if rel.is_empty else (
+                rel if rel.has_tuples and rel.arity > 2 else None,
+                [
+                    (i - 1, j - 1, project_constraint(rel, i, j), project_constraint(rel, j, i))
+                    if rel.has_tuples else (i - 1, j - 1, _FULL, _FULL)
+                    for i, j in combinations(range(1, rel.arity + 1), 2)
+                ],
+            )
         plan = plans[c.relation]
         if plan is None or len(set(args)) != len(args):
             raise InputError(
                 f"constraint {c.relation}{c.args} repeats a variable or is EMPTY; preprocess first"
             )
-        for i, j, forward, reverse in plan:
+        checked, pairs = plan
+        for i, j, forward, reverse in pairs:
             k, l = index[args[i]], index[args[j]]
             row = rows[k]
             old = row.get(l)
@@ -361,9 +348,11 @@ def initialize_pairs(
                 rows[l][k] &= reverse
                 if tightened.is_empty:
                     empty_pair = (k, l)
-    adjacency = adjacency or co_occurrence_adjacency(inst)
-    matrix = PairMatrix(size, variable_ids or list(range(size)), adjacency, rows)
-    matrix.empty_pair = empty_pair
+        if checked is not None:
+            local = tuple(map(index.__getitem__, args))
+            due[max(local)].append((checked, local))
+    matrix = PairMatrix(size, variable_ids or list(range(size)), rows)
+    matrix.empty_pair, matrix.due = empty_pair, due
     return matrix
 
 
@@ -457,46 +446,38 @@ def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = Fa
 def _check_sweep(matrix: PairMatrix) -> None:
     """Raise unless the matrix holds what `propagate`'s argument reads: the
     mirror invariant, and P(a,b) within P(a,v) + P(v,b) for every pair
-    a < b of lower neighbours of every v, read from the completion."""
+    a < b of lower neighbours of every v, read from the keys of the rows,
+    not from the `lower` lists that the sweep reads."""
     rows = matrix.rows
-    for k, row in enumerate(rows):
+    for v, row in enumerate(rows):
         for l, cell in row.items():
-            mirror = rows[l].get(k)
+            mirror = rows[l].get(v)
             if mirror != -cell:
-                raise InternalInvariantError(f"pair ({k},{l}) holds {cell}, ({l},{k}) {mirror}")
-    for v, neighbours in enumerate(matrix.neighbours):
-        below = sorted(u for u in neighbours if u < v)
+                raise InternalInvariantError(f"pair ({v},{l}) holds {cell}, ({l},{v}) {mirror}")
+        below = sorted(u for u in row if u < v)
         for i, a in enumerate(below):
             for b in below[i + 1 :]:
                 cell = rows[a][b]
-                if (rows[a][v] + rows[v][b]) & cell != cell:
+                if (rows[a][v] + row[b]) & cell != cell:
                     raise InternalInvariantError(f"pair ({a},{b}) holds {cell}, wider than via {v}")
 
 
-def extract_solution(matrix: PairMatrix, inst, t: Template, index=None) -> tuple[int, ...] | None:
-    """Greedy witness in index order.
+def extract_solution(matrix: PairMatrix) -> tuple[int, ...] | None:
+    """Greedy witness in index order, read from the matrix alone.
 
     Each next variable takes the least value compatible with the pair sets
     to its lower neighbours in the completion that also satisfies every
-    constraint of arity 3 or more whose highest variable it is: the pair
-    sets already enforce the binary constraints of a preprocessed instance,
-    and FULL ones always hold; only a variable that such a constraint is
-    due at decodes more candidates than the lowest.  Returns None when some
-    step has no candidate, which cannot happen after `propagate` on a
-    template closed under a modular median.  Any
-    numbering works: a variable with no lower completion neighbour takes 0.
-    Arguments are read through index, as in `initialize_pairs`.
+    constraint due at it (`PairMatrix.due`): the pair sets already enforce
+    the binary constraints of a preprocessed instance, and FULL ones always
+    hold; only a variable that a constraint is due at decodes more
+    candidates than the lowest.  Returns None when some step has no
+    candidate, which cannot happen after `propagate` on a template closed
+    under a modular median.  Any numbering works: a variable with no lower
+    completion neighbour takes 0.
     """
     if matrix.empty_pair is not None:
         raise InternalInvariantError("extraction attempted on an empty pair matrix")
-    index = range(inst.num_vars) if index is None else index
-    due: list[list[tuple[RelationDef, tuple[int, ...]]]] = [[] for _ in range(inst.num_vars)]
-    for c in inst.constraints:
-        rel = t.relation(c.relation)
-        if rel.has_tuples and rel.arity > 2:
-            args = tuple(map(index.__getitem__, c.args))
-            due[max(args)].append((rel, args))
-    rows, values = matrix.rows, [0] * inst.num_vars
+    rows, due, values = matrix.rows, matrix.due, [0] * matrix.size
     for j, lower in enumerate(matrix.lower):
         # AND the masks of the sets P(i,j) + x_i, bit 0 at value base, as
         # `brute` ANDs its domains; bits is None while only FULL ones count
@@ -638,7 +619,7 @@ def solve(
     prep = preprocess(inst, t)
     if prep.unsat:
         return Verdict.unsat(stats)
-    components, adjacency, index = _split(prep.instance)
+    components, index = _split(prep.instance)
     stats.components = len(components)
     cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
     settled = []
@@ -665,8 +646,7 @@ def solve(
                 continue
         if mode != "brute":
             try:
-                graph = _component_graph(adjacency, index, variables)  # propagated only
-                matrix = initialize_pairs(sub, prep.template, variables, graph, index)
+                matrix = initialize_pairs(sub, prep.template, variables, index)
                 propagate(matrix, trace=trace, debug=debug)
             except CapExceededError as e:
                 reason = f"propagation refused: {e}"
@@ -674,7 +654,7 @@ def solve(
                 stats.absorb(matrix.stats)
                 if matrix.empty_pair is not None:
                     return Verdict.unsat(stats)
-                witness = extract_solution(matrix, sub, prep.template, index)
+                witness = extract_solution(matrix)
                 if witness is not None:
                     settled.append((variables, witness))
                     continue

@@ -16,8 +16,7 @@ from distcsp.model import Constraint, Instance, OffsetSet, RelationDef, Template
 from distcsp.solver import (
     MODES,
     SolveStats,
-    bfs_depths,
-    chordal_completion,
+    breadth_first,
     co_occurrence_adjacency,
     component_template,
     extract_solution,
@@ -71,6 +70,15 @@ DIST23 = Template("d23", (binary_relation("d23", symmetric(2, 3)),))
 STUCK23 = graph_instance(
     "d23", 8, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 6), (6, 7)]
 )
+
+
+FULL_R = Template("r", (RelationDef("r", 2, "full"),))
+
+
+def completion(inst, t=FULL_R):
+    """The chordal completion that the pair matrix of inst stores, as
+    neighbour sets: the keys of its rows."""
+    return [set(row) for row in initialize_pairs(inst, t).rows]
 
 
 def completion_edges(matrix, inst):
@@ -225,7 +233,7 @@ class TestComponents:
     def test_unconstrained_variables_are_singletons(self):
         assert split_components(Instance(3, ())) == [([v], Instance(1, ())) for v in range(3)]
 
-    def test_bfs_depths_visit_in_ascending_order(self):
+    def test_breadth_first_visits_in_ascending_order(self):
         # star 0-{3,1,2} with the path 2-4-5 hanging off a leaf; 6 is isolated
         inst = Instance(
             7,
@@ -236,21 +244,18 @@ class TestComponents:
         )
         adjacency = co_occurrence_adjacency(inst)
         assert adjacency[0] == {1, 2, 3} and adjacency[6] == set()
-        depths = bfs_depths(adjacency, 0)
-        assert list(depths) == [0, 1, 2, 3, 4, 5]
-        assert depths == {0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 3}
-        assert list(bfs_depths(adjacency, 4)) == [4, 2, 5, 0, 1, 3]
-        assert bfs_depths(adjacency, 6) == {6: 0}
+        assert breadth_first(adjacency, 0) == [0, 1, 2, 3, 4, 5] == bfs_order(inst)
+        assert breadth_first(adjacency, 4) == [4, 2, 5, 0, 1, 3] == bfs_order(inst, 4)
+        assert breadth_first(adjacency, 6) == [6]
 
     def test_chordal_completion_fills_along_the_order(self):
         # eliminating 5, 4 and 3 in turn adds the fill edges (0,4), (0,3), (0,2)
-        hexagon = co_occurrence_adjacency(graph_instance("r", 6, cycle_edges(6)))
-        filled = chordal_completion(hexagon)
+        filled = completion(graph_instance("r", 6, cycle_edges(6)))
         assert filled[0] == {1, 2, 3, 4, 5} and filled[3] == {0, 2, 4}
         assert sum(map(len, filled)) // 2 == 6 + 3
         for edges in ([(i, i + 1) for i in range(5)], complete_edges(5)):
             inst = graph_instance("r", 6, edges)
-            assert chordal_completion(co_occurrence_adjacency(inst)) == co_occurrence_adjacency(inst)
+            assert completion(inst) == co_occurrence_adjacency(inst)
 
     def test_co_occurrence_graph_matches_the_reference(self):
         # binary constraints join their two ends directly; repeated
@@ -291,10 +296,9 @@ class TestComponents:
             ))
             matrix = initialize_pairs(inst, t)
             expected = elimination_game(co_occurrence_adjacency(inst))
-            assert matrix.neighbours == expected
-            assert chordal_completion(co_occurrence_adjacency(inst)) == expected
+            assert [set(row) for row in matrix.rows] == expected
             for v in range(n):
-                assert matrix.lower[v] == sorted(u for u in matrix.neighbours[v] if u < v)
+                assert matrix.lower[v] == sorted(u for u in expected[v] if u < v)
             cells = matrix.cells
             assert all((k, l) in cells and (l, k) in cells for k in range(n) for l in expected[k])
             assert len(cells) == sum(map(len, expected))  # twice the edges
@@ -309,7 +313,7 @@ class TestComponents:
         ((variables, sub),) = split_components(inst)
         assert variables == bfs_order(inst) == [0, 1, 5, 2, 4, 3]
         assert bfs_order(sub) == list(range(6))
-        filled = chordal_completion(co_occurrence_adjacency(sub))
+        filled = completion(sub)
         assert filled[2] == {0, 1, 3, 4} and filled[3] == {1, 2, 4, 5}
         assert sum(map(len, filled)) // 2 == 6 + 3
 
@@ -386,36 +390,63 @@ class TestComponents:
         assert same >= 10 and renumbered >= 100
 
 
-    def test_only_the_propagation_path_translates_graphs(self, monkeypatch):
-        # two components, both renumbered, translated from the one graph;
-        # each keeps inst's own constraints, read through the index
+    def test_split_parts_read_through_the_index_are_the_copies(self):
+        # two components, both renumbered; each keeps inst's own
+        # constraints, read through the index
         inst = graph_instance("r", 6, [(5, 3), (3, 1), (4, 2), (2, 0)])
-        split, adjacency, index = solver._split(inst)
-        assert adjacency == co_occurrence_adjacency(inst)
+        split, index = solver._split(inst)
         assert [variables for variables, _ in split] == [[0, 2, 4], [1, 3, 5]]
         for (variables, part), (_, sub) in zip(split, split_components(inst)):
             assert all(any(c is d for d in inst.constraints) for c in part.constraints)
             read = tuple(Constraint(c.relation, tuple(index[a] for a in c.args)) for c in part.constraints)
             assert part.num_vars == len(variables) and Instance(part.num_vars, read) == sub
-            assert solver._component_graph(adjacency, index, variables) == (
-                co_occurrence_adjacency(sub)
-            )
-        # an instance that comes back as it is keeps its graph
+        # an instance that comes back as it is keeps its numbering
         path = graph_instance("r", 3, [(0, 1), (1, 2)])
-        split, adjacency, index = solver._split(path)
+        split, index = solver._split(path)
         assert split == [([0, 1, 2], path)] and split[0][1] is path and index == range(3)
-        assert solver._component_graph(adjacency, index, [0, 1, 2]) is adjacency
-        translated = []
-        real = solver._component_graph
-        monkeypatch.setattr(
-            solver, "_component_graph", lambda *a: translated.append(a[2]) or real(*a)
-        )
         t = Template("r", (binary_relation("r", (1,)),))
         for mode in MODES:
-            translated.clear()
             assert solve(inst, t, mode=mode).witness == (0, 0, -1, -1, -2, -2)
-            # brute mode propagates nothing, so it translates nothing
-            assert translated == ([] if mode == "brute" else [[0, 2, 4], [1, 3, 5]])
+
+    def test_the_rows_are_the_completion_read_through_the_index(self):
+        # each part of the split, read through the index, gives the matrix
+        # of its renumbered copy: the completion of the copy's graph as the
+        # keys of the rows, and each checked constraint due at its highest
+        # variable; relabelled instances, some in several components, with
+        # arities 2 to 4 and FULL relations
+        rng = random.Random(53)
+        offsets = {k: list(itertools.product(range(-2, 3), repeat=k - 1)) for k in (2, 3, 4)}
+        t = Template("t", tuple(
+            RelationDef(f"r{k}", k, rng.sample(offsets[k], 4)) for k in (2, 3, 4)
+        ) + (RelationDef("f2", 2, "full"), RelationDef("f3", 3, "full")))
+        seen = Counter()
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            constraints = []
+            for _ in range(rng.randint(1, n + 2)):
+                rel = rng.choice(t.relations)
+                if rel.arity <= n:
+                    constraints.append(Constraint(rel.name, tuple(rng.sample(range(n), rel.arity))))
+            inst = Instance(n, tuple(constraints))
+            split, index = solver._split(inst)
+            copies = split_components(inst)
+            seen["components"] += len(split) > 1
+            seen["relabelled"] += not isinstance(index, range)
+            for (variables, part), (same, copy) in zip(split, copies, strict=True):
+                assert variables == same
+                matrix = initialize_pairs(part, t, variables, index)
+                filled = elimination_game(co_occurrence_adjacency(copy))
+                assert [set(row) for row in matrix.rows] == filled
+                seen["filled"] += filled != co_occurrence_adjacency(copy)
+                due = [[] for _ in range(copy.num_vars)]
+                for c in copy.constraints:
+                    rel = t.relation(c.relation)
+                    if rel.arity > 2 and not rel.is_full:
+                        due[max(set(c.args))].append((rel, c.args))
+                assert matrix.due == due
+                seen["due"] += any(due)
+                seen["full"] += any(c.relation.startswith("f") for c in copy.constraints)
+        assert min(seen.values()) >= 50, seen
 
 
 class TestInitializePairs:
@@ -462,11 +493,11 @@ class TestInitializePairs:
                 for b in range(a + 1, len(c.args))
             }
             both += any((l, k) in oriented for k, l in oriented)
-            filled = chordal_completion(co_occurrence_adjacency(inst))
+            filled = elimination_game(co_occurrence_adjacency(inst))
             for k in range(n):
                 for l in filled[k]:
                     reference.setdefault((k, l), None)
-            assert matrix.neighbours == filled
+            assert [set(row) for row in matrix.rows] == filled
             assert cell_sets(matrix) == reference
             empty = [pair for pair, gaps in reference.items() if gaps == set()]
             if empty:
@@ -790,25 +821,25 @@ class TestSweep:
         assert matrix.empty_pair is not None and matrix.cells[matrix.empty_pair].is_empty
 
     def test_stuck_extraction_after_the_sweep_is_an_invariant_error(self, monkeypatch):
-        monkeypatch.setattr(solver, "extract_solution", lambda matrix, inst, t, index=None: None)
+        monkeypatch.setattr(solver, "extract_solution", lambda matrix: None)
         with pytest.raises(InternalInvariantError):
             solve(graph_instance("dist13", 4, cycle_edges(4)), DIST13, mode="auto")
 
     def test_the_split_hands_each_component_its_graph(self, monkeypatch):
-        # the graph of each component in its own numbering, that of the
-        # copy `split_components` makes
+        # each propagated component's matrix, read through the index, holds
+        # the completion of the graph of the copy `split_components` makes
         handed = []
         real = solver.initialize_pairs
 
-        def spy(sub, t, variables, adjacency=None, index=None):
-            graph = adjacency and [set(neighbours) for neighbours in adjacency]
-            handed.append((sub, variables, graph))
-            return real(sub, t, variables, adjacency, index)
+        def spy(sub, t, variables, index=None):
+            matrix = real(sub, t, variables, index)
+            handed.append((sub, variables, [set(row) for row in matrix.rows]))
+            return matrix
 
         monkeypatch.setattr(solver, "initialize_pairs", spy)
         # two components, both renumbered, one swept and one propagated; in
         # auto mode the dist12 one is searched over its core instead, and
-        # gets no graph
+        # gets no matrix
         inst, t = disjoint_union(
             (graph_instance("dist13", 6, cycle_edges(6)), DIST13),
             (graph_instance("dist12", 5, cycle_edges(5)), DIST12),
@@ -821,11 +852,10 @@ class TestSweep:
             assert verdict.status == "sat" and verdict.stats.sweeps == sweeps
             assert verdict.stats.core_searches == 2 - propagated
             assert len(handed) == propagated
-            for _, variables, graph in handed:
-                assert graph == co_occurrence_adjacency(copies[tuple(variables)])
+            for _, variables, filled in handed:
+                copy = copies[tuple(variables)]
+                assert filled == elimination_game(co_occurrence_adjacency(copy))
         assert [sub.constraints[0].relation for sub, _, _ in handed] == ["dist13"]
-        adjacency = co_occurrence_adjacency(inst)
-        assert chordal_completion(adjacency) is adjacency
 
     def test_a_sat_answer_does_not_revalidate(self, monkeypatch):
         validated = []
@@ -841,7 +871,7 @@ class TestExtractSolution:
         matrix = initialize_pairs(prep.instance, prep.template)
         propagate(matrix)
         assert matrix.empty_pair is None
-        return extract_solution(matrix, prep.instance, prep.template)
+        return extract_solution(matrix)
 
     def test_forced_chain(self):
         t = Template("t", (binary_relation("r1", (1,)),))
@@ -889,13 +919,13 @@ class TestExtractSolution:
             if matrix.empty_pair is not None:
                 assert brute_solve(inst, t) is None
                 continue
-            witness = extract_solution(matrix, prep.instance, prep.template)
+            witness = extract_solution(matrix)
             assert witness is not None
             assert verify_assignment(inst, t, witness) == (True, None)
             extracted += 1
             canonical = [v for variables, _ in split_components(prep.instance) for v in variables]
             shuffled_order += canonical != list(range(inst.num_vars))
-            filled += matrix.neighbours != co_occurrence_adjacency(prep.instance)
+            filled += [set(row) for row in matrix.rows] != co_occurrence_adjacency(prep.instance)
         assert extracted >= 60 and shuffled_order >= 30 and filled >= 25
 
     def test_a_due_constraint_passes_over_failing_candidates(self):
@@ -904,7 +934,7 @@ class TestExtractSolution:
         inst = Instance(3, (Constraint("r", (0, 1, 2)),))
         matrix = initialize_pairs(inst, TWODEC_FALSE)
         assert matrix.get(0, 2) & matrix.get(1, 2) == OffsetSet.of([0, 1])
-        assert extract_solution(matrix, inst, TWODEC_FALSE) == (0, 0, 1)
+        assert extract_solution(matrix) == (0, 0, 1)
 
     def test_only_full_lower_cells_take_zero(self):
         fin, full = binary_relation("fin", (5,)), RelationDef("all", 2, "full")
@@ -916,16 +946,16 @@ class TestExtractSolution:
         matrix = initialize_pairs(inst, t)
         assert matrix.lower[2] == [1] and matrix.lower[3] == [0, 1]
         assert all(matrix.get(i, j).is_full for i, j in ((1, 2), (0, 3), (1, 3)))
-        assert extract_solution(matrix, inst, t) == (0, 5, 0, 0)
+        assert extract_solution(matrix) == (0, 5, 0, 0)
 
     def test_a_stuck_walk_returns_none(self):
         # unpropagated, the chain leaves x2 the empty {1, 3} & {2}; FAN
         # gets stuck after the sweep
         matrix = initialize_pairs(CHAIN_UNSAT, CHAIN_T)
         assert matrix.empty_pair is None
-        assert extract_solution(matrix, CHAIN_UNSAT, CHAIN_T) is None
+        assert extract_solution(matrix) is None
         matrix = propagate(initialize_pairs(FAN, DIST12))
-        assert matrix.empty_pair is None and extract_solution(matrix, FAN, DIST12) is None
+        assert matrix.empty_pair is None and extract_solution(matrix) is None
 
     def test_masks_walk_as_offset_sets_do(self):
         # seeded matrices, propagated or not, in shuffled numberings and
@@ -950,7 +980,7 @@ class TestExtractSolution:
                 propagate(matrix)
             if matrix.empty_pair is not None:
                 continue
-            witness = extract_solution(matrix, prep.instance, prep.template)
+            witness = extract_solution(matrix)
             assert witness == offset_set_walk(matrix, prep.instance, prep.template)
             walked += 1
             stuck += witness is None
@@ -964,7 +994,7 @@ class TestExtractSolution:
         )
         propagate(matrix)
         with pytest.raises(InternalInvariantError):
-            extract_solution(matrix, CHAIN_UNSAT, CHAIN_T)
+            extract_solution(matrix)
 
 
 class TestSolve:
@@ -1448,7 +1478,6 @@ class TestRoute:
             (analysis, "max_distance_or_zero"),
             (analysis, "gaifman_distances"),
             (brute, "_plan"),
-            (solver, "_component_graph"),
             (solver, "initialize_pairs"),
         ):
             real = getattr(module, name)
@@ -1456,8 +1485,8 @@ class TestRoute:
                 calls.update([name]) or real(*a)
             ))
         assert solve(inst, t) == expected
-        # the swept component alone gets its graph, translated
-        assert calls == Counter(_component_graph=1, initialize_pairs=1)
+        # the swept component alone gets a pair matrix
+        assert calls == Counter(initialize_pairs=1)
         # the first solve over DIST12 itself finds its route, once
         pentagon = graph_instance("dist12", 5, cycle_edges(5))
         solve(pentagon, DIST12)
@@ -1642,7 +1671,7 @@ def solve_on_copies(inst, t, mode):
             propagate(matrix)
             if matrix.empty_pair is not None:
                 return "unsat", None
-            witness = extract_solution(matrix, sub, prep.template)
+            witness = extract_solution(matrix)
             if witness is None and mode == "consistency":
                 status = "unknown"
                 continue
