@@ -177,10 +177,6 @@ class OffsetSet:
         reversed_mask = int(bin(mask)[:1:-1], 2)
         return _make(-(self.lo + mask.bit_length() - 1), reversed_mask)
 
-    def shifted(self, k: int) -> "OffsetSet":
-        """The set translated by k, {s + k : s in S}; FULL and EMPTY are unchanged."""
-        return _make(self.lo + k, self.mask) if self.mask else self
-
     def __contains__(self, value: int) -> bool:
         if self.mask is None:
             return True

@@ -5,14 +5,15 @@ its canonical breadth-first order, so that order is simply index order.
 `solve` reads each component in place instead, through one index map from
 each variable to its place in its component (`_split`).  A propagated
 component is read once more, by `initialize_pairs`, into a `PairMatrix`:
-one row per variable, mapping each neighbour to the pair's offset set.
-The keys of the rows, and no other record, are a chordal completion of
-the component's co-occurrence graph: the graph filled in by eliminating
-the variables highest index first, so that every variable's lower
-neighbours form a clique.  Each set starts as the intersection of the
-projections of every constraint covering the pair (FULL when none does)
-and is then tightened through the triangles of the completion by one
-directional sweep, `propagate`: each variable v, highest index first,
+one row per variable v, mapping each lower neighbour u of v to the pair's
+offset set P(u,v), so each pair is stored once, in the row of its higher
+end.  The keys of the rows, and no other record, are a chordal completion
+of the component's co-occurrence graph: the graph filled in by
+eliminating the variables highest index first, so that every variable's
+lower neighbours form a clique.  Each set starts as the intersection of
+the projections of every constraint covering the pair (FULL when none
+does) and is then tightened through the triangles of the completion by
+one directional sweep, `propagate`: each variable v, highest index first,
 revises every pair a < b of its lower neighbours once,
 
     P(a,b)  <-  P(a,b)  intersect  (P(a,v) + P(v,b)).
@@ -251,18 +252,18 @@ _FULL = OffsetSet.full()
 class PairMatrix:
     """Offset sets for the edges of a chordal completion of one component.
 
-    `rows[k]` maps each completion neighbour l of k to P(k,l), and the keys
-    of the rows are the only record of the completion: `initialize_pairs`
-    writes the pairs that constraints join (the given cell, FULL when all
-    of them are FULL), and the constructor adds the fill edges, FULL.
-    `get` answers FULL for any other pair, which neither a constraint nor a
-    triangle of the completion ever bounds.  `lower[v]` lists v's lower
-    completion neighbours, ascending, and `due[v]` the constraints that
-    extraction checks at v, as (relation, local arguments): those of arity
-    3 or more, with offset tuples, whose highest variable is v.  Every
-    update writes both orientations, keeping the mirror invariant
-    S(P(l,k)) = -S(P(k,l)).  `cells`, a {(k, l): cell} view of the rows
-    built on each read, is for tests and tracing.
+    Each edge is stored once, in the row of its higher end: `rows[v]` maps
+    each lower completion neighbour u of v to P(u,v).  The keys of the rows
+    are the only record of the completion: `initialize_pairs` writes the
+    pairs that constraints join (the given cell, FULL when all of them are
+    FULL), and the constructor adds the fill edges, FULL.  `get(k, l)` reads
+    P(k,l) in either orientation, as the negation of P(l,k) when k > l, and
+    answers FULL for any other pair, which neither a constraint nor a
+    triangle of the completion ever bounds.  `lower[v]` lists the keys of
+    v's row, ascending, and `due[v]` the constraints that extraction checks
+    at v, as (relation, local arguments): those of arity 3 or more, with
+    offset tuples, whose highest variable is v.  `cells`, a {(k, l): P(k,l)}
+    view of both orientations built on each read, is for tests and tracing.
 
     One pass, highest index first, fills the completion by the parent rule
     (Rose, Tarjan & Lueker, SIAM J. Comput. 1976): eliminating v joins its
@@ -279,22 +280,24 @@ class PairMatrix:
         self.rows = rows
         self.lower: list[list[int]] = [[] for _ in range(size)]
         for v in reversed(range(size)):
-            below = self.lower[v] = sorted([u for u in rows[v] if u < v])
+            below = self.lower[v] = sorted(rows[v])
             if len(below) > 1:
-                p = below[-1]
-                row = rows[p]
+                row = rows[below[-1]]
                 for u in below[:-1]:
-                    if u not in row:
-                        row[u] = rows[u][p] = _FULL
+                    row.setdefault(u, _FULL)
         self.stats = SolveStats()
         self.empty_pair: tuple[int, int] | None = None
 
     @property
     def cells(self) -> dict[tuple[int, int], OffsetSet]:
-        return {(k, l): cell for k, row in enumerate(self.rows) for l, cell in row.items()}
+        cells = {}
+        for l, row in enumerate(self.rows):
+            for k, cell in row.items():
+                cells[k, l], cells[l, k] = cell, -cell
+        return cells
 
     def get(self, k: int, l: int) -> OffsetSet:
-        return self.rows[k].get(l, _FULL)
+        return self.rows[l].get(k, _FULL) if k < l else -self.rows[k].get(l, _FULL)
 
 
 def initialize_pairs(
@@ -307,9 +310,9 @@ def initialize_pairs(
     picking one is sound and only tightens), FULL under FULL ones alone;
     fill edges of the completion start FULL.  Each relation's coordinate
     pairs, with the forward and reverse projections it caches, are looked
-    up once per call; the mirror cell P(l,k) takes the reverse one, so
-    nothing is negated.  The same pass puts each constraint that extraction
-    checks in `due`.  Argument a of a constraint is variable index[a] (a
+    up once per call; a pair that index order reverses takes the reverse
+    one, so nothing is negated.  The same pass puts each constraint that
+    extraction checks in `due`.  Argument a of a constraint is variable index[a] (a
     when index is None), as `solve` reads the parts of `_split`.
     """
     size = inst.num_vars
@@ -339,13 +342,14 @@ def initialize_pairs(
         checked, pairs = plan
         for i, j, forward, reverse in pairs:
             k, l = index[args[i]], index[args[j]]
-            row = rows[k]
-            old = row.get(l)
+            if k > l:
+                k, l, forward = l, k, reverse
+            row = rows[l]
+            old = row.get(k)
             if old is None:
-                row[l], rows[l][k] = forward, reverse
+                row[k] = forward
             elif forward is not _FULL:
-                row[l] = tightened = old & forward
-                rows[l][k] &= reverse
+                row[k] = tightened = old & forward
                 if tightened.is_empty:
                     empty_pair = (k, l)
         if checked is not None:
@@ -361,10 +365,10 @@ def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = Fa
 
     Each vertex v, from the highest index down, revises every pair a < b of
     its lower completion neighbours once, P(a,b) <- P(a,b) & (P(a,v) +
-    P(v,b)) (Dechter & Pearl, AIJ 1987), writing the mirror cell too, and
-    the sweep stops at the first empty cell.  P(a,v) with a < v changes only
-    while a higher vertex is swept, so it is final when v comes up, and the
-    sweep leaves P(a,b) within P(a,v) + P(v,b) for every such v, a and b.
+    P(v,b)) (Dechter & Pearl, AIJ 1987), and the sweep stops at the first
+    empty cell.  P(a,v) with a < v changes only while a higher vertex is
+    swept, so it is final when v comes up, and the sweep leaves P(a,b)
+    within P(a,v) + P(v,b) for every such v, a and b.
     Every tightening is implied by the instance, so an empty cell proves
     unsatisfiability on every template.
 
@@ -391,11 +395,12 @@ def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = Fa
     numbering or a connected matrix: any numbering, with its own
     completion, works.
 
-    Each sumset A + B is computed once per call and then read from a memo
-    keyed on the (lo, mask) pairs of A and B, and each new cell is negated
-    once per value for its mirror; offset sets are values, so equal keys
-    give equal results.  `(A + B) & X` returns X itself exactly when the sum
-    covers X, so a no-op revision is told by identity.  stats.sweeps counts
+    Both cells read at v, P(a,v) and P(b,v), are in v's row, and P(v,b) is
+    the negation of the second.  Each sum P(a,v) + -P(b,v) is computed once
+    per call and then read from a memo keyed on the (lo, mask) pairs of the
+    two cells; offset sets are values, so equal keys give equal results.
+    `(A + B) & X` returns X itself exactly when the sum covers X, so a
+    no-op revision is told by identity.  stats.sweeps counts
     the vertices whose lower pairs were revised.  When debug is set, a sweep
     that found no empty cell is checked by `_check_sweep`.
     """
@@ -403,7 +408,6 @@ def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = Fa
         return matrix
     ids, rows, stats = matrix.variable_ids, matrix.rows, matrix.stats
     sums: dict[tuple[int, int | None, int, int], OffsetSet] = {}
-    negations: dict[tuple[int, int], OffsetSet] = {}
     for v in reversed(range(matrix.size)):
         lower = matrix.lower[v]
         if len(lower) < 2:
@@ -411,25 +415,21 @@ def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = Fa
         stats.sweeps += 1
         row_v = rows[v]
         for i, a in enumerate(lower):
-            row_a = rows[a]
-            left = row_a[v]  # P(a,v) is final: the revisions at v write below v
+            left = row_v[a]  # P(a,v) is final: the revisions at v write below v
             for b in lower[i + 1 :]:
-                right = row_v[b]
+                right = row_v[b]  # P(b,v)
                 if right.mask is None:
                     continue
-                old = row_a[b]
+                row_b = rows[b]
+                old = row_b[a]
                 key = (left.lo, left.mask, right.lo, right.mask)
                 total = sums.get(key)
                 if total is None:
-                    total = sums[key] = left + right
+                    total = sums[key] = left + -right
                 new = total & old
                 if new is old:
                     continue
-                key = (new.lo, new.mask)
-                mirror = negations.get(key)
-                if mirror is None:
-                    mirror = negations[key] = -new
-                row_a[b], rows[b][a] = new, mirror
+                row_b[a] = new
                 stats.proper_replacements += 1
                 if old.is_full:
                     stats.full_to_finite += 1
@@ -444,21 +444,17 @@ def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = Fa
 
 
 def _check_sweep(matrix: PairMatrix) -> None:
-    """Raise unless the matrix holds what `propagate`'s argument reads: the
-    mirror invariant, and P(a,b) within P(a,v) + P(v,b) for every pair
-    a < b of lower neighbours of every v, read from the keys of the rows,
-    not from the `lower` lists that the sweep reads."""
+    """Raise unless the matrix holds what `propagate`'s argument reads:
+    P(a,b) within P(a,v) + P(v,b) for every pair a < b of lower neighbours
+    of every v, read from the keys of the rows, not from the `lower` lists
+    that the sweep reads."""
     rows = matrix.rows
     for v, row in enumerate(rows):
-        for l, cell in row.items():
-            mirror = rows[l].get(v)
-            if mirror != -cell:
-                raise InternalInvariantError(f"pair ({v},{l}) holds {cell}, ({l},{v}) {mirror}")
-        below = sorted(u for u in row if u < v)
+        below = sorted(row)
         for i, a in enumerate(below):
             for b in below[i + 1 :]:
-                cell = rows[a][b]
-                if (rows[a][v] + row[b]) & cell != cell:
+                cell = rows[b][a]
+                if (row[a] + -row[b]) & cell != cell:
                     raise InternalInvariantError(f"pair ({a},{b}) holds {cell}, wider than via {v}")
 
 
@@ -477,13 +473,12 @@ def extract_solution(matrix: PairMatrix) -> tuple[int, ...] | None:
     """
     if matrix.empty_pair is not None:
         raise InternalInvariantError("extraction attempted on an empty pair matrix")
-    rows, due, values = matrix.rows, matrix.due, [0] * matrix.size
-    for j, lower in enumerate(matrix.lower):
+    due, values = matrix.due, [0] * matrix.size
+    for j, row in enumerate(matrix.rows):
         # AND the masks of the sets P(i,j) + x_i, bit 0 at value base, as
         # `brute` ANDs its domains; bits is None while only FULL ones count
         base = bits = None
-        for i in lower:
-            cell = rows[i][j]
+        for i, cell in row.items():
             if cell.mask is not None:
                 shift = values[i] + cell.lo
                 if bits is None:

@@ -463,6 +463,12 @@ def elimination_game(adjacency: list[set[int]]) -> list[set[int]]:
     return filled
 
 
+def lower_half(graph: list[set[int]]) -> list[set[int]]:
+    """Each vertex's neighbours below it: the keys of the pair matrix's
+    rows, which store each edge once, in its higher end's row."""
+    return [{u for u in neighbours if u < v} for v, neighbours in enumerate(graph)]
+
+
 def offset_set_walk(matrix, inst: Instance, t: Template):
     """Greedy extraction as plain offset-set intersections over `cells`:
     each variable in index order takes its least candidate that satisfies
@@ -473,7 +479,7 @@ def offset_set_walk(matrix, inst: Instance, t: Template):
         candidates = OffsetSet.full()
         for (i, l), cell in matrix.cells.items():
             if l == j and i < j:
-                candidates &= cell.shifted(values[i])
+                candidates &= cell + OffsetSet.of((values[i],))
         due = [
             (t.relation(c.relation), c.args)
             for c in inst.constraints

@@ -126,24 +126,6 @@ class TestOffsetSetRepresentation:
             OffsetSet.of([True])
 
 
-class TestOffsetSetShift:
-    def test_equals_the_sum_with_a_singleton(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            members = [rng.randint(-60, 60) for _ in range(rng.randint(1, 10))]
-            k = rng.randint(-200, 200)
-            s = OffsetSet.of(members)
-            assert s.shifted(k) == s + OffsetSet.of((k,))
-            assert offsets(s.shifted(k)) == tuple(sorted({m + k for m in members}))
-            assert_normalised(s.shifted(k))
-
-    def test_full_and_empty_unchanged(self):
-        for k in (-9, 0, 9):
-            for s in (OffsetSet.full(), OffsetSet.of([])):
-                assert s.shifted(k) is s
-                assert s.shifted(k) == s + OffsetSet.of((k,))
-
-
 # members in roughly -10^4..10^4: a few scattered values, or a run up to a
 # few hundred wide with holes, so that masks cross zero and machine words
 sparse_values = st.lists(st.integers(-10_000, 10_000), max_size=12)

@@ -39,6 +39,7 @@ from helpers import (
     cycle_edges,
     disjoint_union,
     elimination_game,
+    lower_half,
     graph_instance,
     offset_set_walk,
     oracle_co_occurrence,
@@ -76,8 +77,8 @@ FULL_R = Template("r", (RelationDef("r", 2, "full"),))
 
 
 def completion(inst, t=FULL_R):
-    """The chordal completion that the pair matrix of inst stores, as
-    neighbour sets: the keys of its rows."""
+    """The chordal completion that the pair matrix of inst stores, as each
+    vertex's lower neighbours: the keys of its rows."""
     return [set(row) for row in initialize_pairs(inst, t).rows]
 
 
@@ -94,6 +95,26 @@ def completion_edges(matrix, inst):
         lower = [u for u in range(v) if (u, v) in edges]
         assert all((a, b) in edges for a in lower for b in lower if a != b)
     return edges
+
+
+def mixed_arity_instances(seed, count=300):
+    """Seeded instances in random numberings, with 2 to 12 variables and
+    often several components, over one template of relations of arity 2
+    to 4 with offset tuples and FULL ones of arity 2 and 3: (template,
+    instance) pairs."""
+    rng = random.Random(seed)
+    offsets = {k: list(itertools.product(range(-2, 3), repeat=k - 1)) for k in (2, 3, 4)}
+    t = Template("t", tuple(
+        RelationDef(f"r{k}", k, rng.sample(offsets[k], 4)) for k in (2, 3, 4)
+    ) + (RelationDef("f2", 2, "full"), RelationDef("f3", 3, "full")))
+    for _ in range(count):
+        n = rng.randint(2, 12)
+        constraints = []
+        for _ in range(rng.randint(1, n + 2)):
+            rel = rng.choice(t.relations)
+            if rel.arity <= n:
+                constraints.append(Constraint(rel.name, tuple(rng.sample(range(n), rel.arity))))
+        yield t, Instance(n, tuple(constraints))
 
 
 def grid_edges(rows, cols):
@@ -251,11 +272,11 @@ class TestComponents:
     def test_chordal_completion_fills_along_the_order(self):
         # eliminating 5, 4 and 3 in turn adds the fill edges (0,4), (0,3), (0,2)
         filled = completion(graph_instance("r", 6, cycle_edges(6)))
-        assert filled[0] == {1, 2, 3, 4, 5} and filled[3] == {0, 2, 4}
-        assert sum(map(len, filled)) // 2 == 6 + 3
+        assert filled == [set(), {0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}]
+        assert sum(map(len, filled)) == 6 + 3
         for edges in ([(i, i + 1) for i in range(5)], complete_edges(5)):
             inst = graph_instance("r", 6, edges)
-            assert completion(inst) == co_occurrence_adjacency(inst)
+            assert completion(inst) == lower_half(co_occurrence_adjacency(inst))
 
     def test_co_occurrence_graph_matches_the_reference(self):
         # binary constraints join their two ends directly; repeated
@@ -296,7 +317,7 @@ class TestComponents:
             ))
             matrix = initialize_pairs(inst, t)
             expected = elimination_game(co_occurrence_adjacency(inst))
-            assert [set(row) for row in matrix.rows] == expected
+            assert [set(row) for row in matrix.rows] == lower_half(expected)
             for v in range(n):
                 assert matrix.lower[v] == sorted(u for u in expected[v] if u < v)
             cells = matrix.cells
@@ -314,8 +335,8 @@ class TestComponents:
         assert variables == bfs_order(inst) == [0, 1, 5, 2, 4, 3]
         assert bfs_order(sub) == list(range(6))
         filled = completion(sub)
-        assert filled[2] == {0, 1, 3, 4} and filled[3] == {1, 2, 4, 5}
-        assert sum(map(len, filled)) // 2 == 6 + 3
+        assert filled == [set(), {0}, {0, 1}, {1, 2}, {2, 3}, {3, 4}]
+        assert sum(map(len, filled)) == 6 + 3
 
     def test_split_renumbers_each_component(self):
         inst = Instance(
@@ -414,20 +435,8 @@ class TestComponents:
         # keys of the rows, and each checked constraint due at its highest
         # variable; relabelled instances, some in several components, with
         # arities 2 to 4 and FULL relations
-        rng = random.Random(53)
-        offsets = {k: list(itertools.product(range(-2, 3), repeat=k - 1)) for k in (2, 3, 4)}
-        t = Template("t", tuple(
-            RelationDef(f"r{k}", k, rng.sample(offsets[k], 4)) for k in (2, 3, 4)
-        ) + (RelationDef("f2", 2, "full"), RelationDef("f3", 3, "full")))
         seen = Counter()
-        for _ in range(300):
-            n = rng.randint(2, 12)
-            constraints = []
-            for _ in range(rng.randint(1, n + 2)):
-                rel = rng.choice(t.relations)
-                if rel.arity <= n:
-                    constraints.append(Constraint(rel.name, tuple(rng.sample(range(n), rel.arity))))
-            inst = Instance(n, tuple(constraints))
+        for t, inst in mixed_arity_instances(53):
             split, index = solver._split(inst)
             copies = split_components(inst)
             seen["components"] += len(split) > 1
@@ -436,7 +445,7 @@ class TestComponents:
                 assert variables == same
                 matrix = initialize_pairs(part, t, variables, index)
                 filled = elimination_game(co_occurrence_adjacency(copy))
-                assert [set(row) for row in matrix.rows] == filled
+                assert [set(row) for row in matrix.rows] == lower_half(filled)
                 seen["filled"] += filled != co_occurrence_adjacency(copy)
                 due = [[] for _ in range(copy.num_vars)]
                 for c in copy.constraints:
@@ -497,7 +506,7 @@ class TestInitializePairs:
             for k in range(n):
                 for l in filled[k]:
                     reference.setdefault((k, l), None)
-            assert [set(row) for row in matrix.rows] == filled
+            assert [set(row) for row in matrix.rows] == lower_half(filled)
             assert cell_sets(matrix) == reference
             empty = [pair for pair, gaps in reference.items() if gaps == set()]
             if empty:
@@ -689,11 +698,61 @@ class TestPropagate:
                 assert cell_sets(matrix) == swept
         assert caught >= 10
 
-    def test_debug_checks_the_mirror_invariant(self):
-        matrix = initialize_pairs(Instance(2, (Constraint("dist13", (0, 1)),)), DIST13)
-        matrix.rows[1][0] = OffsetSet.of([3])
-        with pytest.raises(InternalInvariantError, match=r"pair \(0,1\)"):
-            propagate(matrix, debug=True)
+    def test_debug_catches_a_cell_widened_after_the_sweep(self):
+        # with the lower lists emptied, a second call sweeps nothing, so the
+        # debug check, which reads the rows, sees the first sweep's matrix:
+        # clean as it stands, and caught, by name, once a revised cell is FULL
+        inst = graph_instance("dist13", 25, grid_edges(5, 5))
+        matrix = propagate(initialize_pairs(inst, DIST13))
+        matrix.lower = [[] for _ in range(matrix.size)]
+        propagate(matrix, debug=True)
+        caught = 0
+        for l, row in enumerate(matrix.rows):
+            for k, cell in list(row.items()):
+                row[k] = OffsetSet.full()
+                try:
+                    propagate(matrix, debug=True)
+                except InternalInvariantError as e:
+                    assert str(e).startswith(f"pair ({k},{l}) holds FULL")
+                    caught += 1
+                row[k] = cell
+        assert caught >= 20
+
+    def test_each_pair_is_stored_once_in_its_higher_end_row(self):
+        # relabelled instances, some in several components, with arities 2
+        # to 4 and FULL relations: before and after the sweep, every key of
+        # a row is below its vertex, `get` reads each pair in both
+        # orientations as negations, and `cells` holds each completion edge
+        # twice; every swept cell contains its path-consistency closure, when
+        # that is nonempty, and P(a,b) lies within P(a,v) + P(v,b) for every
+        # triangle of the rows
+        seen = Counter()
+        for t, inst in mixed_arity_instances(59):
+            n = inst.num_vars
+            filled = elimination_game(co_occurrence_adjacency(inst))
+            matrix = initialize_pairs(inst, t)
+            for swept in (False, True):
+                if swept:
+                    propagate(matrix)
+                assert all(u < v for v, row in enumerate(matrix.rows) for u in row)
+                for k, l in itertools.permutations(range(n), 2):
+                    assert matrix.get(k, l) == -matrix.get(l, k), (k, l)
+                assert len(matrix.cells) == sum(map(len, filled))
+            reference = oracle_pair_closure(inst, t, set(matrix.cells))
+            if matrix.empty_pair is not None:
+                assert reference is None
+                seen["emptied"] += 1
+                continue
+            for pair, cell in cell_sets(matrix).items():
+                assert cell is None or reference is None or reference[pair] <= cell, pair
+            for v, row in enumerate(matrix.rows):
+                for a, b in itertools.combinations(sorted(row), 2):
+                    cell = matrix.get(a, b)
+                    assert (matrix.get(a, v) + matrix.get(v, b)) & cell == cell, (a, b, v)
+            seen["components"] += len(components_of(inst)) > 1
+            seen["full"] += any(c.relation.startswith("f") for c in inst.constraints)
+            seen["ternary"] += any(c.relation in ("r3", "r4") for c in inst.constraints)
+        assert min(seen.values()) >= 30, seen
 
     def test_mirror_invariant_at_fixpoint(self):
         rng = random.Random(4)
@@ -854,7 +913,7 @@ class TestSweep:
             assert len(handed) == propagated
             for _, variables, filled in handed:
                 copy = copies[tuple(variables)]
-                assert filled == elimination_game(co_occurrence_adjacency(copy))
+                assert filled == lower_half(elimination_game(co_occurrence_adjacency(copy)))
         assert [sub.constraints[0].relation for sub, _, _ in handed] == ["dist13"]
 
     def test_a_sat_answer_does_not_revalidate(self, monkeypatch):
@@ -925,7 +984,8 @@ class TestExtractSolution:
             extracted += 1
             canonical = [v for variables, _ in split_components(prep.instance) for v in variables]
             shuffled_order += canonical != list(range(inst.num_vars))
-            filled += [set(row) for row in matrix.rows] != co_occurrence_adjacency(prep.instance)
+            graph = lower_half(co_occurrence_adjacency(prep.instance))
+            filled += [set(row) for row in matrix.rows] != graph
         assert extracted >= 60 and shuffled_order >= 30 and filled >= 25
 
     def test_a_due_constraint_passes_over_failing_candidates(self):
