@@ -11,14 +11,14 @@ lower variables, ANDed as plain-int bitmasks; a binary constraint on two
 distinct variables is its own pair set and needs no per-candidate check.
 
 Called directly, as the oracle, it shares only the component numbering with
-the solver.  `solve` hands it one component of its own split with the index
-map that numbers it, to search over the window when its extraction got
-stuck or over a finite core.  Every way, its pair links are the
-constraints' projections, built in one pass with the constraints due at
-each variable.  The window search packs each relation once per call and
-skips mirrored subtrees of components closed under negation; a core search
-reads them, and the branch counts of its estimate, from a table kept per
-(template, core) value.
+the solver, and none of its search.  `solve` hands it one component of its
+own split with the index map that numbers it: in brute mode, when the span
+cap refuses propagation, or to search over a finite core.  Every way, its
+pair links are the constraints' projections, built in one pass with the
+constraints due at each variable.  The window search packs each relation
+once per call and skips mirrored subtrees of components closed under
+negation; a core search reads them, and the branch counts of its estimate,
+from a table kept per (template, core) value.
 
 The core option narrows the window to a finite set R with max R = 0: the
 range of a drift-0 endomorphism e of the template, shifted down by its

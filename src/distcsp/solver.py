@@ -6,38 +6,36 @@ its canonical breadth-first order, so that order is simply index order.
 each variable to its place in its component (`_split`).  A propagated
 component is read once more, by `initialize_pairs`, into a `PairMatrix`:
 one row per variable v, mapping each lower neighbour u of v to the pair's
-offset set P(u,v), so each pair is stored once, in the row of its higher
-end.  The keys of the rows, and no other record, are a chordal completion
-of the component's co-occurrence graph: the graph filled in by
-eliminating the variables highest index first, so that every variable's
-lower neighbours form a clique.  Each set starts as the intersection of
-the projections of every constraint covering the pair (FULL when none
-does) and is then tightened through the triangles of the completion by
-one directional sweep, `propagate`: each variable v, highest index first,
-revises every pair a < b of its lower neighbours once,
+offset set P(u,v).  The keys of the rows are a chordal completion of the
+component's co-occurrence graph, filled in by eliminating the variables
+highest index first, so that every variable's lower neighbours form a
+clique.  Each set starts as the intersection of the projections of every
+constraint covering the pair and is then tightened through the triangles
+of the completion by one directional sweep, `propagate`: each variable v,
+highest index first, revises every pair a < b of its lower neighbours once,
 
     P(a,b)  <-  P(a,b)  intersect  (P(a,v) + P(v,b)).
 
-Pairs outside the completion are read as FULL.  Every tightening is
-implied by the instance, so an empty pair set proves unsatisfiability.  A
-witness is then read off the matrix alone, greedily in index order (a
-reverse perfect elimination order of the completion), checking the
-constraints of arity 3 or more that `initialize_pairs` recorded; the walk
-cannot get stuck on a template closed under a modular median.  Otherwise
-a stuck extraction leaves its component undecided; `solve` may search it
-exhaustively.
+Every tightening is implied by the instance, so an empty pair set proves
+unsatisfiability.  A witness is then searched for over the matrix alone,
+depth first in index order (a reverse perfect elimination order of the
+completion), checking the constraints of arity 3 or more.  The search is
+complete; on a template closed under a modular median it never backtracks.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import prod
 from types import SimpleNamespace
 from typing import Callable
 
 from .errors import CapExceededError, InputError, InternalInvariantError
 from .model import (
     DEFAULT_NODE_CAP,
+    EMPTY,
+    FULL,
     MODES,
     Constraint,
     FrozenRecord,
@@ -108,7 +106,9 @@ class Preprocessed(FrozenRecord):
 def preprocess(inst: Instance, t: Template) -> Preprocessed:
     """Normalize an instance: split off repeated variables, drop vacuous atoms.
 
-    A constraint using the same variable several times is rewritten over its
+    A FULL constraint, of any arity, says nothing and is dropped, so it
+    neither joins components nor puts a FULL cell into a pair matrix.  A
+    constraint using the same variable several times is rewritten over its
     distinct variables by keeping exactly the orbits whose components agree
     at the repeated positions, under a name no relation of t has.  Unary
     leftovers are all of Z (dropped) or empty (unsatisfiable).  Duplicate
@@ -126,8 +126,10 @@ def preprocess(inst: Instance, t: Template) -> Preprocessed:
 
     for c in inst.constraints:
         rel = t.relation(c.relation)
-        if len(c.args) != rel.arity or rel.is_empty:
+        if len(c.args) != rel.arity or rel.body == EMPTY:
             return unsat()  # validation raises on the arity mismatch
+        if rel.body == FULL:
+            continue  # every unary body is FULL or EMPTY
         if len(set(c.args)) < len(c.args):
             # positions of first occurrences, in order
             order: list[int] = []
@@ -137,28 +139,22 @@ def preprocess(inst: Instance, t: Template) -> Preprocessed:
                     slot[a] = len(order)
                     order.append(a)
             pattern = "".join(str(slot[a]) for a in c.args)
-            arity = len(order)
-            body = rel.body  # a FULL relation stays FULL
-            if rel.has_tuples:
-                first_pos = [c.args.index(v) for v in order]
-                filtered = set()
-                for v in rel.offset_tuples:
-                    w = (0, *v)
-                    if all(w[i] == w[first_pos[slot[c.args[i]]]] for i in range(len(c.args))):
-                        filtered.add(tuple(w[p] - w[first_pos[0]] for p in first_pos[1:]))
-                if not filtered:
-                    return unsat()
-                body = tuple(filtered)
-            if arity == 1:
-                continue  # FULL, or some orbit survives at every base point
+            first_pos = [c.args.index(v) for v in order]
+            filtered = set()
+            for v in rel.offset_tuples:
+                w = (0, *v)
+                if all(w[i] == w[first_pos[slot[c.args[i]]]] for i in range(len(c.args))):
+                    filtered.add(tuple(w[p] - w[first_pos[0]] for p in first_pos[1:]))
+            if not filtered:
+                return unsat()
+            if len(order) == 1:
+                continue  # some orbit survives at every base point
             # a pattern has no "~", so only a relation of t can take the name
             name = f"{rel.name}~{pattern}"
             while any(r.name == name for r in t.relations):
                 name += "~"
-            derived.setdefault(name, RelationDef(name, arity, body))
+            derived.setdefault(name, RelationDef(name, len(order), tuple(filtered)))
             c = _trusted(Constraint, relation=name, args=tuple(order))
-        elif rel.arity == 1:
-            continue  # unary FULL says nothing
         key = (c.relation, c.args)
         if key not in seen:
             seen.add(key)
@@ -255,15 +251,13 @@ class PairMatrix:
     Each edge is stored once, in the row of its higher end: `rows[v]` maps
     each lower completion neighbour u of v to P(u,v).  The keys of the rows
     are the only record of the completion: `initialize_pairs` writes the
-    pairs that constraints join (the given cell, FULL when all of them are
-    FULL), and the constructor adds the fill edges, FULL.  `get(k, l)` reads
-    P(k,l) in either orientation, as the negation of P(l,k) when k > l, and
-    answers FULL for any other pair, which neither a constraint nor a
-    triangle of the completion ever bounds.  `lower[v]` lists the keys of
-    v's row, ascending, and `due[v]` the constraints that extraction checks
-    at v, as (relation, local arguments): those of arity 3 or more, with
-    offset tuples, whose highest variable is v.  `cells`, a {(k, l): P(k,l)}
-    view of both orientations built on each read, is for tests and tracing.
+    pairs that constraints join, and the constructor adds the fill edges,
+    FULL.  `get(k, l)` reads P(k,l), as the negation of P(l,k) when k > l,
+    and FULL off the completion.  `lower[v]` lists the keys of v's row,
+    ascending, and `due[v]` the constraints that extraction checks at v, as
+    (relation, local arguments): those of arity 3 or more, with offset
+    tuples, whose highest variable is v.  `cells`, a {(k, l): P(k,l)} view
+    of both orientations built on each read, is for tests and tracing.
 
     One pass, highest index first, fills the completion by the parent rule
     (Rose, Tarjan & Lueker, SIAM J. Comput. 1976): eliminating v joins its
@@ -388,9 +382,8 @@ def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = Fa
     Every candidate respects every edge from v to a lower variable, and a
     constraint of higher arity, whose variables form a clique, holds as
     soon as its binary projections do (2-decomposability again).  So the
-    greedy walk of `extract_solution` never gets stuck, and every candidate
-    it sees extends to a full solution; every value that extends is a
-    candidate too, as every cell is implied by the instance, so the least
+    search of `extract_solution` never backtracks: every candidate its
+    first descent takes extends to a full solution, and the least
     candidates make the least solution.  Nothing here needs the canonical
     numbering or a connected matrix: any numbering, with its own
     completion, works.
@@ -444,10 +437,9 @@ def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = Fa
 
 
 def _check_sweep(matrix: PairMatrix) -> None:
-    """Raise unless the matrix holds what `propagate`'s argument reads:
-    P(a,b) within P(a,v) + P(v,b) for every pair a < b of lower neighbours
-    of every v, read from the keys of the rows, not from the `lower` lists
-    that the sweep reads."""
+    """Raise unless P(a,b) lies within P(a,v) + P(v,b) for every pair a < b
+    of lower neighbours of every v, as `propagate`'s argument reads, taking
+    them from the keys of the rows, not from the sweep's `lower` lists."""
     rows = matrix.rows
     for v, row in enumerate(rows):
         below = sorted(row)
@@ -458,27 +450,39 @@ def _check_sweep(matrix: PairMatrix) -> None:
                     raise InternalInvariantError(f"pair ({a},{b}) holds {cell}, wider than via {v}")
 
 
-def extract_solution(matrix: PairMatrix) -> tuple[int, ...] | None:
-    """Greedy witness in index order, read from the matrix alone.
+def extract_solution(matrix: PairMatrix, node_cap=DEFAULT_NODE_CAP) -> tuple[int, ...] | None:
+    """The least witness in index order, by a depth-first search of the
+    matrix alone; None when there is none.
 
-    Each next variable takes the least value compatible with the pair sets
-    to its lower neighbours in the completion that also satisfies every
-    constraint due at it (`PairMatrix.due`): the pair sets already enforce
-    the binary constraints of a preprocessed instance, and FULL ones always
-    hold; only a variable that a constraint is due at decodes more
-    candidates than the lowest.  Returns None when some step has no
-    candidate, which cannot happen after `propagate` on a template closed
-    under a modular median.  Any numbering works: a variable with no lower
-    completion neighbour takes 0.
+    Variable j tries, ascending, the values that every finite cell of its
+    row allows (the AND of the masks of P(i,j) + x_i; 0 alone when none
+    bounds j) and takes the first that satisfies each constraint due at j
+    (`PairMatrix.due`); the cells enforce the binary ones.  It backtracks
+    when j has no value left.  The first descent is greedy extraction, which
+    never backtracks on a template closed under a modular median (see
+    `propagate`).
+
+    On a component of a preprocessed instance in canonical order the search
+    is complete: every cell is implied by the instance, so any solution with
+    the root at 0 takes one of the values tried at each variable, and only
+    the root takes 0 alone, since `preprocess` drops FULL constraints and
+    every other variable v has a finite cell to its breadth-first parent.
+    Before the first backtrack it charges the product of each variable's
+    smallest finite cell, a bound on the assignments it can reach, and
+    raises CapExceededError when that is over node_cap.  The cell to v's
+    parent lies in [-D, D], D the largest realized distance, so n variables
+    cost at most (2D + 1)^(n-1), the window search's estimate (`brute._plan`
+    links every non-root variable): nothing it decides is refused here.
     """
     if matrix.empty_pair is not None:
         raise InternalInvariantError("extraction attempted on an empty pair matrix")
-    due, values = matrix.due, [0] * matrix.size
-    for j, row in enumerate(matrix.rows):
-        # AND the masks of the sets P(i,j) + x_i, bit 0 at value base, as
-        # `brute` ANDs its domains; bits is None while only FULL ones count
+    rows, due, size = matrix.rows, matrix.due, matrix.size
+    values = [0] * size
+    j, back, estimated = 0, False, False
+    while 0 <= j < size:
+        # AND the masks of the sets P(i,j) + x_i, bit 0 at value base
         base = bits = None
-        for i, cell in row.items():
+        for i, cell in rows[j].items():
             if cell.mask is not None:
                 shift = values[i] + cell.lo
                 if bits is None:
@@ -487,19 +491,33 @@ def extract_solution(matrix: PairMatrix) -> tuple[int, ...] | None:
                     bits, base = bits >> (shift - base) & cell.mask, shift
                 else:
                     bits &= cell.mask >> (base - shift)
-        # the least candidate, and the next ones only while a due constraint
-        # fails; 0 alone when only FULL pairs constrain j, any value meets those
-        while bits != 0:
-            if bits is not None:
-                values[j] = base + (bits & -bits).bit_length() - 1
+        if bits is None:
+            base, bits = 0, 1
+        if back:  # the lower values are as before: skip the ones tried
+            bits &= -1 << (values[j] - base + 1)
+        # the least untried value, and the next ones only while a due
+        # constraint fails
+        while bits:
+            values[j] = base + (bits & -bits).bit_length() - 1
             if not due[j] or all(
                 tuple_in_relation(rel, tuple(values[a] for a in args)) for rel, args in due[j]
             ):
+                j, back = j + 1, False
                 break
-            bits = bits & (bits - 1) if bits else 0
+            bits &= bits - 1
         else:
-            return None
-    return tuple(values)
+            if not estimated:
+                estimate = prod(
+                    min((c.mask.bit_count() for c in row.values() if c.mask is not None), default=1)
+                    for row in rows
+                )
+                if estimate > node_cap:
+                    raise CapExceededError(
+                        f"search space estimate {estimate} exceeds the cap {node_cap}"
+                    )
+                estimated = True
+            j, back = j - 1, True
+    return tuple(values) if j == size else None
 
 
 def component_template(inst: Instance, t: Template) -> Template:
@@ -541,9 +559,10 @@ class Route:
 
     @cached_property
     def modulus(self) -> int | None:
-        """`find_modular_median` of t: every stuck extraction re-proves that
-        no median exists.  A closure check refused by its size cap verifies
-        no median, so it counts as None."""
+        """`find_modular_median` of t, read by auto mode only when t is not
+        one-step: a component with a median is propagated, one without may
+        be searched over a finite core.  A closure check refused by its size
+        cap verifies no median, so it counts as None."""
         from .polymorphism import find_modular_median
 
         try:
@@ -590,23 +609,19 @@ def solve(
 ) -> Verdict:
     """Decide an instance against a template, one connected component at a time.
 
-    Each component's `route` is read once.  Modes: "consistency" runs
-    `propagate` and greedy extraction, and may answer unknown; "brute" searches
-    every component exhaustively; "auto" first sends each component whose
+    Modes: "consistency" runs `propagate` and the search of
+    `extract_solution` on each component; "brute" searches each over its
+    window (see `brute`); "auto" sends each component whose
     `component_template` is, by its `route`, not one-step, with no modular
-    median and a finite core R, to one exhaustive search over R^n, instead of
-    propagating it.  That search is complete (see `brute`): it gives unsat as
-    a proof and otherwise the least witness in R^n under the search order,
-    root at 0.  Every other component, and one whose core search is estimated
-    over the cap, runs consistency, and a component whose extraction got stuck
-    is then searched alone over the window, as `brute` mode searches it, when
-    it fits under the search cap.  A stuck extraction on a one-step or
-    median-closed component is an internal error.  Sat verdicts always carry
-    a witness that has been re-verified; unsat verdicts from propagation are
-    sound unconditionally.  Propagation is undecided, not failed, for a
-    component whose pair set would span more than `model.MAX_SPAN` integers.
-    The instance is unsat when some component is; otherwise unknown, with
-    the reason of the first component left undecided, when some component is.
+    median and a finite core R, to one search over R^n (see `brute`), and
+    the rest, and any whose core search is over the cap, to consistency.
+    Every search is complete, and refused before it backtracks when its
+    estimate is over the cap.  Sat verdicts carry a re-verified witness.
+    Propagation is undecided, not failed, for a component whose pair set
+    would span more than `model.MAX_SPAN` integers; "auto" then searches it
+    over its window.  The instance is unsat when some component is;
+    otherwise unknown, with the reason of the first component left
+    undecided, when some component is.
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
@@ -617,72 +632,55 @@ def solve(
     components, index = _split(prep.instance)
     stats.components = len(components)
     cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
-    settled = []
-    pending = []  # undecided components, with their own relations and the reason
-    stuck = "witness extraction failed; no modular median verified for the template"
-    for variables, sub in components:
-        reason = None  # brute mode searches every component
+
+    def decide(variables, sub):
+        # a component's witness, None if it is unsat; CapExceededError says why not
         own = component_template(sub, prep.template)
-        facts = route(own)
+        facts = mode == "auto" and route(own)
         # consistency decides a component whose relations have a modular
         # median, as every one-step component's do; the rest may have a finite core
-        if mode == "auto" and not facts.one_step and facts.modulus is None and facts.core:
+        if facts and not facts.one_step and facts.modulus is None and facts.core:
             from . import brute
 
             try:
                 witness = brute.brute_solve(sub, own, cap, core=facts.core, index=index)
             except CapExceededError:
-                pass  # the window search may still fit
+                pass  # the search over the propagated rows may still fit
             else:
                 stats.core_searches += 1
-                if witness is None:
-                    return Verdict.unsat(stats)
-                settled.append((variables, witness))
-                continue
+                return witness
+        refused = ""
         if mode != "brute":
             try:
                 matrix = initialize_pairs(sub, prep.template, variables, index)
                 propagate(matrix, trace=trace, debug=debug)
             except CapExceededError as e:
-                reason = f"propagation refused: {e}"
+                if mode == "consistency":
+                    raise CapExceededError(f"propagation refused: {e}") from None
+                refused = f"propagation refused: {e}; "
             else:
                 stats.absorb(matrix.stats)
-                if matrix.empty_pair is not None:
-                    return Verdict.unsat(stats)
-                witness = extract_solution(matrix)
-                if witness is not None:
-                    settled.append((variables, witness))
-                    continue
-                reason = stuck
-        if reason == stuck and (facts.one_step or facts.modulus):
-            raise InternalInvariantError(
-                "extraction failed although its relations are closed under a modular median"
-            )
-        pending.append((variables, sub, own, reason))
-
-    # the window search goes last, so that no component found unsat by
-    # propagation waits behind it
-    reasons = []
-    for variables, sub, own, reason in pending:
-        if mode == "consistency":
-            reasons.append(reason)
-            continue
+                return None if matrix.empty_pair is not None else extract_solution(matrix, cap)
         from . import brute
 
         try:
-            witness = brute.brute_solve(sub, own, cap, index=index)
+            return brute.brute_solve(sub, own, cap, index=index)
         except CapExceededError as e:
-            reasons.append(f"{reason}; {e}" if reason else str(e))
+            raise CapExceededError(refused + str(e)) from None
+
+    values, reasons = [0] * inst.num_vars, []
+    for variables, sub in components:
+        try:
+            witness = decide(variables, sub)
+        except CapExceededError as e:
+            reasons.append(str(e))
             continue
         if witness is None:
             return Verdict.unsat(stats)
-        settled.append((variables, witness))
+        for g, value in zip(variables, witness):
+            values[g] = value
     if reasons:
         return Verdict.unknown(reasons[0], stats)
-    values = [0] * inst.num_vars
-    for variables, witness in settled:
-        for local, g in enumerate(variables):
-            values[g] = witness[local]
     # preprocess has validated inst: only the witness is checked, by lookups
     for idx, c in enumerate(inst.constraints):
         rel, args = t.relation(c.relation), c.args

@@ -32,6 +32,9 @@ def files(tmp_path):
         "t136.json": template_to_dict(DIST136_3),
         "tri12.json": instance_to_dict(graph_instance("dist12", 3, complete_edges(3))),
         "k4_12.json": instance_to_dict(graph_instance("dist12", 4, complete_edges(4))),
+        "k4_tail12.json": instance_to_dict(graph_instance(
+            "dist12", 18, complete_edges(4) + [(v, v + 1) for v in range(3, 17)]
+        )),
         "k3_13.json": instance_to_dict(graph_instance("dist13", 3, complete_edges(3))),
         "pair13.json": instance_to_dict(graph_instance("dist13", 2, ((0, 1),))),
         "good.json": {"values": [0, 3]},
@@ -120,13 +123,18 @@ class TestSolve:
         assert report == {"verdict": "unsat"}
 
     def test_consistency_unknown(self, files, capsys):
-        code, report, _ = run(
-            capsys,
-            ["solve", files["t12.json"], files["k4_12.json"], "--mode", "consistency"],
-        )
+        # the search over K4's propagated rows proves it unsat; with a path
+        # of 14 more vertices hung on it, that search's estimate, 4^17, is
+        # over the cap
+        argv = ["solve", files["t12.json"], files["k4_12.json"], "--mode", "consistency"]
+        assert run(capsys, argv)[:2] == (1, {"verdict": "unsat"})
+        argv[2] = files["k4_tail12.json"]
+        code, report, _ = run(capsys, argv)
         assert code == 2
-        assert report["verdict"] == "unknown"
-        assert "extraction" in report["reason"]
+        assert report == {
+            "verdict": "unknown",
+            "reason": "search space estimate 17179869184 exceeds the cap 100000000",
+        }
 
     def test_auto_settles_the_unknown(self, files, capsys):
         code, report, _ = run(capsys, ["solve", files["t12.json"], files["k4_12.json"]])
@@ -486,8 +494,8 @@ class TestStartup:
         assert not numpy_loaded
 
     def test_stuck_auto_solve_leaves_numpy_unloaded(self, files):
-        # K4 over dist12 gets stuck in extraction, so auto mode re-proves
-        # that dist12 has no median before the exhaustive fallback
+        # auto mode proves that dist12 has no median before it searches K4
+        # over dist12's core
         argv = ["solve", files["t12.json"], files["k4_12.json"], "--mode", "auto"]
         codes, numpy_loaded = run_in_fresh_process([argv])
         assert codes == [1]  # K4 is not 3-colourable

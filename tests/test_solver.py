@@ -153,6 +153,21 @@ def assert_within_the_reference(matrix, inst, t, edges=None):
     return True
 
 
+def seeded_set(make, seed, count=1500):
+    """The seeded sets that answers of `solve` are compared on, as (i,
+    instance, template): from one `random.Random(seed)`, per i a template
+    `make(rng, f"t{i}")` and a random connected instance with 2 to 12
+    variables over it, beside a second one when i % 5 == 0."""
+    rng = random.Random(seed)
+    for i in range(count):
+        t = make(rng, f"t{i}")
+        inst = random_connected_instance(t, rng.randint(2, 12), rng)
+        if i % 5 == 0:
+            second = random_connected_instance(t, rng.randint(2, 12), rng)
+            inst, t = disjoint_union((inst, t), (second, t))
+        yield i, inst, t
+
+
 class TestPreprocess:
     def test_repeated_variable_filters_orbits(self):
         t = Template("t", (RelationDef("r", 3, ((0, 2), (1, 2))),))
@@ -226,16 +241,18 @@ class TestPreprocess:
         prep = preprocess(inst, t)
         assert not prep.unsat and prep.instance.constraints == ()
 
-    def test_full_relation_keeps_its_distinct_variables_together(self):
-        t = Template("t", (RelationDef("R", 3, "full"),))
-        inst = Instance(3, (Constraint("R", (1, 1, 2)),))
+    def test_full_relations_of_every_arity_are_dropped(self):
+        # FULL constraints, with or without a repeated variable, join
+        # nothing: 1 is a component of its own, and 2 is numbered after 0
+        t = Template("t", (RelationDef("R", 3, "full"), binary_relation("one", (1,))))
+        inst = Instance(3, (
+            Constraint("R", (1, 1, 2)), Constraint("R", (0, 1, 2)), Constraint("one", (2, 0)),
+        ))
         prep = preprocess(inst, t)
-        (c,) = prep.instance.constraints
-        assert c.relation == "R~001" and c.args == (1, 2)
-        assert prep.template.relation("R~001").is_full
-        assert component_variables(prep.instance) == [[0], [1, 2]]
+        assert prep.instance.constraints == (Constraint("one", (2, 0)),) and prep.template is t
+        assert component_variables(prep.instance) == [[0, 2], [1]]
         verdict = solve(inst, t, debug=True)
-        assert verdict.witness == (0, 0, 0) and verdict.stats.components == 2
+        assert verdict.witness == (0, 0, -1) and verdict.stats.components == 2
 
 
 def component_variables(inst):
@@ -848,41 +865,38 @@ class TestSweep:
             assert solver.route(component_template(prep.instance, prep.template)).one_step
             assert_within_the_reference(swept, prep.instance, prep.template, edges)
 
-    def test_a_rule_that_sweeps_mixed_steps_gets_stuck(self, monkeypatch):
-        # steps 1 and 3 and no modular median: the sweep leaves extraction
-        # stuck, and only the window search finds the witness
+    def test_a_rule_that_sweeps_mixed_steps_gets_stuck(self):
+        # steps 1 and 3 and no modular median: the sweep leaves the greedy
+        # walk stuck, so the search backtracks (a cap of 0 refuses that),
+        # and finds the window search's witness in both modes
         t = Template("mixed", (binary_relation("r", (-3, -2, 1, 2, 3)),))
         edges = [(1, 0), (2, 1), (3, 0), (3, 1), (3, 2), (0, 2), (1, 2)]
         inst = graph_instance("r", 4, edges)
-        verdict = solve(inst, t, mode="consistency", debug=True)
-        assert verdict.status == "unknown"
-        assert verdict.reason.startswith("witness extraction failed")
-        verdict = solve(inst, t, mode="auto", debug=True)
-        assert verdict.status == "sat" and verdict.witness == (0, -1, 1, -2)
-        assert verdict.stats.core_searches == 0
-        assert verify_assignment(inst, t, verdict.witness) == (True, None)
-
-        # a rule that calls these steps one, with no median search to
-        # re-prove it, meets the stuck-extraction invariant
-        class AcceptsMixedSteps(solver.Route):
-            @property
-            def one_step(self):
-                return all(rel.arity == 2 for rel in self.template.relations if rel.has_tuples)
-
-            modulus = None
-
-        monkeypatch.setattr(solver, "route", AcceptsMixedSteps)
-        with pytest.raises(InternalInvariantError, match="closed under a modular median"):
-            solve(inst, t, mode="consistency")
+        assert not solver.route(t).one_step and solver.route(t).modulus is None
+        verdict = solve(inst, t, mode="consistency", node_cap=0)
+        assert verdict.reason == "search space estimate 60 exceeds the cap 0"
+        for mode in ("consistency", "auto"):
+            verdict = solve(inst, t, mode=mode, debug=True)
+            assert verdict.status == "sat" and verdict.witness == (0, -1, 1, -2)
+            assert verdict.witness == brute_solve(inst, t)
+            assert verdict.stats.core_searches == 0
+            assert verify_assignment(inst, t, verdict.witness) == (True, None)
 
     def test_an_empty_cell_stops_the_sweep(self):
         matrix = propagate(initialize_pairs(graph_instance("dist13", 5, cycle_edges(5)), DIST13))
         assert matrix.empty_pair is not None and matrix.cells[matrix.empty_pair].is_empty
 
-    def test_stuck_extraction_after_the_sweep_is_an_invariant_error(self, monkeypatch):
-        monkeypatch.setattr(solver, "extract_solution", lambda matrix: None)
-        with pytest.raises(InternalInvariantError):
-            solve(graph_instance("dist13", 4, cycle_edges(4)), DIST13, mode="auto")
+    def test_median_templates_never_backtrack(self):
+        # a cap of 0 refuses any backtrack, and consistency mode still
+        # decides every instance over random median templates, as
+        # `propagate` proves for those with a modular median (the few
+        # whose relations take different steps happen not to backtrack here)
+        decided = Counter()
+        for _, inst, t in seeded_set(random_median_template, 5, 600):
+            verdict = solve(inst, t, mode="consistency", debug=True, node_cap=0)
+            decided[verdict.status] += 1
+            assert verdict == solve(inst, t, mode="consistency", debug=True)
+        assert decided["unknown"] == 0 and min(decided["sat"], decided["unsat"]) >= 50, decided
 
     def test_the_split_hands_each_component_its_graph(self, monkeypatch):
         # each propagated component's matrix, read through the index, holds
@@ -1009,17 +1023,40 @@ class TestExtractSolution:
         assert extract_solution(matrix) == (0, 5, 0, 0)
 
     def test_a_stuck_walk_returns_none(self):
-        # unpropagated, the chain leaves x2 the empty {1, 3} & {2}; FAN
-        # gets stuck after the sweep
+        # unpropagated, the chain leaves x2 the empty {1, 3} & {2}, and the
+        # search, backtracking, proves it unsat
         matrix = initialize_pairs(CHAIN_UNSAT, CHAIN_T)
         assert matrix.empty_pair is None
+        with pytest.raises(CapExceededError):
+            extract_solution(matrix, 0)
         assert extract_solution(matrix) is None
+
+    def test_a_stuck_walk_backtracks(self):
+        # the greedy walk over FAN gets stuck after the sweep, and the
+        # search finds the window search's witness
         matrix = propagate(initialize_pairs(FAN, DIST12))
-        assert matrix.empty_pair is None and extract_solution(matrix) is None
+        assert offset_set_walk(matrix, FAN, DIST12) is None
+        assert extract_solution(matrix) == brute_solve(FAN, DIST12) == (0, -2, -1, -1, -2)
+
+    def test_the_estimate_is_the_product_of_the_smallest_cells(self):
+        # charged at the first backtrack: 4 values for each of K4's three
+        # non-root vertices over dist12, and 1 for a 5th vertex tied to 0 by
+        # a single offset
+        t = Template("t", (*DIST12.relations, binary_relation("one", (7,))))
+        k4 = graph_instance("dist12", 4, complete_edges(4))
+        inst = Instance(5, k4.constraints + (Constraint("one", (0, 4)),))
+        matrix = propagate(initialize_pairs(inst, t))
+        assert [len(row) for row in matrix.rows] == [0, 1, 2, 3, 1]
+        with pytest.raises(CapExceededError, match="^search space estimate 64 exceeds the cap 63$"):
+            extract_solution(matrix, 63)
+        assert extract_solution(matrix, 64) is None
 
     def test_masks_walk_as_offset_sets_do(self):
         # seeded matrices, propagated or not, in shuffled numberings and
-        # with FULL relations mixed in
+        # with FULL relations mixed in, which `preprocess` drops and are
+        # handed to `initialize_pairs` directly: the search's first descent
+        # is the greedy walk over offset sets, and it backtracks (which a
+        # cap of 0 refuses) only where that walk gets stuck
         rng = random.Random(47)
         fulls = (RelationDef("f2", 2, "full"), RelationDef("f3", 3, "full"))
         walked = stuck = due = 0
@@ -1035,17 +1072,24 @@ class TestExtractSolution:
             prep = preprocess(inst, t)
             if prep.unsat:
                 continue
-            matrix = initialize_pairs(prep.instance, prep.template)
+            full = tuple(c for c in inst.constraints
+                         if t.relation(c.relation).is_full and len(set(c.args)) == len(c.args))
+            inst = Instance(inst.num_vars, prep.instance.constraints + full)
+            matrix = initialize_pairs(inst, prep.template)
             if i % 4:
                 propagate(matrix)
             if matrix.empty_pair is not None:
                 continue
-            witness = extract_solution(matrix)
-            assert witness == offset_set_walk(matrix, prep.instance, prep.template)
+            walk = offset_set_walk(matrix, inst, prep.template)
+            if walk is None:
+                with pytest.raises(CapExceededError):
+                    extract_solution(matrix, 0)
+            else:
+                assert extract_solution(matrix, 0) == walk
             walked += 1
-            stuck += witness is None
-            due += any(len(c.args) > 2 for c in prep.instance.constraints)
-        assert walked >= 150 and stuck >= 8 and due >= 40
+            stuck += walk is None
+            due += any(matrix.due)
+        assert walked >= 150 and stuck >= 8 and due >= 10, (walked, stuck, due)
 
     def test_empty_matrix_rejected(self):
         matrix = initialize_pairs(
@@ -1069,10 +1113,13 @@ class TestSolve:
         assert verdict.status == "unsat" and verdict.witness is None
 
     def test_consistency_mode_admits_defeat(self):
+        # the search over K4's rows proves it unsat, unless its estimate,
+        # 4^3, is over the cap
         inst = graph_instance("dist12", 4, complete_edges(4))
-        verdict = solve(inst, DIST12, mode="consistency")
+        assert solve(inst, DIST12, mode="consistency").status == "unsat"
+        verdict = solve(inst, DIST12, mode="consistency", node_cap=63)
         assert verdict.status == "unknown"
-        assert "extraction" in verdict.reason
+        assert verdict.reason == "search space estimate 64 exceeds the cap 63"
 
     def test_auto_mode_falls_back_to_exhaustive(self):
         inst = graph_instance("dist12", 4, complete_edges(4))
@@ -1094,23 +1141,26 @@ class TestSolve:
 
     def test_refused_median_check_verifies_no_median(self):
         # the closure check of offsets up to 10^5 is over its size cap, so
-        # the stuck K4 has no verified median and stays undecided
+        # the template has no verified median, and no core within the
+        # budget: K4 is propagated, and the search over its rows proves it
+        # unsat (four values cannot pairwise differ by 1, 2 or 10^5)
         t = Template("far", (binary_relation("d", (-(10**5), -2, -1, 1, 2, 10**5)),))
         inst = graph_instance("d", 4, complete_edges(4))
         for mode in ("consistency", "auto"):
             start = time.perf_counter()
             verdict = solve(inst, t, mode=mode, debug=True)
             assert time.perf_counter() - start < 1.0
-            assert verdict.status == "unknown"
-            assert verdict.reason.startswith(
-                "witness extraction failed; no modular median verified"
-            )
+            assert verdict.status == "unsat" and verdict.stats.core_searches == 0
+        assert solver.route(t).modulus is None
 
-    def test_auto_cap_exceeded_reports_both_reasons(self):
+    def test_auto_cap_exceeded_reports_the_search_estimate(self):
+        # the core search (estimate 2^3) is refused, and then the search over
+        # the propagated rows (4^3), whose estimate the reason names
         inst = graph_instance("dist12", 4, complete_edges(4))
-        verdict = solve(inst, DIST12, mode="auto", node_cap=3)
-        assert verdict.status == "unknown"
-        assert "extraction" in verdict.reason and "cap" in verdict.reason
+        verdict = solve(inst, DIST12, mode="auto", node_cap=7)
+        assert verdict.status == "unknown" and verdict.stats.core_searches == 0
+        assert verdict.reason == "search space estimate 64 exceeds the cap 7"
+        assert solve(inst, DIST12, mode="auto", node_cap=8).stats.core_searches == 1
 
     def test_components_solved_independently(self):
         inst = Instance(
@@ -1129,6 +1179,7 @@ class TestSolve:
         assert verdict.status == "sat" and verdict.witness == (0, 1, 0)
 
     def test_median_search_runs_once_per_template(self, monkeypatch):
+        # consistency mode runs none; auto mode one per template value
         calls = []
 
         def counted(t, *args, **kwargs):
@@ -1137,10 +1188,11 @@ class TestSolve:
 
         monkeypatch.setattr(polymorphism, "find_modular_median", counted)
         t = Template("dist12-once", DIST12.relations)
-        for n in (4, 5, 6):
-            inst = graph_instance("dist12", n, complete_edges(n))
-            assert solve(inst, t, mode="consistency").status == "unknown"
-        assert len(calls) == 1
+        for mode in ("consistency", "auto"):
+            for n in (4, 5, 6):
+                inst = graph_instance("dist12", n, complete_edges(n))
+                assert solve(inst, t, mode=mode).status == "unsat"
+            assert len(calls) == (mode == "auto")
 
     @pytest.mark.parametrize("mode", ["auto", "consistency"])
     def test_dist13_witnesses_are_pinned(self, mode):
@@ -1220,37 +1272,36 @@ class TestSolve:
         inst, t = disjoint_union((k4, DIST12), (path, DIST12))
         verdict = solve(inst, t, mode="auto", debug=True)
         assert verdict.status == "unsat"
-        assert solve(inst, t, mode="consistency").status == "unknown"
+        # consistency mode searches K4's rows alone
+        assert solve(inst, t, mode="consistency").status == "unsat"
 
     @pytest.mark.parametrize("n", [10, 13])
     def test_other_components_keep_their_extracted_values(self, n):
-        # {+-2, +-3} has no median and no core within the budget, so its
-        # stuck graph takes the window search; searching the path over the
-        # window, estimated at 7^(n-1), would pass the cap from n = 13
+        # {+-2, +-3} has no median and no core within the budget, so the
+        # search over its stuck graph's rows backtracks, within that graph
+        # alone; searching the path over the window, estimated at 7^(n-1),
+        # would pass the cap from n = 13
         path = graph_instance("d23", n, [(i, i + 1) for i in range(n - 1)])
-        assert solve(STUCK23, DIST23, mode="consistency").status == "unknown"
         inst, t = disjoint_union((STUCK23, DIST23), (path, DIST23))
-        verdict = solve(inst, t, mode="auto", debug=True)
-        assert verdict.status == "sat" and verdict.stats.core_searches == 0
-        assert verdict.witness[:8] == brute_solve(STUCK23, DIST23)
-        assert verdict.witness[8:] == solve(path, DIST23, mode="consistency").witness
+        for mode in ("auto", "consistency"):
+            verdict = solve(inst, t, mode=mode, debug=True)
+            assert verdict.status == "sat" and verdict.stats.core_searches == 0
+            assert verdict.witness[:8] == brute_solve(STUCK23, DIST23)
+            assert verdict.witness[8:] == solve(path, DIST23, mode="consistency").witness
 
     def test_unsat_component_outweighs_a_refused_one(self):
-        # under this cap the stuck {+-2, +-3} graph (estimate 7^7) is refused
-        # and K4 over dist12 (core estimate 2^3) is searched; the first
-        # refusal names the verdict's reason
+        # under this cap the search over the stuck {+-2, +-3} graph's rows
+        # (estimate 4^7) is refused and K4 over dist12 (core estimate 2^3)
+        # is searched; the first refusal names the verdict's reason
         k4 = graph_instance("dist12", 4, complete_edges(4))
-        inst, t = disjoint_union((STUCK23, DIST23), (k4, DIST12))
-        assert solve(inst, t, mode="auto", node_cap=200).status == "unsat"
+        for first, second in ((STUCK23, DIST23), (k4, DIST12)), ((k4, DIST12), (STUCK23, DIST23)):
+            assert solve(*disjoint_union(first, second), node_cap=200).status == "unsat"
         verdict = solve(*disjoint_union((STUCK23, DIST23), (STUCK23, DIST23)), node_cap=200)
         assert verdict.status == "unknown"
-        assert verdict.reason == (
-            "witness extraction failed; no modular median verified for the template; "
-            "search space estimate 823543 exceeds the cap 200"
-        )
+        assert verdict.reason == "search space estimate 16384 exceeds the cap 200"
         stuck_first = solve(*disjoint_union((STUCK23, DIST23), (WIDE_PATH, WIDE)), node_cap=200)
         wide_first = solve(*disjoint_union((WIDE_PATH, WIDE), (STUCK23, DIST23)), node_cap=200)
-        assert stuck_first.reason.startswith("witness extraction failed")
+        assert stuck_first.reason.startswith("search space estimate 16384")
         assert wide_first.reason.startswith("propagation refused")
 
     def test_brute_mode_searches_components_one_at_a_time(self):
@@ -1281,7 +1332,7 @@ class TestSolve:
 
 
 class TestFallback:
-    def test_a_stuck_component_is_searched_as_brute_mode_searches_it(self, monkeypatch):
+    def test_only_brute_mode_and_a_refused_propagation_search_the_window(self, monkeypatch):
         handed = []
         real = brute.brute_solve
 
@@ -1290,12 +1341,14 @@ class TestFallback:
             return real(sub, t, cap, core, index)
 
         monkeypatch.setattr(brute, "brute_solve", spy)
+        # auto mode searches the stuck component's rows, for the window
+        # search's witness
         verdict = solve(STUCK23, DIST23, debug=True)
         assert verdict.status == "sat" and verdict.witness == brute_solve(STUCK23, DIST23)
-        # STUCK23 is numbered in canonical order, so it is its own component
-        assert handed == [(STUCK23, DIST23, brute.DEFAULT_NODE_CAP, None, range(8))]
-        # brute mode, and a component whose propagation was refused, make the same call
-        handed.clear()
+        assert handed == []
+        # brute mode, and a component whose propagation was refused, make
+        # the same call; STUCK23 is numbered in canonical order, so it is
+        # its own component
         assert solve(STUCK23, DIST23, mode="brute").witness == verdict.witness
         gap = Template("gap", (binary_relation("g", (0, 2_000_000)),))
         edge = graph_instance("g", 2, [(0, 1)])
@@ -1304,7 +1357,7 @@ class TestFallback:
         assert handed == [(STUCK23, DIST23, cap, None, range(8)), (edge, gap, cap, None, range(2))]
         # a renumbered component is handed over as the split left it, with
         # its index, and is neither validated nor split again: with 6 and 7
-        # swapped, the split numbers STUCK23 back, and the search reads it so
+        # swapped, the split numbers STUCK23 back, and both searches read it so
         swap = [0, 1, 2, 3, 4, 5, 7, 6]
         swapped = Instance(8, tuple(
             Constraint("d23", (swap[a], swap[b])) for a, b in (c.args for c in STUCK23.constraints)
@@ -1314,11 +1367,12 @@ class TestFallback:
         monkeypatch.setattr(Instance, "validate_against", lambda inst, t: validated.append(inst))
         monkeypatch.setattr(brute, "split_components", lambda inst: split.append(inst))
         handed.clear()
-        witness = solve(swapped, DIST23).witness
+        for mode in ("auto", "brute"):
+            witness = solve(swapped, DIST23, mode=mode).witness
+            assert witness == tuple(verdict.witness[v] for v in swap)
         assert validated == split == [] and len(handed) == 1
         (sub, _, _, core, index), = handed
         assert core is None and sub.constraints == list(swapped.constraints) and index == swap
-        assert witness == tuple(verdict.witness[v] for v in swap)
 
     def test_core_searches_are_neither_validated_nor_split(self, monkeypatch):
         validated, split = [], []
@@ -1332,7 +1386,9 @@ class TestFallback:
     def test_the_estimate_ignores_fill_edges(self, monkeypatch):
         # 8 and 9 extend the stuck graph: 8 is tied to 0 by FULL only, and 9
         # to both by {+-2, +-3}, so the fixpoint bounds the pair (0, 8); the
-        # estimate still lets 8 range over the whole window of 55 values
+        # window estimate still lets 8 range over the whole window of 55
+        # values.  `solve` drops the FULL constraint, and decides the
+        # instance by searching its rows
         t = Template("t", (*DIST23.relations, RelationDef("all", 2, "full")))
         extra = [Constraint("all", (0, 8))] + [Constraint("d23", e) for e in ((8, 9), (0, 9))]
         inst = Instance(10, STUCK23.constraints + tuple(extra))
@@ -1343,13 +1399,87 @@ class TestFallback:
         linked = []
         real = brute._projection_links
         monkeypatch.setattr(brute, "_projection_links", lambda *a: linked.append(a) or real(*a))
-        verdict = solve(inst, t, node_cap=7**9)
-        assert verdict.reason.endswith(f"search space estimate {7**8 * 55} exceeds the cap {7**9}")
+        with pytest.raises(CapExceededError, match=f"estimate {7**8 * 55} exceeds the cap {7**9}"):
+            brute_solve(inst, t, 7**9)
         assert linked == []
         monkeypatch.undo()
         witness = brute_solve(inst, t, 7**8 * 55)
         assert witness[:8] == brute_solve(STUCK23, DIST23)
-        assert solve(inst, t, debug=True, node_cap=7**8 * 55).witness == witness
+        verdict = solve(inst, t, debug=True, node_cap=7**9)
+        assert verdict.status == "sat" and verify_assignment(inst, t, verdict.witness)[0]
+
+
+class TestRowSearch:
+    @pytest.mark.parametrize("seed, i", [(5, 803), (5, 835), (11, 657), (11, 789), (11, 1253)])
+    def test_answers_once_left_unknown_are_decided(self, seed, i):
+        # the greedy walk got stuck on these, and their window search is
+        # estimated over the cap; the search over the rows decides them
+        (_, inst, t), = (case for case in seeded_set(random_any_template, seed) if case[0] == i)
+        with pytest.raises(CapExceededError):
+            brute_solve(inst, t)
+        verdict = solve(inst, t, mode="auto", debug=True)
+        assert verdict.status == ("unsat" if (seed, i) == (11, 1253) else "sat")
+        consistency = solve(inst, t, mode="consistency", debug=True)
+        assert (consistency.status, consistency.witness) == (verdict.status, verdict.witness)
+        if verdict.status == "sat":
+            assert verify_assignment(inst, t, verdict.witness) == (True, None)
+        else:
+            assert brute_solve(inst, t, node_cap=10**30) is None
+
+    def test_no_median_witnesses_are_the_window_searchs(self):
+        # seeded instances over templates with no modular median: wherever
+        # the window search decides under the cap, the search over the rows
+        # gives its verdict and least witness, those where it backtracks
+        # (which a cap of 0 refuses) included
+        rng = random.Random(61)
+        pool = []
+        while len(pool) < 8:
+            t = random_any_template(rng, f"p{len(pool)}")
+            if solver.route(t).modulus is None:
+                pool.append(t)
+        seen = Counter()
+        for _ in range(1500):
+            t = rng.choice(pool)
+            inst = random_connected_instance(t, rng.randint(4, 8), rng, extra=rng.randint(0, 2))
+            try:
+                witness = brute_solve(inst, t)
+            except CapExceededError:
+                continue
+            verdict = solve(inst, t, mode="consistency", debug=True)
+            assert verdict.status == ("unsat" if witness is None else "sat")
+            assert verdict.witness == witness
+            backtracked = solve(inst, t, mode="consistency", node_cap=0).status == "unknown"
+            seen[verdict.status, backtracked] += 1
+        assert min(seen["sat", True], seen["unsat", True]) >= 10, seen
+        assert min(seen["sat", False], seen["unsat", False]) >= 300, seen
+
+    def test_full_constraints_change_no_other_answer(self, monkeypatch):
+        # seeded instances with FULL relations of arity 2 and 3, which
+        # `preprocess` drops: every mode answers as on the instance without
+        # them, and no pair matrix gets a FULL cell from a constraint
+        finite = []
+        real = solver.initialize_pairs
+
+        def spy(sub, t, variables, index):
+            matrix = real(sub, t, variables, index)
+            finite.extend(
+                not matrix.rows[max(index[a], index[b])][min(index[a], index[b])].is_full
+                for c in sub.constraints for a, b in itertools.combinations(c.args, 2)
+            )
+            return matrix
+
+        monkeypatch.setattr(solver, "initialize_pairs", spy)
+        with_full = 0
+        for t, inst in mixed_arity_instances(57):
+            full = [c for c in inst.constraints if t.relation(c.relation).is_full]
+            bare = Instance(inst.num_vars, tuple(c for c in inst.constraints if c not in full))
+            with_full += bool(full)
+            for mode in MODES:
+                verdict = solve(inst, t, mode=mode, debug=True)
+                assert verdict == solve(bare, t, mode=mode, debug=True)
+                if verdict.status == "sat":
+                    assert verify_assignment(inst, t, verdict.witness) == (True, None)
+        assert with_full >= 100 and len(finite) >= 1000 and all(finite)
 
 
 class TestFiniteCore:
@@ -1642,20 +1772,20 @@ def small_cases(draw):
 class TestDecisionContract:
     @settings(max_examples=300, deadline=3000)
     @given(small_cases())
-    # drawn cases rarely get extraction stuck; the first two do, unsat and
-    # sat, and the third has pairwise-consistent values outside its relation
+    # drawn cases rarely leave the greedy walk stuck; the first two do,
+    # unsat and sat, and the third has pairwise-consistent values outside
+    # its relation
     @example((graph_instance("dist12", 4, complete_edges(4)), DIST12))
     @example((FAN, Template("t", DIST12.relations + (RelationDef("spare", 3, ((3, -3),)),))))
     @example((Instance(3, (Constraint("r", (0, 1, 2)),)), TWODEC_FALSE))
     def test_every_mode_agrees_with_the_oracle(self, case):
-        # auto and brute always decide instances this small; consistency may
-        # leave them undecided, but never decides them wrongly
+        # every mode decides instances this small: each search is complete,
+        # and its estimate is under the cap
         inst, t = case
         expected = "sat" if oracle_decides(inst, t) else "unsat"
         for mode in MODES:
             verdict = solve(inst, t, mode=mode, debug=True)
-            if mode != "consistency" or verdict.status != "unknown":
-                assert verdict.status == expected, mode
+            assert verdict.status == expected, mode
             if verdict.status == "sat":
                 assert verify_assignment(inst, t, verdict.witness) == (True, None)
 
@@ -1677,11 +1807,11 @@ class TestDecisionContract:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_auto_agrees_with_the_search_called_directly(self, seed):
-        # auto's fallback searches the propagated cells of a stuck component,
-        # the direct call the constraints' projections: one verdict, one
-        # least witness.  A component that auto searches over a finite core
-        # R instead gets the least witness in R^n: the same verdict, every
-        # value in R.  Dense graphs in any numbering over dist12 or over
+        # auto searches the propagated rows of a component with no core, the
+        # direct call the window: one verdict, one least witness.  A
+        # component that auto searches over a finite core R instead gets
+        # the least witness in R^n: the same verdict, every value in R.
+        # Dense graphs in any numbering over dist12 or over
         # a distance template that may lack one offset, so is not always
         # closed under negation; or templates with no closure guarantee.
         # Every instance is connected, so it is one component rooted at 0
@@ -1731,12 +1861,8 @@ def solve_on_copies(inst, t, mode):
             propagate(matrix)
             if matrix.empty_pair is not None:
                 return "unsat", None
-            witness = extract_solution(matrix)
-            if witness is None and mode == "consistency":
-                status = "unknown"
-                continue
             try:
-                witness = witness or brute_solve(sub, own)
+                witness = extract_solution(matrix)
             except CapExceededError:
                 status = "unknown"
                 continue
@@ -1805,4 +1931,4 @@ class TestIndexReads:
                     seen["components"] += verdict.stats.components > 1
         assert min(seen[k] for k in ("renumbered", "ternary", "repeated", "components")) >= 30, seen
         assert min(seen["auto", "sat", True], seen["auto", "unsat", True]) >= 10, seen
-        assert min(seen["consistency", status, False] for status in ("sat", "unknown")) >= 10, seen
+        assert min(seen["consistency", status, False] for status in ("sat", "unsat")) >= 10, seen
