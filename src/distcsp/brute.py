@@ -12,27 +12,15 @@ distinct variables is its own pair set and needs no per-candidate check.
 
 Called directly, as the oracle, it shares only the component numbering with
 the solver, and none of its search.  `solve` hands it one component of its
-own split with the index map that numbers it: in brute mode, when the span
-cap refuses propagation, or to search over a finite core.  Every way, its
-pair links are the constraints' projections, built in one pass with the
-constraints due at each variable.  The window search packs each relation
-once per call and skips mirrored subtrees of components closed under
-negation; a core search reads them, and the branch counts of its estimate,
-from a table kept per (template, core) value.
-
-The core option narrows the window to a finite set R with max R = 0: the
-range of a drift-0 endomorphism e of the template, shifted down by its
-maximum M.  That search is complete as well.  Take any solution s,
-translated so that the root sits at a point where e takes the value M;
-then e o s is a solution, and so is e o s - M, which lies in R^n with the
-root at 0.  A variable then branches over at most max over x in R of
-|R & (x + S)| values, S a pair set to a lower variable: 2 for `dist12` over
-its core {-2, -1, 0}, against 2D + 1 = 5 in the window.
+own split with the index map that numbers it, in brute mode or when the
+span cap refuses propagation.  Either way, its pair links are the
+constraints' projections, built in one pass with the constraints due at
+each variable and each relation packed once per call, and it skips
+mirrored subtrees of components closed under negation.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 
 from .analysis import max_distance_or_zero
@@ -86,35 +74,7 @@ def _plan(sub: Instance, t: Template, biggest: int, index=None) -> tuple[int, bo
     return (2 * biggest + 1) ** len(linked) * window ** (sub.num_vars - 1 - len(linked)), mirror
 
 
-@lru_cache(maxsize=64)
-def _core_table(t: Template, core: tuple[int, ...]) -> tuple[dict, dict]:
-    """The relation plans of `_projection_links` over R = core and the
-    branch counts of `_core_estimate`, filled as needed, per value."""
-    return {}, {}
-
-
-def _core_estimate(links: list[list], core: tuple[int, ...], bits: int, branches: dict) -> int:
-    """A component's search space estimate over R = core, whose members are
-    the set bits of bits counted from min R: past the root, each variable
-    branches over the fewest values of R that one of its pair sets S to a
-    lower variable leaves for any value x of that variable, max over x in R
-    of |R & (x + S)| (kept in branches), or over all of R when it has none."""
-    estimate = 1
-    for pairs in links[1:]:
-        fewest = len(core)
-        for _, lo, mask in pairs:
-            count = branches.get((lo, mask))
-            if count is None:  # bit k of the shifted mask stands for x + lo + k
-                count = branches[lo, mask] = max(
-                    ((mask << k if k >= 0 else mask >> -k) & bits).bit_count()
-                    for k in (x + lo - core[0] for x in core)
-                )
-            fewest = min(fewest, count)
-        estimate *= fewest
-    return estimate
-
-
-def _projection_links(sub: Instance, t: Template, plans: dict, span: int | None = None, index=None):
+def _projection_links(sub: Instance, t: Template, plans: dict, index=None):
     """In one pass over the constraints: per variable j, (i, lo, mask) for
     each lower i paired with it by the projections, bit k set when
     value[j] - value[i] = lo + k is allowed (the masks of a pair that several
@@ -123,8 +83,8 @@ def _projection_links(sub: Instance, t: Template, plans: dict, span: int | None 
     enforce: arity 3 and up, or a variable twice.  None when one is EMPTY;
     InputError when one has the wrong arity.  plans holds, per relation name
     met, the relation, whether it is due and its coordinate pairs, packed
-    forward and reversed, with only the offsets in [-span, span] if given;
-    argument a of a constraint is variable index[a] (a when index is None)."""
+    forward and reversed; argument a of a constraint is variable index[a]
+    (a when index is None)."""
     index = range(sub.num_vars) if index is None else index
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
     due: list[list] = [[] for _ in range(sub.num_vars)]
@@ -134,7 +94,7 @@ def _projection_links(sub: Instance, t: Template, plans: dict, span: int | None 
             rel = t.relation(c.relation)
             coords = combinations(range(1, rel.arity + 1), 2) if rel.has_tuples else ()
             packed = None if rel.is_empty else [
-                (i - 1, j - 1, _pack(rel, i, j, span), _pack(rel, j, i, span)) for i, j in coords
+                (i - 1, j - 1, _pack(rel, i, j), _pack(rel, j, i)) for i, j in coords
             ]
             plan = plans[c.relation] = rel, rel.arity > 2 and rel.has_tuples, packed
         rel, check, packed = plan
@@ -162,12 +122,9 @@ def _projection_links(sub: Instance, t: Template, plans: dict, span: int | None 
     return links, due
 
 
-def _pack(rel, i: int, j: int, span: int | None) -> tuple[int, int]:
-    """(lo, mask) of the projection of rel onto coordinates (i, j), with
-    only its offsets in [-span, span] when span is given."""
+def _pack(rel, i: int, j: int) -> tuple[int, int]:
+    """(lo, mask) of the projection of rel onto coordinates (i, j)."""
     offs = projected_offsets(rel, i, j)
-    if span is not None:
-        offs = [s for s in offs if -span <= s <= span]
     lo = min(offs, default=0)
     packed = bytearray((max(offs, default=lo) - lo) // 8 + 1)
     for s in offs:
@@ -176,11 +133,7 @@ def _pack(rel, i: int, j: int, span: int | None) -> tuple[int, int]:
 
 
 def brute_solve(
-    inst: Instance,
-    t: Template,
-    node_cap: int = DEFAULT_NODE_CAP,
-    core: tuple[int, ...] | None = None,
-    index=None,
+    inst: Instance, t: Template, node_cap: int = DEFAULT_NODE_CAP, index=None
 ) -> tuple[int, ...] | None:
     """Depth-first search for the least witness under the search order, or None.
 
@@ -191,67 +144,44 @@ def brute_solve(
     they are implied constraints, so pruning never loses a witness.  Raises
     CapExceededError instead of starting a search estimated over node_cap.
 
-    With index or core, inst is one component of `solve`'s split, argument
-    a read as variable index[a], neither validated nor split again: an EMPTY
-    constraint gives None, and a wrong arity InputError where links are built.
-    core, the strictly ascending values of a finite core R of t with
-    max R = 0 (see the module docstring), replaces the window for inst.
-    Every domain is ANDed with R, the witness is the least one in R^n, and
-    the estimate is `_core_estimate`'s, from the projections the search
-    reads.  Only offsets between two values of R, in [min R, -min R], are
-    packed, once per (template, core) value (`_core_table`).
+    With index, inst is one component of `solve`'s split, argument a read
+    as variable index[a], neither validated nor split again: an EMPTY
+    constraint gives None, and a wrong arity InputError where links are
+    built.
 
     When every relation a component names is closed under negation, a step
-    of the window search whose lower variables are all 0 tries only values
-    <= 0, as negation maps solutions to solutions in the symmetric window:
-    the least is not positive.  Over R that bound would exclude nothing, as
-    it must unless -R = R: every value of R is <= 0.
+    whose lower variables are all 0 tries only values <= 0, as negation
+    maps solutions to solutions in the symmetric window: the least is not
+    positive.
     """
-    if core is None:
-        components = [(range(inst.num_vars), inst)]
-        if index is None:
-            inst.validate_against(t)
-            components = split_components(inst)
-        for c in inst.constraints:
-            if t.relation(c.relation).is_empty:
-                return None
-        biggest = max_distance_or_zero(t)
-        packed: dict = {}
-        plans = [
-            (comp, sub, *_plan(sub, t, biggest, index), (len(comp) - 1) * biggest, None)
-            for comp, sub in components
-        ]
-    else:
-        ascending = all(type(v) is int for v in core) and all(a < b for a, b in zip(core, core[1:]))
-        if not (core and ascending and core[-1] == 0):
-            raise InputError(f"a core must be strictly ascending integers up to 0, got {core}")
-        core_bits = sum(1 << (v - core[0]) for v in core)
-        packed, branches = _core_table(t, core)
-        built = _projection_links(inst, t, packed, -core[0], index)
-        if built is None:
+    components = [(range(inst.num_vars), inst)]
+    if index is None:
+        inst.validate_against(t)
+        components = split_components(inst)
+    for c in inst.constraints:
+        if t.relation(c.relation).is_empty:
             return None
-        estimate = _core_estimate(built[0], core, core_bits, branches)
-        # no mirror rule, and no window: every value of R is <= 0
-        plans = [(range(inst.num_vars), inst, estimate, False, 0, built)]
+    biggest = max_distance_or_zero(t)
+    plans = [(comp, sub, *_plan(sub, t, biggest, index)) for comp, sub in components]
     estimate = sum(plan[2] for plan in plans)
     if estimate > node_cap:
         raise CapExceededError(
             f"search space estimate {estimate} exceeds the cap {node_cap}"
         )
     values = [0] * inst.num_vars
-    for comp, sub, _, mirror, half, built in plans:
+    packed: dict = {}
+    for comp, sub, _, mirror in plans:
         # links[j] holds (i, lo, mask) for each finite pair set to a lower i,
-        # built for the window only once its estimate has passed
-        links, due = built or _projection_links(sub, t, packed, None, index)
-        # the window or the core, with bit 0 at value lowest, starts every domain
-        lowest, every = (-half, -1) if core is None else (core[0], core_bits)
+        # built only once the estimate has passed
+        links, due = _projection_links(sub, t, packed, index)
+        half = (len(comp) - 1) * biggest
         local = [0] * len(comp)
 
         def domain(j: int, top: int) -> range | list[int]:
-            if not links[j] and core is None:
+            if not links[j]:
                 return range(-half, top + 1)
             # AND the masks translated by local[i], with bit 0 at value base
-            base, bits = lowest, every
+            base, bits = -half, -1
             for i, lo, mask in links[j]:
                 shift = local[i] + lo
                 if shift > base:

@@ -3,24 +3,25 @@
 `split_components` numbers the variables of each connected component in
 its canonical breadth-first order, so that order is simply index order.
 `solve` reads each component in place instead, through one index map from
-each variable to its place in its component (`_split`).  A propagated
-component is read once more, by `initialize_pairs`, into a `PairMatrix`:
-one row per variable v, mapping each lower neighbour u of v to the pair's
-offset set P(u,v).  The keys of the rows are a chordal completion of the
-component's co-occurrence graph, filled in by eliminating the variables
-highest index first, so that every variable's lower neighbours form a
-clique.  Each set starts as the intersection of the projections of every
-constraint covering the pair and is then tightened through the triangles
-of the completion by one directional sweep, `propagate`: each variable v,
-highest index first, revises every pair a < b of its lower neighbours once,
+each variable to its place in its component (`_split`).  Each component
+but those of brute mode is read once more, by `initialize_pairs`, into a
+`PairMatrix`: one row per variable v, mapping each lower neighbour u of v
+to the pair's offset set P(u,v), the intersection of the projections of
+every constraint covering the pair.  One directional sweep, `propagate`,
+then fills the rows in to a chordal completion of the component's
+co-occurrence graph, eliminating the variables highest index first so that
+every variable's lower neighbours form a clique, and tightens the sets
+through its triangles: each variable v, highest index first, revises every
+pair a < b of its lower neighbours once,
 
     P(a,b)  <-  P(a,b)  intersect  (P(a,v) + P(v,b)).
 
 Every tightening is implied by the instance, so an empty pair set proves
-unsatisfiability.  A witness is then searched for over the matrix alone,
-depth first in index order (a reverse perfect elimination order of the
-completion), checking the constraints of arity 3 or more.  The search is
-complete; on a template closed under a modular median it never backtracks.
+unsatisfiability.  A witness is searched for over the matrix alone, depth
+first in index order, checking the constraints of arity 3 or more: over
+the propagated rows, or over the rows as the constraints leave them with
+every value in a finite core of the template.  Both searches are complete;
+on a template closed under a modular median the first never backtracks.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class SolveStats(Record):
     """Counters from one solve: the revisions of `propagate` that shrank a
     cell, and of them those that bounded a FULL one; sweeps, the vertices
     whose lower pairs it revised, those with at least two lower completion
-    neighbours; and core_searches, the components decided over a finite
-    core instead (see `solve`)."""
+    neighbours; and core_searches, the components that `extract_solution`
+    decided over a finite core, unpropagated (see `solve`)."""
 
     proper_replacements: int = 0
     sweeps: int = 0
@@ -249,21 +250,14 @@ class PairMatrix:
     """Offset sets for the edges of a chordal completion of one component.
 
     Each edge is stored once, in the row of its higher end: `rows[v]` maps
-    each lower completion neighbour u of v to P(u,v).  The keys of the rows
-    are the only record of the completion: `initialize_pairs` writes the
-    pairs that constraints join, and the constructor adds the fill edges,
-    FULL.  `get(k, l)` reads P(k,l), as the negation of P(l,k) when k > l,
-    and FULL off the completion.  `lower[v]` lists the keys of v's row,
-    ascending, and `due[v]` the constraints that extraction checks at v, as
+    each lower neighbour u of v to P(u,v), and a pair off the rows is FULL.
+    `initialize_pairs` writes the pairs that constraints join; `propagate`
+    adds each fill edge of the completion when it first revises it, so the
+    keys of the rows are the completion once a sweep has run in full.
+    `due[v]` lists the constraints that extraction checks at v, as
     (relation, local arguments): those of arity 3 or more, with offset
     tuples, whose highest variable is v.  `cells`, a {(k, l): P(k,l)} view
     of both orientations built on each read, is for tests and tracing.
-
-    One pass, highest index first, fills the completion by the parent rule
-    (Rose, Tarjan & Lueker, SIAM J. Comput. 1976): eliminating v joins its
-    other lower neighbours to its highest one, p, alone, FULL on each new
-    edge.  They are lower neighbours of p, so p's elimination joins them in
-    turn: the filled graph is that of joining them all pairwise.
     """
 
     due: list[list[tuple[RelationDef, tuple[int, ...]]]]
@@ -272,13 +266,6 @@ class PairMatrix:
         self.size = size
         self.variable_ids = list(variable_ids)
         self.rows = rows
-        self.lower: list[list[int]] = [[] for _ in range(size)]
-        for v in reversed(range(size)):
-            below = self.lower[v] = sorted(rows[v])
-            if len(below) > 1:
-                row = rows[below[-1]]
-                for u in below[:-1]:
-                    row.setdefault(u, _FULL)
         self.stats = SolveStats()
         self.empty_pair: tuple[int, int] | None = None
 
@@ -290,9 +277,6 @@ class PairMatrix:
                 cells[k, l], cells[l, k] = cell, -cell
         return cells
 
-    def get(self, k: int, l: int) -> OffsetSet:
-        return self.rows[l].get(k, _FULL) if k < l else -self.rows[k].get(l, _FULL)
-
 
 def initialize_pairs(
     inst: Instance, t: Template, variable_ids: list[int] | None = None, index=None
@@ -302,7 +286,7 @@ def initialize_pairs(
     Pairs sharing a constraint start at the intersection of the projections
     of all covering constraints (intersecting every conjunct instead of
     picking one is sound and only tightens), FULL under FULL ones alone;
-    fill edges of the completion start FULL.  Each relation's coordinate
+    no other pair has a cell yet.  Each relation's coordinate
     pairs, with the forward and reverse projections it caches, are looked
     up once per call; a pair that index order reverses takes the reverse
     one, so nothing is negated.  The same pass puts each constraint that
@@ -355,14 +339,19 @@ def initialize_pairs(
 
 
 def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = False) -> PairMatrix:
-    """Directional path consistency on the chordal completion, in place.
+    """Directional path consistency on the chordal completion, in place,
+    filling the completion in as it goes.
 
     Each vertex v, from the highest index down, revises every pair a < b of
-    its lower completion neighbours once, P(a,b) <- P(a,b) & (P(a,v) +
-    P(v,b)) (Dechter & Pearl, AIJ 1987), and the sweep stops at the first
-    empty cell.  P(a,v) with a < v changes only while a higher vertex is
-    swept, so it is final when v comes up, and the sweep leaves P(a,b)
-    within P(a,v) + P(v,b) for every such v, a and b.
+    its lower neighbours once, P(a,b) <- P(a,b) & (P(a,v) + P(v,b))
+    (Dechter & Pearl, AIJ 1987), and the sweep stops at the first empty
+    cell.  The first revision of a pair that no constraint joins writes its
+    cell, FULL, into b's row, even when a FULL P(v,b) leaves nothing to
+    revise: eliminating v joins its lower neighbours pairwise, so after a
+    full sweep the keys of the rows are the filled graph of eliminating
+    the highest index first.  The revisions at v write below v, so v's row
+    is complete, and P(a,v) with a < v final, when v comes up; the sweep
+    leaves P(a,b) within P(a,v) + P(v,b) for every such v, a and b.
     Every tightening is implied by the instance, so an empty cell proves
     unsatisfiability on every template.
 
@@ -402,19 +391,19 @@ def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = Fa
     ids, rows, stats = matrix.variable_ids, matrix.rows, matrix.stats
     sums: dict[tuple[int, int | None, int, int], OffsetSet] = {}
     for v in reversed(range(matrix.size)):
-        lower = matrix.lower[v]
-        if len(lower) < 2:
+        row_v = rows[v]
+        if len(row_v) < 2:
             continue
         stats.sweeps += 1
-        row_v = rows[v]
+        lower = sorted(row_v)
         for i, a in enumerate(lower):
             left = row_v[a]  # P(a,v) is final: the revisions at v write below v
             for b in lower[i + 1 :]:
                 right = row_v[b]  # P(b,v)
+                row_b = rows[b]
+                old = row_b.setdefault(a, _FULL)
                 if right.mask is None:
                     continue
-                row_b = rows[b]
-                old = row_b[a]
                 key = (left.lo, left.mask, right.lo, right.mask)
                 total = sums.get(key)
                 if total is None:
@@ -438,78 +427,109 @@ def propagate(matrix: PairMatrix, trace: TraceFn | None = None, debug: bool = Fa
 
 def _check_sweep(matrix: PairMatrix) -> None:
     """Raise unless P(a,b) lies within P(a,v) + P(v,b) for every pair a < b
-    of lower neighbours of every v, as `propagate`'s argument reads, taking
-    them from the keys of the rows, not from the sweep's `lower` lists."""
+    of lower neighbours of every v, as `propagate`'s argument reads, a pair
+    off the rows being FULL."""
     rows = matrix.rows
     for v, row in enumerate(rows):
         below = sorted(row)
         for i, a in enumerate(below):
             for b in below[i + 1 :]:
-                cell = rows[b][a]
+                cell = rows[b].get(a, _FULL)
                 if (row[a] + -row[b]) & cell != cell:
                     raise InternalInvariantError(f"pair ({a},{b}) holds {cell}, wider than via {v}")
 
 
-def extract_solution(matrix: PairMatrix, node_cap=DEFAULT_NODE_CAP) -> tuple[int, ...] | None:
+def extract_solution(
+    matrix: PairMatrix, node_cap=DEFAULT_NODE_CAP, core: tuple[int, ...] | None = None
+) -> tuple[int, ...] | None:
     """The least witness in index order, by a depth-first search of the
-    matrix alone; None when there is none.
+    matrix alone, with every value in core when it is given; None when
+    there is none.
 
     Variable j tries, ascending, the values that every finite cell of its
-    row allows (the AND of the masks of P(i,j) + x_i; 0 alone when none
-    bounds j) and takes the first that satisfies each constraint due at j
-    (`PairMatrix.due`); the cells enforce the binary ones.  It backtracks
-    when j has no value left.  The first descent is greedy extraction, which
-    never backtracks on a template closed under a modular median (see
-    `propagate`).
+    row allows (the AND of the masks of P(i,j) + x_i) and, past the root,
+    that lie in core, a finite core R of the template, ascending, with
+    max R = 0; the root, and over Z a variable with no finite cell, take 0
+    alone.  It takes the first that satisfies each constraint due at j
+    (`PairMatrix.due`); the cells enforce the binary ones, and it backtracks
+    to the untried values below when j has none left.  Over Z the first
+    descent is greedy extraction, which never backtracks on a template
+    closed under a modular median (see `propagate`).
 
     On a component of a preprocessed instance in canonical order the search
     is complete: every cell is implied by the instance, so any solution with
-    the root at 0 takes one of the values tried at each variable, and only
-    the root takes 0 alone, since `preprocess` drops FULL constraints and
-    every other variable v has a finite cell to its breadth-first parent.
-    Before the first backtrack it charges the product of each variable's
-    smallest finite cell, a bound on the assignments it can reach, and
-    raises CapExceededError when that is over node_cap.  The cell to v's
-    parent lies in [-D, D], D the largest realized distance, so n variables
-    cost at most (2D + 1)^(n-1), the window search's estimate (`brute._plan`
-    links every non-root variable): nothing it decides is refused here.
+    the root at 0 takes one of the values tried at each variable.  Over Z
+    only the root takes 0 alone, since `preprocess` drops FULL constraints
+    and every other variable v has a finite cell to its breadth-first
+    parent.  Over R, let e be a drift-0 endomorphism of the template whose
+    range, shifted down by its maximum M, is R.  Take any solution s,
+    translated so that the root sits at a point where e takes the value M;
+    then e o s is a solution, and so is e o s - M, which lies in R^n with
+    the root at 0.
+
+    Before the first backtrack it charges the product, over the variables
+    past the root, of the fewest values one finite cell S of j's row leaves
+    j for any value of the lower variable: |S| over Z, and max over x in R
+    of |R & (x + S)| over R, or |R| when no cell bounds j; it raises
+    CapExceededError when that is over node_cap.  The cell to v's parent
+    lies in [-D, D], D the largest realized distance, so over Z n variables
+    cost at most (2D + 1)^(n-1), the window search's estimate
+    (`brute._plan` links every non-root variable): nothing it decides is
+    refused here.
     """
     if matrix.empty_pair is not None:
         raise InternalInvariantError("extraction attempted on an empty pair matrix")
     rows, due, size = matrix.rows, matrix.due, matrix.size
-    values = [0] * size
+    # a non-root variable's values start from R, with bit 0 at value min R
+    lowest, every = (0, None) if core is None else (core[0], sum(1 << (v - core[0]) for v in core))
+    values, untried, bases = [0] * size, [0] * size, [0] * size
     j, back, estimated = 0, False, False
     while 0 <= j < size:
-        # AND the masks of the sets P(i,j) + x_i, bit 0 at value base
-        base = bits = None
-        for i, cell in rows[j].items():
-            if cell.mask is not None:
+        if back:
+            base, bits = bases[j], untried[j]
+        else:  # AND the masks of the sets P(i,j) + x_i, bit 0 at value base
+            base, bits = (lowest, every) if j else (0, None)
+            for i, cell in rows[j].items():
+                mask = cell.mask
+                if mask is None:
+                    continue
                 shift = values[i] + cell.lo
                 if bits is None:
-                    base, bits = shift, cell.mask
+                    base, bits = shift, mask
                 elif shift > base:
-                    bits, base = bits >> (shift - base) & cell.mask, shift
+                    bits, base = bits >> (shift - base) & mask, shift
                 else:
-                    bits &= cell.mask >> (base - shift)
-        if bits is None:
-            base, bits = 0, 1
-        if back:  # the lower values are as before: skip the ones tried
-            bits &= -1 << (values[j] - base + 1)
+                    bits &= mask >> (base - shift)
+            if bits is None:
+                base, bits = 0, 1
         # the least untried value, and the next ones only while a due
         # constraint fails
         while bits:
-            values[j] = base + (bits & -bits).bit_length() - 1
+            low = bits & -bits
+            bits ^= low
+            values[j] = base + low.bit_length() - 1
             if not due[j] or all(
                 tuple_in_relation(rel, tuple(values[a] for a in args)) for rel, args in due[j]
             ):
+                untried[j], bases[j] = bits, base
                 j, back = j + 1, False
                 break
-            bits &= bits - 1
         else:
             if not estimated:
+                # the values a cell (lo, mask) leaves: |S|, or over R the most
+                # for any x in R, bit k of the shifted mask being x + lo + k
+                counts = {
+                    (c.lo, c.mask): 0 for row in rows for c in row.values() if c.mask is not None
+                }
+                for lo, mask in counts:
+                    counts[lo, mask] = mask.bit_count() if core is None else max(
+                        ((mask << k if k >= 0 else mask >> -k) & every).bit_count()
+                        for k in (x + lo - core[0] for x in core)
+                    )
                 estimate = prod(
-                    min((c.mask.bit_count() for c in row.values() if c.mask is not None), default=1)
-                    for row in rows
+                    min((counts[c.lo, c.mask] for c in row.values() if c.mask is not None),
+                        default=len(core) if core else 1)
+                    for row in rows[1:]
                 )
                 if estimate > node_cap:
                     raise CapExceededError(
@@ -611,12 +631,13 @@ def solve(
 
     Modes: "consistency" runs `propagate` and the search of
     `extract_solution` on each component; "brute" searches each over its
-    window (see `brute`); "auto" sends each component whose
+    window (see `brute`); "auto" searches each component whose
     `component_template` is, by its `route`, not one-step, with no modular
-    median and a finite core R, to one search over R^n (see `brute`), and
-    the rest, and any whose core search is over the cap, to consistency.
-    Every search is complete, and refused before it backtracks when its
-    estimate is over the cap.  Sat verdicts carry a re-verified witness.
+    median and a finite core R, over R^n on its rows as the constraints
+    leave them, and sends the rest, and any whose search over R is refused
+    at its first backtrack, to consistency on the same rows.  Every search
+    is complete, and refused at its first backtrack when its estimate is
+    over the cap.  Sat verdicts carry a re-verified witness.
     Propagation is undecided, not failed, for a component whose pair set
     would span more than `model.MAX_SPAN` integers; "auto" then searches it
     over its window.  The instance is unsat when some component is;
@@ -639,20 +660,19 @@ def solve(
         facts = mode == "auto" and route(own)
         # consistency decides a component whose relations have a modular
         # median, as every one-step component's do; the rest may have a finite core
-        if facts and not facts.one_step and facts.modulus is None and facts.core:
-            from . import brute
-
-            try:
-                witness = brute.brute_solve(sub, own, cap, core=facts.core, index=index)
-            except CapExceededError:
-                pass  # the search over the propagated rows may still fit
-            else:
-                stats.core_searches += 1
-                return witness
+        core = facts and not facts.one_step and facts.modulus is None and facts.core
         refused = ""
         if mode != "brute":
             try:
                 matrix = initialize_pairs(sub, prep.template, variables, index)
+                if core:
+                    try:
+                        witness = None if matrix.empty_pair else extract_solution(matrix, cap, core)
+                    except CapExceededError:
+                        pass  # refused at its first backtrack: the propagated rows may fit
+                    else:
+                        stats.core_searches += 1
+                        return witness
                 propagate(matrix, trace=trace, debug=debug)
             except CapExceededError as e:
                 if mode == "consistency":

@@ -222,6 +222,34 @@ def oracle_satisfiable(inst: Instance, t: Template, window: int | None = None):
     return tuple(values) if extend(0) else None
 
 
+def oracle_least_in_core(inst: Instance, t: Template, core) -> tuple[int, ...] | None:
+    """The least witness of a connected instance with every value in core
+    and its first variable at 0, or None: the first assignment in
+    itertools.product order over core^(n-1), the variables taken in
+    `bfs_order` and core ascending.  As in `oracle_satisfiable`, each
+    constraint is checked as soon as its last variable in that order has a
+    value, which skips only assignments that fail it."""
+    order = bfs_order(inst)
+    place = {v: i for i, v in enumerate(order)}
+    rels = {rel.name: rel for rel in t.relations}
+    due: list[list[Constraint]] = [[] for _ in order]
+    for c in inst.constraints:
+        due[max(place[a] for a in c.args)].append(c)
+    values = [0] * inst.num_vars
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        for values[order[i]] in sorted(core) if i else (0,):
+            if all(
+                oracle_in_relation(rels[c.relation], [values[a] for a in c.args]) for c in due[i]
+            ) and extend(i + 1):
+                return True
+        return False
+
+    return tuple(values) if extend(0) else None
+
+
 def oracle_decides(inst: Instance, t: Template) -> bool:
     """Satisfiability of any instance by `oracle_satisfiable`, one component
     at a time.
@@ -492,3 +520,11 @@ def offset_set_walk(matrix, inst: Instance, t: Template):
         else:
             return None
     return tuple(values)
+
+
+def pair_cell(matrix, k: int, l: int) -> OffsetSet:
+    """P(k,l) of a pair matrix, read from the row of the pair's higher end
+    and negated when k > l; FULL for a pair off the rows."""
+    if k < l:
+        return matrix.rows[l].get(k, OffsetSet.full())
+    return -matrix.rows[k].get(l, OffsetSet.full())

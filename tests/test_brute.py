@@ -124,28 +124,20 @@ class TestBruteSolve:
         with pytest.raises(CapExceededError, match="cap"):
             brute_solve(inst, DIST12, node_cap=3)
 
-    def test_a_core_must_ascend_strictly_to_zero(self):
-        edge = graph_instance("dist12", 2, [(0, 1)])
-        assert brute_solve(edge, DIST12, core=(-2, -1, 0)) == (0, -2)
-        # a repeated value once packed the wrong mask and found (0, -1); a
-        # descending one raised ValueError from a negative shift
-        for core in ((-2, -2, 0), (-1, -3, 0), (-2, -1), (), (-1.0, 0)):
-            with pytest.raises(InputError, match="strictly ascending"):
-                brute_solve(edge, DIST12, core=core)
-
     def test_a_core_search_checks_its_constraints_as_the_window_search_does(self):
-        t = Template("t", (binary_relation("r", symmetric(1)), RelationDef("e", 2, "empty")))
-        # an EMPTY constraint once left the false witness (0, -1) over the core
-        both = Instance(2, (Constraint("r", (0, 1)), Constraint("e", (0, 1))))
-        assert brute_solve(both, t) is brute_solve(both, t, core=(-1, 0)) is None
-        # a wrong arity once gave (0, -1, -1) or an IndexError over the core;
-        # it raises after an EMPTY constraint too
+        # auto mode searches dist12 over its core {-2, -1, 0}: an EMPTY
+        # constraint makes it unsat, and a wrong arity raises, after an
+        # EMPTY constraint too, as in the window search
+        t = Template("t", (*DIST12.relations, RelationDef("e", 2, "empty")))
+        assert solve(graph_instance("dist12", 2, [(0, 1)]), t).stats.core_searches == 1
+        both = Instance(2, (Constraint("dist12", (0, 1)), Constraint("e", (0, 1))))
+        assert brute_solve(both, t) is None and solve(both, t).status == "unsat"
         for args in ((0, 1, 2), (0,)):
             for first in ((), (Constraint("e", (0, 1)),)):
-                bad = Instance(3, (*first, Constraint("r", args)))
-                for core in (None, (-1, 0)):
+                bad = Instance(3, (*first, Constraint("dist12", args)))
+                for search in (brute_solve, solve):
                     with pytest.raises(InputError, match="relation has arity 2, got"):
-                        brute_solve(bad, t, core=core)
+                        search(bad, t)
 
     def test_default_cap_is_generous(self):
         inst = graph_instance("dist12", 10, petersen_edges())
@@ -306,3 +298,12 @@ class TestOracleIndependence:
             )
         }
         assert "OffsetSet" not in used and "project_constraint" not in used
+
+    def test_the_test_oracles_import_only_the_model(self):
+        # `tests/helpers.py`, `oracle_least_in_core` among its oracles,
+        # shares no search with the solver or this module
+        tree = ast.parse((Path(__file__).parent / "helpers.py").read_text())
+        modules = {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        } | {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        assert {m for m in modules if "distcsp" in m} == {"distcsp.model"}

@@ -42,8 +42,10 @@ from helpers import (
     lower_half,
     graph_instance,
     offset_set_walk,
+    pair_cell,
     oracle_co_occurrence,
     oracle_decides,
+    oracle_least_in_core,
     oracle_pair_closure,
     oracle_three_colourable,
     random_any_template,
@@ -76,19 +78,22 @@ STUCK23 = graph_instance(
 FULL_R = Template("r", (RelationDef("r", 2, "full"),))
 
 
-def completion(inst, t=FULL_R):
-    """The chordal completion that the pair matrix of inst stores, as each
-    vertex's lower neighbours: the keys of its rows."""
-    return [set(row) for row in initialize_pairs(inst, t).rows]
+def completion(inst, t=FULL_R, variables=None, index=None):
+    """The chordal completion that the pair matrix of inst stores after a
+    full sweep, as each vertex's lower neighbours: the keys of its rows.
+    Every relation of t is made FULL, so that no cell empties and the sweep
+    runs to the end."""
+    full = Template(t.name, tuple(RelationDef(rel.name, rel.arity, "full") for rel in t.relations))
+    return [set(row) for row in propagate(initialize_pairs(inst, full, variables, index)).rows]
 
 
-def completion_edges(matrix, inst):
-    """The ordered pairs the matrix stores, once checked on their own terms:
+def completion_edges(inst, t):
+    """The ordered pairs of the completion, checked on their own terms:
     they hold both orientations of every pair sharing a constraint, and
     index order reversed is a perfect elimination order of them, so each
     variable's lower neighbours form a clique."""
-    edges = set(matrix.cells)
-    assert all((l, k) in edges for k, l in edges)
+    edges = {(k, l) for l, row in enumerate(completion(inst, t)) for k in row}
+    edges |= {(l, k) for k, l in edges}
     for c in inst.constraints:
         assert all((a, b) in edges for a in c.args for b in c.args if a != b)
     for v in range(inst.num_vars):
@@ -130,7 +135,8 @@ def cell_sets(matrix):
 def assert_within_the_reference(matrix, inst, t, edges=None):
     """The sweep's contract against `oracle_pair_closure` over edges (all
     ordered pairs when None): every swept cell contains the reference one,
-    so the sweep is sound and no stronger than the closure; and when t has
+    so the sweep is sound and no stronger than the closure, and over the
+    pairs of edges when given, the completion; and when t has
     a modular median, the swept matrix is empty exactly when the reference
     is, and the greedy walk over either gives one witness.  Returns whether
     the reference is nonempty."""
@@ -141,6 +147,7 @@ def assert_within_the_reference(matrix, inst, t, edges=None):
         return False
     assert matrix.empty_pair is None
     swept = cell_sets(matrix)
+    assert edges is None or set(swept) == edges  # the sweep filled the completion in
     for pair, cell in swept.items():
         assert cell is None or reference[pair] is not None and reference[pair] <= cell, pair
     if median:
@@ -312,11 +319,12 @@ class TestComponents:
         assert repeated >= 50
 
     def test_chordal_completion_is_the_elimination_game(self):
-        # the parent rule hands fill to the highest lower neighbour alone;
-        # relabelled random graphs, cycles and grids, some edges FULL
+        # the sweep joins each vertex's lower neighbours pairwise, so its
+        # rows are the filled graph once it has run to the end: relabelled
+        # random graphs, cycles and grids, some edges FULL
         rng = random.Random(43)
         t = Template("t", (binary_relation("r", (1, 3)), RelationDef("f", 2, "full")))
-        graphs = filled = 0
+        graphs = filled = swept = 0
         for i in range(330):
             if i % 3 == 0:
                 n = rng.randint(2, 14)
@@ -332,17 +340,17 @@ class TestComponents:
             inst = Instance(n, tuple(
                 Constraint(rng.choice("rrf"), (label[a], label[b])) for a, b in edges
             ))
-            matrix = initialize_pairs(inst, t)
             expected = elimination_game(co_occurrence_adjacency(inst))
-            assert [set(row) for row in matrix.rows] == lower_half(expected)
-            for v in range(n):
-                assert matrix.lower[v] == sorted(u for u in expected[v] if u < v)
-            cells = matrix.cells
-            assert all((k, l) in cells and (l, k) in cells for k in range(n) for l in expected[k])
-            assert len(cells) == sum(map(len, expected))  # twice the edges
+            assert completion(inst, t) == lower_half(expected)
+            matrix = propagate(initialize_pairs(inst, t))
+            if matrix.empty_pair is None:
+                cells = matrix.cells
+                assert all((k, l) in cells and (l, k) in cells for k in range(n) for l in expected[k])
+                assert len(cells) == sum(map(len, expected))  # twice the edges
+                swept += 1
             graphs += 1
             filled += expected != co_occurrence_adjacency(inst)
-        assert graphs >= 300 and filled >= 150
+        assert graphs >= 300 and filled >= 150 and swept >= 150
 
     def test_split_numbers_each_component_in_canonical_order(self):
         # the hexagon's breadth-first order becomes index order; its
@@ -448,10 +456,11 @@ class TestComponents:
 
     def test_the_rows_are_the_completion_read_through_the_index(self):
         # each part of the split, read through the index, gives the matrix
-        # of its renumbered copy: the completion of the copy's graph as the
-        # keys of the rows, and each checked constraint due at its highest
-        # variable; relabelled instances, some in several components, with
-        # arities 2 to 4 and FULL relations
+        # of its renumbered copy: the keys of the rows are the pairs that
+        # constraints join in the copy, and the completion of its graph
+        # after a full sweep, and each checked constraint is due at its
+        # highest variable; relabelled instances, some in several
+        # components, with arities 2 to 4 and FULL relations
         seen = Counter()
         for t, inst in mixed_arity_instances(53):
             split, index = solver._split(inst)
@@ -461,9 +470,11 @@ class TestComponents:
             for (variables, part), (same, copy) in zip(split, copies, strict=True):
                 assert variables == same
                 matrix = initialize_pairs(part, t, variables, index)
-                filled = elimination_game(co_occurrence_adjacency(copy))
-                assert [set(row) for row in matrix.rows] == lower_half(filled)
-                seen["filled"] += filled != co_occurrence_adjacency(copy)
+                joined = co_occurrence_adjacency(copy)
+                assert [set(row) for row in matrix.rows] == lower_half(joined)
+                filled = elimination_game(joined)
+                assert completion(part, t, variables, index) == lower_half(filled)
+                seen["filled"] += filled != joined
                 due = [[] for _ in range(copy.num_vars)]
                 for c in copy.constraints:
                     rel = t.relation(c.relation)
@@ -478,8 +489,9 @@ class TestComponents:
 class TestInitializePairs:
     def test_one_pass_matches_the_definition(self):
         # every covering projection intersected as plain sets, FULL on the
-        # other completion edges; pairs are bound in both orientations, by
-        # ternary and FULL relations, and some empty out
+        # pairs that FULL constraints alone join, and no other pair in the
+        # rows until the sweep fills the completion in; pairs are bound in
+        # both orientations, by ternary and FULL relations, and some empty out
         rng = random.Random(21)
         extra = (
             RelationDef("f2", 2, "full"),
@@ -519,12 +531,13 @@ class TestInitializePairs:
                 for b in range(a + 1, len(c.args))
             }
             both += any((l, k) in oriented for k, l in oriented)
-            filled = elimination_game(co_occurrence_adjacency(inst))
+            joined = co_occurrence_adjacency(inst)
             for k in range(n):
-                for l in filled[k]:
+                for l in joined[k]:
                     reference.setdefault((k, l), None)
-            assert [set(row) for row in matrix.rows] == lower_half(filled)
+            assert [set(row) for row in matrix.rows] == lower_half(joined)
             assert cell_sets(matrix) == reference
+            assert completion(inst, t) == lower_half(elimination_game(joined))
             empty = [pair for pair, gaps in reference.items() if gaps == set()]
             if empty:
                 assert matrix.empty_pair in empty
@@ -536,19 +549,19 @@ class TestInitializePairs:
     def test_single_constraint_projections(self):
         inst = Instance(2, (Constraint("dist13", (0, 1)),))
         matrix = initialize_pairs(inst, DIST13)
-        assert matrix.get(0, 1) == OffsetSet.of([1, 3, -1, -3])
-        assert matrix.get(1, 0) == OffsetSet.of([-1, -3, 1, 3])
+        assert pair_cell(matrix, 0, 1) == OffsetSet.of([1, 3, -1, -3])
+        assert pair_cell(matrix, 1, 0) == OffsetSet.of([-1, -3, 1, 3])
 
     def test_covering_constraints_intersect(self):
         t = Template("t", (binary_relation("r13", (1, 3)), binary_relation("r1", (1,))))
         inst = Instance(2, (Constraint("r13", (0, 1)), Constraint("r1", (0, 1))))
         matrix = initialize_pairs(inst, t)
-        assert matrix.get(0, 1) == OffsetSet.of([1])
+        assert pair_cell(matrix, 0, 1) == OffsetSet.of([1])
 
     def test_uncovered_pairs_start_full(self):
         inst = Instance(3, (Constraint("dist13", (0, 1)), Constraint("dist13", (1, 2))))
         matrix = initialize_pairs(inst, DIST13)
-        assert matrix.get(0, 2).is_full
+        assert pair_cell(matrix, 0, 2).is_full
 
     def test_repeated_arguments_rejected(self):
         inst = Instance(1, (Constraint("dist13", (0, 0)),))
@@ -565,8 +578,8 @@ class TestInitializePairs:
         inst = Instance(2, (Constraint("diff", (1, 0)),))
         t = Template("t", (binary_relation("diff", (1, 3)),))
         matrix = initialize_pairs(inst, t)
-        assert matrix.get(1, 0) == OffsetSet.of([1, 3])
-        assert matrix.get(0, 1) == OffsetSet.of([-1, -3])
+        assert pair_cell(matrix, 1, 0) == OffsetSet.of([1, 3])
+        assert pair_cell(matrix, 0, 1) == OffsetSet.of([-1, -3])
 
 
 class TestPropagate:
@@ -613,7 +626,7 @@ class TestPropagate:
                 if prep.unsat:
                     continue
                 matrix = initialize_pairs(prep.instance, prep.template)
-                edges = completion_edges(matrix, prep.instance)
+                edges = completion_edges(prep.instance, prep.template)
                 propagate(matrix)
                 assert_within_the_reference(matrix, prep.instance, prep.template, edges)
 
@@ -640,9 +653,8 @@ class TestPropagate:
         # that filled it
         for n in (10, 12):
             inst = graph_instance("dist13", n, cycle_edges(n))
-            matrix = initialize_pairs(inst, DIST13)
-            edges = completion_edges(matrix, inst)
-            propagate(matrix)
+            matrix = propagate(initialize_pairs(inst, DIST13))
+            edges = completion_edges(inst, DIST13)
             assert assert_within_the_reference(matrix, inst, DIST13, edges)
 
     def test_memoised_sums_reach_the_reference_fixpoint(self):
@@ -659,7 +671,7 @@ class TestPropagate:
             cases.append((graph_instance("dist12", n, spanning_tree_edges(n, rng) + chords), DIST12))
         for inst, t in cases:
             matrix = initialize_pairs(inst, t)
-            edges = completion_edges(matrix, inst)
+            edges = completion_edges(inst, t)
             propagate(matrix)
             assert_within_the_reference(matrix, inst, t, edges)
 
@@ -687,25 +699,30 @@ class TestPropagate:
         # the odd cycles, with as many edges as vertices, empty; the grids
         # are swept with the debug check and walk to the least witness
         matrix = initialize_pairs(inst, DIST13)
-        edges = completion_edges(matrix, inst)
+        edges = completion_edges(inst, DIST13)
         propagate(matrix, debug=True)
         for (k, l), cell in matrix.cells.items():
-            assert matrix.get(l, k) == -cell
+            assert pair_cell(matrix, l, k) == -cell
         decided = assert_within_the_reference(matrix, inst, DIST13, edges)
         assert decided == (len(inst.constraints) != inst.num_vars)
 
     def test_debug_catches_a_sweep_that_skips_a_vertex(self):
-        # a mutant that hides one vertex's lower neighbours from the sweep
-        # skips its revisions; the debug check reads the completion itself,
-        # so it raises on every mutant that leaves some cell wider
+        # a mutant that hides one vertex's row from the sweep skips its
+        # revisions and its fill edges; the debug check reads the rows
+        # themselves, a pair off them as FULL, so it raises on every mutant
+        # that leaves some cell wider
+        class Hidden(dict):
+            def __len__(self):
+                return 0  # fewer than two lower neighbours, to the sweep
+
         inst = graph_instance("dist13", 25, grid_edges(5, 5))
         swept = cell_sets(propagate(initialize_pairs(inst, DIST13)))
         caught = 0
-        for v in range(inst.num_vars):
-            matrix = initialize_pairs(inst, DIST13)
-            if len(matrix.lower[v]) < 2:
+        for v, lower in enumerate(completion(inst, DIST13)):
+            if len(lower) < 2:
                 continue
-            matrix.lower[v] = []
+            matrix = initialize_pairs(inst, DIST13)
+            matrix.rows[v] = Hidden(matrix.rows[v])
             try:
                 propagate(matrix, debug=True)
             except InternalInvariantError:
@@ -716,19 +733,16 @@ class TestPropagate:
         assert caught >= 10
 
     def test_debug_catches_a_cell_widened_after_the_sweep(self):
-        # with the lower lists emptied, a second call sweeps nothing, so the
-        # debug check, which reads the rows, sees the first sweep's matrix:
-        # clean as it stands, and caught, by name, once a revised cell is FULL
+        # the debug check reads the rows: clean on the swept matrix, and
+        # caught, by name, once a revised cell is FULL
         inst = graph_instance("dist13", 25, grid_edges(5, 5))
-        matrix = propagate(initialize_pairs(inst, DIST13))
-        matrix.lower = [[] for _ in range(matrix.size)]
-        propagate(matrix, debug=True)
+        matrix = propagate(initialize_pairs(inst, DIST13), debug=True)
         caught = 0
         for l, row in enumerate(matrix.rows):
             for k, cell in list(row.items()):
                 row[k] = OffsetSet.full()
                 try:
-                    propagate(matrix, debug=True)
+                    solver._check_sweep(matrix)
                 except InternalInvariantError as e:
                     assert str(e).startswith(f"pair ({k},{l}) holds FULL")
                     caught += 1
@@ -738,23 +752,25 @@ class TestPropagate:
     def test_each_pair_is_stored_once_in_its_higher_end_row(self):
         # relabelled instances, some in several components, with arities 2
         # to 4 and FULL relations: before and after the sweep, every key of
-        # a row is below its vertex, `get` reads each pair in both
-        # orientations as negations, and `cells` holds each completion edge
-        # twice; every swept cell contains its path-consistency closure, when
-        # that is nonempty, and P(a,b) lies within P(a,v) + P(v,b) for every
+        # a row is below its vertex, each pair reads in both orientations as
+        # negations, and `cells` holds each edge twice, of the graph that
+        # constraints join before and of its completion after a full sweep;
+        # every swept cell contains its path-consistency closure, when that
+        # is nonempty, and P(a,b) lies within P(a,v) + P(v,b) for every
         # triangle of the rows
         seen = Counter()
         for t, inst in mixed_arity_instances(59):
             n = inst.num_vars
-            filled = elimination_game(co_occurrence_adjacency(inst))
+            joined = co_occurrence_adjacency(inst)
             matrix = initialize_pairs(inst, t)
-            for swept in (False, True):
-                if swept:
+            for graph in (joined, elimination_game(joined)):
+                if graph is not joined:
                     propagate(matrix)
                 assert all(u < v for v, row in enumerate(matrix.rows) for u in row)
                 for k, l in itertools.permutations(range(n), 2):
-                    assert matrix.get(k, l) == -matrix.get(l, k), (k, l)
-                assert len(matrix.cells) == sum(map(len, filled))
+                    assert pair_cell(matrix, k, l) == -pair_cell(matrix, l, k), (k, l)
+                if matrix.empty_pair is None:
+                    assert len(matrix.cells) == sum(map(len, graph))
             reference = oracle_pair_closure(inst, t, set(matrix.cells))
             if matrix.empty_pair is not None:
                 assert reference is None
@@ -764,8 +780,8 @@ class TestPropagate:
                 assert cell is None or reference is None or reference[pair] <= cell, pair
             for v, row in enumerate(matrix.rows):
                 for a, b in itertools.combinations(sorted(row), 2):
-                    cell = matrix.get(a, b)
-                    assert (matrix.get(a, v) + matrix.get(v, b)) & cell == cell, (a, b, v)
+                    cell = pair_cell(matrix, a, b)
+                    assert (pair_cell(matrix, a, v) + pair_cell(matrix, v, b)) & cell == cell, (a, b, v)
             seen["components"] += len(components_of(inst)) > 1
             seen["full"] += any(c.relation.startswith("f") for c in inst.constraints)
             seen["ternary"] += any(c.relation in ("r3", "r4") for c in inst.constraints)
@@ -782,7 +798,7 @@ class TestPropagate:
             matrix = initialize_pairs(prep.instance, prep.template)
             propagate(matrix)
             for (k, l), cell in matrix.cells.items():
-                assert matrix.get(l, k) == -cell
+                assert pair_cell(matrix, l, k) == -cell
 
 
 def progression_steps(t):
@@ -860,7 +876,7 @@ class TestSweep:
             if prep.unsat:
                 continue
             swept = initialize_pairs(prep.instance, prep.template)
-            edges = completion_edges(swept, prep.instance)
+            edges = completion_edges(prep.instance, prep.template)
             propagate(swept)
             assert solver.route(component_template(prep.instance, prep.template)).one_step
             assert_within_the_reference(swept, prep.instance, prep.template, edges)
@@ -899,20 +915,27 @@ class TestSweep:
         assert decided["unknown"] == 0 and min(decided["sat"], decided["unsat"]) >= 50, decided
 
     def test_the_split_hands_each_component_its_graph(self, monkeypatch):
-        # each propagated component's matrix, read through the index, holds
-        # the completion of the graph of the copy `split_components` makes
-        handed = []
-        real = solver.initialize_pairs
+        # each component's matrix, read through the index, holds the graph
+        # of the copy `split_components` makes, and once propagated its
+        # completion
+        handed, swept = [], []
+        real, real_propagate = solver.initialize_pairs, solver.propagate
 
         def spy(sub, t, variables, index=None):
             matrix = real(sub, t, variables, index)
             handed.append((sub, variables, [set(row) for row in matrix.rows]))
             return matrix
 
+        def spy_propagate(matrix, **kwargs):
+            real_propagate(matrix, **kwargs)
+            swept.append((matrix.variable_ids, [set(row) for row in matrix.rows]))
+            return matrix
+
         monkeypatch.setattr(solver, "initialize_pairs", spy)
+        monkeypatch.setattr(solver, "propagate", spy_propagate)
         # two components, both renumbered, one swept and one propagated; in
-        # auto mode the dist12 one is searched over its core instead, and
-        # gets no matrix
+        # auto mode the dist12 one is searched over its core instead, on
+        # its rows as the constraints leave them
         inst, t = disjoint_union(
             (graph_instance("dist13", 6, cycle_edges(6)), DIST13),
             (graph_instance("dist12", 5, cycle_edges(5)), DIST12),
@@ -921,14 +944,17 @@ class TestSweep:
         # 4 vertices of the 6-cycle are swept, and 3 of the 5-cycle
         for mode, propagated, sweeps in (("consistency", 2, 4 + 3), ("auto", 1, 4)):
             handed.clear()
+            swept.clear()
             verdict = solve(inst, t, mode=mode)
             assert verdict.status == "sat" and verdict.stats.sweeps == sweeps
             assert verdict.stats.core_searches == 2 - propagated
-            assert len(handed) == propagated
-            for _, variables, filled in handed:
+            assert len(handed) == 2 and len(swept) == propagated
+            for _, variables, rows in handed:
+                assert rows == lower_half(co_occurrence_adjacency(copies[tuple(variables)]))
+            for variables, filled in swept:
                 copy = copies[tuple(variables)]
                 assert filled == lower_half(elimination_game(co_occurrence_adjacency(copy)))
-        assert [sub.constraints[0].relation for sub, _, _ in handed] == ["dist13"]
+        assert [copies[tuple(variables)].constraints[0].relation for variables, _ in swept] == ["dist13"]
 
     def test_a_sat_answer_does_not_revalidate(self, monkeypatch):
         validated = []
@@ -1007,7 +1033,7 @@ class TestExtractSolution:
         # is not in the ternary relation, so the walk moves on to 1
         inst = Instance(3, (Constraint("r", (0, 1, 2)),))
         matrix = initialize_pairs(inst, TWODEC_FALSE)
-        assert matrix.get(0, 2) & matrix.get(1, 2) == OffsetSet.of([0, 1])
+        assert pair_cell(matrix, 0, 2) & pair_cell(matrix, 1, 2) == OffsetSet.of([0, 1])
         assert extract_solution(matrix) == (0, 0, 1)
 
     def test_only_full_lower_cells_take_zero(self):
@@ -1017,9 +1043,9 @@ class TestExtractSolution:
             4,
             (Constraint("fin", (0, 1)), Constraint("all", (1, 2)), Constraint("all3", (0, 1, 3))),
         )
-        matrix = initialize_pairs(inst, t)
-        assert matrix.lower[2] == [1] and matrix.lower[3] == [0, 1]
-        assert all(matrix.get(i, j).is_full for i, j in ((1, 2), (0, 3), (1, 3)))
+        matrix = propagate(initialize_pairs(inst, t))
+        assert sorted(matrix.rows[2]) == [1] and sorted(matrix.rows[3]) == [0, 1]
+        assert all(pair_cell(matrix, i, j).is_full for i, j in ((1, 2), (0, 3), (1, 3)))
         assert extract_solution(matrix) == (0, 5, 0, 0)
 
     def test_a_stuck_walk_returns_none(self):
@@ -1336,9 +1362,9 @@ class TestFallback:
         handed = []
         real = brute.brute_solve
 
-        def spy(sub, t, cap, core=None, index=None):
-            handed.append((sub, t, cap, core, index))
-            return real(sub, t, cap, core, index)
+        def spy(sub, t, cap, index=None):
+            handed.append((sub, t, cap, index))
+            return real(sub, t, cap, index)
 
         monkeypatch.setattr(brute, "brute_solve", spy)
         # auto mode searches the stuck component's rows, for the window
@@ -1354,7 +1380,7 @@ class TestFallback:
         edge = graph_instance("g", 2, [(0, 1)])
         assert solve(edge, gap).witness == (0, 0)
         cap = brute.DEFAULT_NODE_CAP
-        assert handed == [(STUCK23, DIST23, cap, None, range(8)), (edge, gap, cap, None, range(2))]
+        assert handed == [(STUCK23, DIST23, cap, range(8)), (edge, gap, cap, range(2))]
         # a renumbered component is handed over as the split left it, with
         # its index, and is neither validated nor split again: with 6 and 7
         # swapped, the split numbers STUCK23 back, and both searches read it so
@@ -1371,8 +1397,8 @@ class TestFallback:
             witness = solve(swapped, DIST23, mode=mode).witness
             assert witness == tuple(verdict.witness[v] for v in swap)
         assert validated == split == [] and len(handed) == 1
-        (sub, _, _, core, index), = handed
-        assert core is None and sub.constraints == list(swapped.constraints) and index == swap
+        (sub, _, _, index), = handed
+        assert sub.constraints == list(swapped.constraints) and index == swap
 
     def test_core_searches_are_neither_validated_nor_split(self, monkeypatch):
         validated, split = [], []
@@ -1496,13 +1522,13 @@ class TestFiniteCore:
         # median templates not one-step: consistency decides them all
         assert solver.route(DIST13).core == (-1, 0)
         searched, looked = [], []
-        real, real_core = brute.brute_solve, solver.Route.core.func
+        real, real_core = solver.extract_solution, solver.Route.core.func
 
-        def spy(sub, t, cap, core=None, index=None):
+        def spy(matrix, cap=model.DEFAULT_NODE_CAP, core=None):
             searched.append(core)
-            return real(sub, t, cap, core, index)
+            return real(matrix, cap, core)
 
-        monkeypatch.setattr(brute, "brute_solve", spy)
+        monkeypatch.setattr(solver, "extract_solution", spy)
         # a property over the cached one sees every read of a route's core
         monkeypatch.setattr(
             solver.Route, "core", property(lambda r: looked.append(r.template) or real_core(r))
@@ -1516,8 +1542,9 @@ class TestFiniteCore:
         assert sum(not solver.route(t).one_step for _, t in cases) >= 10
         for inst, t in cases:
             assert solve(inst, t).status in ("sat", "unsat")
-        assert searched == [] and looked == []
+        assert None in searched and set(searched) == {None} and looked == []
         # the spy does see dist12's core search
+        searched.clear()
         assert solve(graph_instance("dist12", 4, complete_edges(4)), DIST12).status == "unsat"
         assert searched == [(-2, -1, 0)]
 
@@ -1529,13 +1556,14 @@ class TestFiniteCore:
         # smaller graphs the witness is the least in R^n under the search
         # order, variables in canonical order and values ascending
         searched = []
-        real = brute.brute_solve
+        real = solver.extract_solution
 
-        def spy(sub, t, cap, core=None, index=None):
-            searched.append(core)
-            return real(sub, t, cap, core, index)
+        def spy(matrix, cap=model.DEFAULT_NODE_CAP, core=None):
+            witness = real(matrix, cap, core)
+            searched.append(core)  # of a search that was not refused
+            return witness
 
-        monkeypatch.setattr(brute, "brute_solve", spy)
+        monkeypatch.setattr(solver, "extract_solution", spy)
         rng = random.Random(19)
         routes = Counter()
         for i in range(300):
@@ -1558,7 +1586,7 @@ class TestFiniteCore:
             searched.clear()
             verdict = solve(inst, t)
             assert verdict.status == ("sat" if expected else "unsat")
-            core = searched[0] if searched else None
+            core = searched[0] if searched else None  # None when propagated
             routes[t is DIST12, core is not None, verdict.status] += 1
             assert verdict.stats.core_searches == (core is not None)
             if verdict.status != "sat":
@@ -1568,12 +1596,7 @@ class TestFiniteCore:
                 continue
             assert verdict.witness[0] == 0 and set(verdict.witness) <= set(core)
             if t is DIST12 and n <= 8:
-                order = bfs_order(inst)
-                for values in itertools.product(core, repeat=n - 1):
-                    least = dict(zip(order, (0, *values)))
-                    if all(abs(least[a] - least[b]) in (1, 2) for a, b in edges):
-                        break
-                assert verdict.witness == tuple(least[v] for v in range(n))
+                assert verdict.witness == oracle_least_in_core(inst, t, core)
         # every dist12 graph goes to the core, with both verdicts; the random
         # templates take both routes
         assert routes[True, False, "sat"] == routes[True, False, "unsat"] == 0
@@ -1582,18 +1605,72 @@ class TestFiniteCore:
         assert min(routes[False, False, "sat"], routes[False, False, "unsat"]) >= 10, routes
 
     def test_a_fourteen_vertex_dist12_graph_is_estimated_at_two_to_the_thirteen(self):
-        rng = random.Random(14)
+        # 2 values for each vertex past the root, charged when the search
+        # over the core first backtracks, against the window's 5
+        rng = random.Random(15)
         edges = spanning_tree_edges(14, rng) + [tuple(rng.sample(range(14), 2)) for _ in range(16)]
         inst = graph_instance("dist12", 14, edges)
         ((_, sub),) = split_components(inst)
         with pytest.raises(CapExceededError, match=f"estimate {2**13} exceeds the cap"):
-            brute_solve(sub, DIST12, 2**13 - 1, core=(-2, -1, 0))
+            extract_solution(initialize_pairs(sub, DIST12), 2**13 - 1, (-2, -1, 0))
         assert search_space_estimate(inst, DIST12) == 5**13  # the window's
         verdict = solve(inst, DIST12, node_cap=2**13)
         assert verdict.stats.core_searches == 1
         assert verdict.status == ("sat" if oracle_three_colourable(14, edges) else "unsat")
         # with one node less the core search is refused, and solve propagates
         assert solve(inst, DIST12, node_cap=2**13 - 1).stats.core_searches == 0
+
+    def test_core_witnesses_are_the_least_in_core(self):
+        # seeded core components, dist12 graphs and random templates with no
+        # median and a core R, n <= 8: a sat answer's witness is the least
+        # in R^n by the enumeration of `oracle_least_in_core`, and an unsat
+        # answer is the oracle's
+        rng = random.Random(29)
+        pool = []
+        while len(pool) < 8:
+            t = random_any_template(rng, f"a{len(pool)}")
+            facts = solver.route(t)
+            if not facts.one_step and facts.modulus is None and facts.core:
+                pool.append(t)
+        seen = Counter()
+        for i in range(320):
+            if i % 3:
+                n = rng.randint(4, 8)
+                edges = spanning_tree_edges(n, rng) + [
+                    tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(n // 2, 2 * n))
+                ]
+                inst, t = graph_instance("dist12", n, edges), DIST12
+            else:
+                t = rng.choice(pool)
+                inst = random_connected_instance(t, rng.randint(2, 6), rng, extra=rng.randint(0, 5))
+            verdict = solve(inst, t)
+            if not verdict.stats.core_searches:
+                continue
+            prep = preprocess(inst, t)
+            core = solver.route(component_template(prep.instance, prep.template)).core
+            assert verdict.witness == oracle_least_in_core(inst, t, core)
+            assert (verdict.status == "sat") == oracle_decides(inst, t)
+            seen[verdict.status] += 1
+            seen["any", verdict.status] += t is not DIST12
+        assert seen["sat"] + seen["unsat"] >= 200 and min(seen.values()) >= 5, seen
+
+    def test_a_dist12_graph_past_the_cap_is_decided_by_the_first_descent(self):
+        # the 2nd graph with n = 28 of a seeded set: a spanning tree and
+        # random pairs.  The search over the core, charged 2^27 at a first
+        # backtrack, never backtracks; the propagated rows' search does, and
+        # is refused, as auto mode was when it charged the core up front
+        rng = random.Random(2)
+        for n in range(4, 29):
+            for _ in range(20 if n < 28 else 2):
+                edges = [(rng.randrange(v), v) for v in range(1, n)]
+                edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(n // 2, 2 * n))]
+        inst = graph_instance("dist12", 28, edges)
+        verdict = solve(inst, DIST12, debug=True)
+        assert verdict.status == "sat" and verdict.stats.core_searches == 1
+        assert set(verdict.witness) <= {-2, -1, 0}
+        assert verify_assignment(inst, DIST12, verdict.witness) == (True, None)
+        consistency = solve(inst, DIST12, mode="consistency")
+        assert consistency.reason == f"search space estimate {4**27} exceeds the cap 100000000"
 
 
 class TestRoute:
@@ -1609,37 +1686,29 @@ class TestRoute:
             edges = spanning_tree_edges(n, rng) + [tuple(rng.sample(range(n), 2)) for _ in range(n)]
             yield graph_instance("dist12", n, edges)
 
-    def test_equal_templates_share_one_route_and_one_core_table(self):
+    def test_equal_templates_share_one_route(self):
         first, second = self.dist12(), self.dist12()
         assert first is not second and first == second
         assert solver.route(first) is solver.route(second)
-        core = solver.route(first).core
-        assert core == (-2, -1, 0)
-        assert brute._core_table(first, core) is brute._core_table(second, core)
-        # each solve of a fresh copy reads the cached route and core table
+        assert solver.route(first).core == (-2, -1, 0)
+        # each solve of a fresh copy reads the cached route
         solve(FAN, self.dist12())
-        routes, tables = solver.route.cache_info(), brute._core_table.cache_info()
+        routes = solver.route.cache_info()
         for inst in self.graphs():
             assert solve(inst, self.dist12()).stats.core_searches == 1
         assert solver.route.cache_info().hits >= routes.hits + 40
-        assert brute._core_table.cache_info().hits >= tables.hits + 40
         assert solver.route.cache_info().currsize == routes.currsize
-        assert brute._core_table.cache_info().currsize == tables.currsize
 
-    def test_one_different_offset_gets_its_own_route_and_table(self):
-        # the same names, and offset 4 besides: no median, the same core,
-        # and a relation of its own in its table
+    def test_one_different_offset_gets_its_own_route(self):
+        # the same names, and offset 4 besides: no median and the same core,
+        # over which no two values differ by 4, so the same answers
         plain, wider = self.dist12(), self.dist12(4)
         assert solver.route(wider) is not solver.route(plain)
         core = solver.route(wider).core
         assert core == solver.route(plain).core == (-2, -1, 0) and solver.route(wider).modulus is None
-        tables = brute._core_table(plain, core), brute._core_table(wider, core)
-        assert tables[0] is not tables[1]
-        solve(FAN, plain)
-        solve(FAN, wider)
-        assert [table[0]["dist12"][0] for table in tables] == [
-            plain.relation("dist12"), wider.relation("dist12")
-        ]
+        for inst in self.graphs():
+            verdict = solve(inst, wider)
+            assert verdict.stats.core_searches == 1 and verdict == solve(inst, plain)
 
     def test_answers_match_those_from_a_cleared_cache(self):
         cases = [(inst, t) for inst in self.graphs() for t in (self.dist12(), self.dist12(4))]
@@ -1648,7 +1717,6 @@ class TestRoute:
         cold = []
         for inst, t in cases:
             solver.route.cache_clear()
-            brute._core_table.cache_clear()
             cold.append(solve(inst, t, debug=True))
         assert warm == cold
         assert {v.status for v in warm} == {"sat", "unsat"}
@@ -1675,14 +1743,14 @@ class TestRoute:
                 calls.update([name]) or real(*a)
             ))
         assert solve(inst, t) == expected
-        # the swept component alone gets a pair matrix
-        assert calls == Counter(initialize_pairs=1)
+        # each component gets one pair matrix, and no window search runs
+        assert calls == Counter(initialize_pairs=2)
         # the first solve over DIST12 itself finds its route, once
         pentagon = graph_instance("dist12", 5, cycle_edges(5))
         solve(pentagon, DIST12)
         calls.clear()
         assert solve(pentagon, DIST12).stats.core_searches == 1
-        assert calls == Counter()
+        assert calls == Counter(initialize_pairs=1)
 
 
 FAR = Template("far", (binary_relation("far", (0, 50)),))
@@ -1700,12 +1768,6 @@ class TestSpanCap:
         assert time.perf_counter() - start < 1.0
         assert verdict.status == "unknown"
         assert "propagation refused" in verdict.reason and "cap" in verdict.reason
-
-    def test_a_core_search_packs_only_offsets_within_the_core(self):
-        # offsets of +-10^9 lie outside [min R, -min R] and are never packed
-        start = time.perf_counter()
-        assert brute_solve(WIDE_PATH, WIDE, core=(-1, 0)) is None
-        assert time.perf_counter() - start < 1.0
 
     def test_auto_falls_back_to_exhaustive_past_the_span(self):
         # the exhaustive search keeps plain sets and decides it
@@ -1845,8 +1907,8 @@ class TestDecisionContract:
 def solve_on_copies(inst, t, mode):
     """`solve`'s status and witness in auto or consistency mode, worked out
     on the copies that `split_components` makes: each renumbered component
-    takes its route, as a direct call on its own `Instance`, and its
-    witness is lifted back through its variables."""
+    takes its route, as direct calls on its own `Instance`, and its witness
+    is lifted back through its variables."""
     prep = preprocess(inst, t)
     if prep.unsat:
         return "unsat", None
@@ -1854,10 +1916,14 @@ def solve_on_copies(inst, t, mode):
     for variables, sub in split_components(prep.instance):
         own = component_template(sub, prep.template)
         facts = solver.route(own)
+        matrix = initialize_pairs(sub, prep.template)
+        witness = False  # until a search over a core decides it
         if mode == "auto" and not facts.one_step and facts.modulus is None and facts.core:
-            witness = brute_solve(sub, own, core=facts.core)
-        else:
-            matrix = initialize_pairs(sub, prep.template)
+            try:
+                witness = None if matrix.empty_pair else extract_solution(matrix, core=facts.core)
+            except CapExceededError:
+                pass  # refused at its first backtrack
+        if witness is False:
             propagate(matrix)
             if matrix.empty_pair is not None:
                 return "unsat", None
