@@ -10,13 +10,13 @@ heuristic.  Candidates are the values allowed by the finite pair sets to
 lower variables, ANDed as plain-int bitmasks; a binary constraint on two
 distinct variables is its own pair set and needs no per-candidate check.
 
-Called directly, as the oracle, it shares only the component numbering with
-the solver, and none of its search.  `solve` hands it one component of its
-own split with the index map that numbers it, in brute mode or when the
-span cap refuses propagation.  Either way, its pair links are the
-constraints' projections, built in one pass with the constraints due at
-each variable and each relation packed once per call, and it skips
-mirrored subtrees of components closed under negation.
+It shares only the component numbering with the solver, and none of its
+search.  Called directly it is the oracle; `solve` hands it one component
+of its own split as a renumbered instance, in brute mode or when the span
+cap refuses propagation.  Either way, its pair links are the constraints'
+projections, built in one pass with the constraints due at each variable
+and each relation packed once per call, and it skips mirrored subtrees of
+components closed under negation.
 """
 
 from __future__ import annotations
@@ -58,34 +58,31 @@ def search_space_estimate(inst: Instance, t: Template) -> int:
     return sum(_plan(sub, t, biggest)[0] for _, sub in split_components(inst))
 
 
-def _plan(sub: Instance, t: Template, biggest: int, index=None) -> tuple[int, bool]:
-    """Window search space estimate of a component read through index, and
-    whether every relation it names is closed under negation."""
+def _plan(sub: Instance, t: Template, biggest: int) -> tuple[int, bool]:
+    """Window search space estimate of a component, and whether every
+    relation it names is closed under negation."""
     linked: set[int] = set()  # paired with a lower variable: 2D + 1 values
     mirror = True
     for c in sub.constraints:
         rel = t.relation(c.relation)
         mirror = mirror and rel.negation_closed
         if rel.has_tuples:
-            args = c.args if index is None else [index[a] for a in c.args]
-            low = min(args)
-            linked.update(a for a in args if a != low)
+            low = min(c.args)
+            linked.update(a for a in c.args if a != low)
     window = 2 * (sub.num_vars - 1) * biggest + 1
     return (2 * biggest + 1) ** len(linked) * window ** (sub.num_vars - 1 - len(linked)), mirror
 
 
-def _projection_links(sub: Instance, t: Template, plans: dict, index=None):
-    """In one pass over the constraints: per variable j, (i, lo, mask) for
-    each lower i paired with it by the projections, bit k set when
-    value[j] - value[i] = lo + k is allowed (the masks of a pair that several
-    constraints cover intersected), and the constraints due at j, their
-    highest variable, which have offset tuples that their pair sets do not
-    enforce: arity 3 and up, or a variable twice.  None when one is EMPTY;
-    InputError when one has the wrong arity.  plans holds, per relation name
-    met, the relation, whether it is due and its coordinate pairs, packed
-    forward and reversed; argument a of a constraint is variable index[a]
-    (a when index is None)."""
-    index = range(sub.num_vars) if index is None else index
+def _projection_links(sub: Instance, t: Template, plans: dict):
+    """In one pass over the constraints of a validated component with no
+    EMPTY one: per variable j, (i, lo, mask) for each lower i paired with it
+    by the projections, bit k set when value[j] - value[i] = lo + k is
+    allowed (the masks of a pair that several constraints cover
+    intersected), and the constraints due at j, their highest variable,
+    which have offset tuples that their pair sets do not enforce: arity 3
+    and up, or a variable twice.  plans holds, per relation name met, the
+    relation, whether it is due and its coordinate pairs, packed forward and
+    reversed."""
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
     due: list[list] = [[] for _ in range(sub.num_vars)]
     for c in sub.constraints:
@@ -93,16 +90,11 @@ def _projection_links(sub: Instance, t: Template, plans: dict, index=None):
         if plan is None:
             rel = t.relation(c.relation)
             coords = combinations(range(1, rel.arity + 1), 2) if rel.has_tuples else ()
-            packed = None if rel.is_empty else [
-                (i - 1, j - 1, _pack(rel, i, j), _pack(rel, j, i)) for i, j in coords
-            ]
+            packed = [(i - 1, j - 1, _pack(rel, i, j), _pack(rel, j, i)) for i, j in coords]
             plan = plans[c.relation] = rel, rel.arity > 2 and rel.has_tuples, packed
         rel, check, packed = plan
-        if packed is None or len(c.args) != rel.arity:
-            sub.validate_against(t)  # raises on a wrong arity
-            return None  # as the window search answers an EMPTY constraint
         for i, j, forward, reverse in packed:
-            a, b = index[c.args[i]], index[c.args[j]]
+            a, b = c.args[i], c.args[j]
             if a == b:
                 check = True
                 continue
@@ -114,8 +106,7 @@ def _projection_links(sub: Instance, t: Template, plans: dict, index=None):
                 forward = lo, (old[1] >> (lo - old[0])) & (forward[1] >> (lo - forward[0]))
             pairs[a, b] = forward
         if check:
-            args = tuple(map(index.__getitem__, c.args))
-            due[max(args)].append((rel, args))
+            due[max(c.args)].append((rel, c.args))
     links: list[list[tuple[int, int, int]]] = [[] for _ in range(sub.num_vars)]
     for (i, j), (lo, mask) in pairs.items():
         links[j].append((i, lo, mask))
@@ -133,36 +124,30 @@ def _pack(rel, i: int, j: int) -> tuple[int, int]:
 
 
 def brute_solve(
-    inst: Instance, t: Template, node_cap: int = DEFAULT_NODE_CAP, index=None
+    inst: Instance, t: Template, node_cap: int = DEFAULT_NODE_CAP
 ) -> tuple[int, ...] | None:
     """Depth-first search for the least witness under the search order, or None.
 
-    Components are searched independently in index order, each with its
-    lowest variable pinned to 0 and the others scanned ascending over the
-    complete window.
+    inst is validated and split by `split_components`; `solve` hands over
+    one component, as the instance that the split makes of it, which comes
+    back from the split as it is.  Components are searched independently
+    in index order, each with its lowest variable pinned to 0 and the
+    others scanned ascending over the complete window.
     Binary projections of the covering constraints prune candidates early;
     they are implied constraints, so pruning never loses a witness.  Raises
     CapExceededError instead of starting a search estimated over node_cap.
-
-    With index, inst is one component of `solve`'s split, argument a read
-    as variable index[a], neither validated nor split again: an EMPTY
-    constraint gives None, and a wrong arity InputError where links are
-    built.
 
     When every relation a component names is closed under negation, a step
     whose lower variables are all 0 tries only values <= 0, as negation
     maps solutions to solutions in the symmetric window: the least is not
     positive.
     """
-    components = [(range(inst.num_vars), inst)]
-    if index is None:
-        inst.validate_against(t)
-        components = split_components(inst)
+    inst.validate_against(t)
     for c in inst.constraints:
         if t.relation(c.relation).is_empty:
             return None
     biggest = max_distance_or_zero(t)
-    plans = [(comp, sub, *_plan(sub, t, biggest, index)) for comp, sub in components]
+    plans = [(comp, sub, *_plan(sub, t, biggest)) for comp, sub in split_components(inst)]
     estimate = sum(plan[2] for plan in plans)
     if estimate > node_cap:
         raise CapExceededError(
@@ -173,7 +158,7 @@ def brute_solve(
     for comp, sub, _, mirror in plans:
         # links[j] holds (i, lo, mask) for each finite pair set to a lower i,
         # built only once the estimate has passed
-        links, due = _projection_links(sub, t, packed, index)
+        links, due = _projection_links(sub, t, packed)
         half = (len(comp) - 1) * biggest
         local = [0] * len(comp)
 

@@ -212,11 +212,17 @@ def split_components(inst: Instance) -> list[tuple[list[int], Instance]]:
     it is.  `solve` reads the same split in place (`_split`).
     """
     components, index = _split(inst)
-    return components if isinstance(index, range) else [
-        (variables, _trusted(Instance, num_vars=part.num_vars, constraints=tuple(
-            _trusted(Constraint, relation=c.relation, args=tuple(map(index.__getitem__, c.args)))
-            for c in part.constraints))) for variables, part in components
-    ]
+    return [(variables, _renumbered(part, index)) for variables, part in components]
+
+
+def _renumbered(part, index: list | range) -> Instance:
+    """A part of `_split` as the `Instance` it induces, argument a renumbered
+    index[a]; part itself when index is a range."""
+    if isinstance(index, range):
+        return part
+    return _trusted(Instance, num_vars=part.num_vars, constraints=tuple(
+        _trusted(Constraint, relation=c.relation, args=tuple(map(index.__getitem__, c.args)))
+        for c in part.constraints))
 
 
 def _split(inst: Instance) -> tuple[list[tuple[list[int], Instance]], list | range]:
@@ -630,8 +636,10 @@ def solve(
     """Decide an instance against a template, one connected component at a time.
 
     Modes: "consistency" runs `propagate` and the search of
-    `extract_solution` on each component; "brute" searches each over its
-    window (see `brute`); "auto" searches each component whose
+    `extract_solution` on each component; "brute" hands each, as the
+    `Instance` that `split_components` would make of it, to `brute_solve`
+    with its `component_template`, which searches it over its window; "auto"
+    searches each component whose
     `component_template` is, by its `route`, not one-step, with no modular
     median and a finite core R, over R^n on its rows as the constraints
     leave them, and sends the rest, and any whose search over R is refused
@@ -655,8 +663,9 @@ def solve(
     cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
 
     def decide(variables, sub):
-        # a component's witness, None if it is unsat; CapExceededError says why not
-        own = component_template(sub, prep.template)
+        # a component's witness, None if it is unsat; CapExceededError says
+        # why not; only auto mode's route and the window search read own
+        own = mode != "consistency" and component_template(sub, prep.template)
         facts = mode == "auto" and route(own)
         # consistency decides a component whose relations have a modular
         # median, as every one-step component's do; the rest may have a finite core
@@ -684,7 +693,7 @@ def solve(
         from . import brute
 
         try:
-            return brute.brute_solve(sub, own, cap, index=index)
+            return brute.brute_solve(_renumbered(sub, index), own, cap)
         except CapExceededError as e:
             raise CapExceededError(refused + str(e)) from None
 

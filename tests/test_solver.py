@@ -63,12 +63,15 @@ CHAIN_UNSAT = Instance(
 )
 
 
-# extraction gets stuck on this fan over dist12, which is satisfiable
+# extraction's first descent gets stuck on this fan over dist12, which is
+# satisfiable, and its search backtracks
 FAN = graph_instance("dist12", 5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 4), (3, 4)])
 
 # {+-2, +-3} has no modular median and no finite core within the budget of
-# `solver._finite_core`, so auto mode propagates it; extraction gets stuck
-# on this satisfiable theta graph: paths of 2, 3 and 4 edges from 0 to 6
+# `Route.core`, so auto mode propagates it; on this satisfiable theta graph,
+# paths of 2, 3 and 4 edges from 0 to 6, the first descent of the search
+# over the propagated rows gets stuck, and the search backtracks and
+# decides it
 DIST23 = Template("d23", (binary_relation("d23", symmetric(2, 3)),))
 STUCK23 = graph_instance(
     "d23", 8, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 6), (6, 7)]
@@ -1362,9 +1365,9 @@ class TestFallback:
         handed = []
         real = brute.brute_solve
 
-        def spy(sub, t, cap, index=None):
-            handed.append((sub, t, cap, index))
-            return real(sub, t, cap, index)
+        def spy(inst, t, cap):
+            handed.append((inst, t, cap))
+            return real(inst, t, cap)
 
         monkeypatch.setattr(brute, "brute_solve", spy)
         # auto mode searches the stuck component's rows, for the window
@@ -1380,25 +1383,20 @@ class TestFallback:
         edge = graph_instance("g", 2, [(0, 1)])
         assert solve(edge, gap).witness == (0, 0)
         cap = brute.DEFAULT_NODE_CAP
-        assert handed == [(STUCK23, DIST23, cap, range(8)), (edge, gap, cap, range(2))]
-        # a renumbered component is handed over as the split left it, with
-        # its index, and is neither validated nor split again: with 6 and 7
-        # swapped, the split numbers STUCK23 back, and both searches read it so
+        assert handed == [(STUCK23, DIST23, cap), (edge, gap, cap)]
+        # a renumbered component is handed over as the instance that
+        # split_components makes of it: with 6 and 7 swapped, the split
+        # numbers STUCK23 back, and both searches read it so
         swap = [0, 1, 2, 3, 4, 5, 7, 6]
         swapped = Instance(8, tuple(
             Constraint("d23", (swap[a], swap[b])) for a, b in (c.args for c in STUCK23.constraints)
         ))
         assert split_components(swapped) == [(swap, STUCK23)]
-        validated, split = [], []
-        monkeypatch.setattr(Instance, "validate_against", lambda inst, t: validated.append(inst))
-        monkeypatch.setattr(brute, "split_components", lambda inst: split.append(inst))
         handed.clear()
         for mode in ("auto", "brute"):
             witness = solve(swapped, DIST23, mode=mode).witness
             assert witness == tuple(verdict.witness[v] for v in swap)
-        assert validated == split == [] and len(handed) == 1
-        (sub, _, _, index), = handed
-        assert sub.constraints == list(swapped.constraints) and index == swap
+        assert handed == [(split_components(swapped)[0][1], DIST23, cap)]
 
     def test_core_searches_are_neither_validated_nor_split(self, monkeypatch):
         validated, split = [], []
@@ -1980,9 +1978,21 @@ class TestIndexReads:
     def test_solve_reads_what_the_copies_read(self):
         # the solver reads each component in place, through the split's
         # index; the same routes on the copies give the same answers, so a
-        # swapped or unmapped argument shows
+        # swapped or unmapped argument shows.  Brute mode renumbers each
+        # component it hands to the window search, and answers as the
+        # oracle does on the whole instance wherever the oracle decides
         seen = Counter()
         for inst, t in self.cases():
+            try:
+                witness = brute_solve(inst, t)
+            except CapExceededError:
+                seen["brute", "refused"] += 1
+            else:
+                verdict = solve(inst, t, mode="brute")
+                assert (verdict.status, verdict.witness) == (
+                    "unsat" if witness is None else "sat", witness
+                )
+                seen["brute", verdict.status] += 1
             renumbered = any(sub is not inst for _, sub in split_components(inst))
             ternary = any(len(c.args) == 3 for c in inst.constraints)
             repeated = any(len(set(c.args)) < len(c.args) for c in inst.constraints)
@@ -1998,3 +2008,5 @@ class TestIndexReads:
         assert min(seen[k] for k in ("renumbered", "ternary", "repeated", "components")) >= 30, seen
         assert min(seen["auto", "sat", True], seen["auto", "unsat", True]) >= 10, seen
         assert min(seen["consistency", status, False] for status in ("sat", "unsat")) >= 10, seen
+        assert seen["brute", "sat"] + seen["brute", "unsat"] >= 200, seen
+        assert min(seen["brute", "sat"], seen["brute", "unsat"]) >= 10, seen
